@@ -169,19 +169,13 @@ type Cluster struct {
 	Registry *obs.Registry
 	Metrics  *obs.RunMetrics
 
-	// Elastic membership state (elastic.go). newNode is the template
-	// Join starts mid-run nodes from; mm is non-nil only for elastic
-	// runs so fixed-pool metric snapshots stay bit-identical.
+	// Elastic membership (elastic.go). newNode is the template Join
+	// starts mid-run nodes from; members decides every transition.
 	newNode func(id int) NodeConfig
-	mm      *obs.MembershipMetrics
-
-	churnMu               sync.Mutex
-	routable              []bool
-	left                  []bool
-	retiring              []bool
-	pool                  int
-	peakPool              int
-	joins, drains, leaves int64
+	//lint:guards members, applied
+	churnMu sync.Mutex
+	members *membership.Pool
+	applied []transition // transitions of the decision in progress
 }
 
 // StartCluster boots servers and clients per cfg and waits until every
@@ -191,19 +185,11 @@ func StartCluster(cfg ExperimentConfig) (*Cluster, error) {
 	if err := cfg.Faults.Validate(); err != nil {
 		return nil, err
 	}
-	if err := cfg.Membership.Validate(); err != nil {
+	if err := membership.Check(cfg.Servers, cfg.Membership, cfg.Autoscaler); err != nil {
 		return nil, err
 	}
-	if err := cfg.Autoscaler.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.elastic() {
-		if cfg.Faults.Active() {
-			return nil, fmt.Errorf("cluster: Membership and Faults cannot combine in one run")
-		}
-		if cfg.Autoscaler.Active() && cfg.Autoscaler.Max < cfg.Servers {
-			return nil, fmt.Errorf("cluster: autoscaler max pool %d below initial %d servers", cfg.Autoscaler.Max, cfg.Servers)
-		}
+	if cfg.elastic() && cfg.Faults.Active() {
+		return nil, fmt.Errorf("cluster: Membership and Faults cannot combine in one run")
 	}
 	reg := cfg.Metrics
 	if reg == nil {
@@ -263,17 +249,16 @@ func StartCluster(cfg ExperimentConfig) (*Cluster, error) {
 			return fail(err)
 		}
 		cl.Nodes = append(cl.Nodes, n)
-		cl.routable = append(cl.routable, true)
-		cl.left = append(cl.left, false)
-		cl.retiring = append(cl.retiring, false)
 	}
-	cl.pool, cl.peakPool = cfg.Servers, cfg.Servers
+	// Membership metrics register only for elastic runs, so fixed-pool
+	// snapshot digests stay bit-identical.
+	var mm *obs.MembershipMetrics
 	if cfg.elastic() {
-		// Membership metrics register only for elastic runs, so
-		// fixed-pool snapshot digests stay bit-identical.
-		cl.mm = obs.NewMembershipMetrics(reg)
-		cl.mm.Pool.Set(int64(cfg.Servers))
+		mm = obs.NewMembershipMetrics(reg)
 	}
+	cl.churnMu.Lock()
+	cl.members = membership.NewPool(cfg.Servers, cfg.maxPool(), clusterNodes{cl}, mm)
+	cl.churnMu.Unlock()
 
 	mgrAddr := ""
 	if cl.Manager != nil {
@@ -361,18 +346,9 @@ func (cfg ExperimentConfig) elastic() bool {
 	return cfg.Membership.Active() || cfg.Autoscaler.Active()
 }
 
-// maxPool returns the largest node id space the run can touch: the
-// initial pool, every id the schedule names, and the autoscaler's
-// ceiling.
+// maxPool returns the largest node id space the run can touch.
 func (cfg ExperimentConfig) maxPool() int {
-	n := cfg.Servers
-	if m := cfg.Membership.MaxNode() + 1; m > n {
-		n = m
-	}
-	if cfg.Autoscaler.Active() && cfg.Autoscaler.Max > n {
-		n = cfg.Autoscaler.Max
-	}
-	return n
+	return membership.MaxPool(cfg.Servers, cfg.Membership, cfg.Autoscaler)
 }
 
 // RunExperiment boots a cluster, replays the workload open-loop, and
@@ -425,6 +401,11 @@ func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
 		}
 	}
 
+	// emitChurn traces one applied membership transition.
+	emitChurn := func(kind string, id, pool int) {
+		emit(kind, fmt.Sprintf("server:%d", id), int64(pool), 0)
+	}
+
 	if cfg.Faults != nil {
 		player := cfg.Faults.PlayAt(start, cfg.TimeScale, func(ev faults.NodeEvent) {
 			if ev.Node >= len(cl.Nodes) {
@@ -447,18 +428,7 @@ func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
 
 	if cfg.Membership.Active() {
 		mplayer := cfg.Membership.PlayAt(start, cfg.TimeScale, func(ev membership.Event) {
-			changed := false
-			switch ev.Kind {
-			case membership.Join:
-				changed = cl.Join(ev.Node)
-			case membership.Drain:
-				changed = cl.Drain(ev.Node)
-			case membership.Leave:
-				changed = cl.Leave(ev.Node)
-			}
-			if changed {
-				emit("server."+ev.Kind.String(), fmt.Sprintf("server:%d", ev.Node), int64(cl.Pool()), 0)
-			}
+			cl.churn(emitChurn, func(p *membership.Pool) bool { return p.Apply(ev) })
 		})
 		defer mplayer.Stop()
 	}
@@ -482,9 +452,7 @@ func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
 					return
 				case <-t.C:
 					now := time.Duration(float64(time.Since(start)) / cfg.TimeScale)
-					cl.Autoscale(as, now, func(kind string, id, pool int) {
-						emit(kind, fmt.Sprintf("server:%d", id), int64(pool), 0)
-					})
+					cl.Autoscale(as, now, emitChurn)
 				}
 			}
 		}()

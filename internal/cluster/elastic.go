@@ -1,14 +1,13 @@
 // elastic.go is the prototype half of the elastic-membership seam
 // (internal/membership): real nodes joining, draining, and leaving a
-// running cluster. Join starts a fresh Node (or re-publishes a drained
+// running cluster. The shared membership.Pool decides every transition
+// — the same pool and rules the simulator uses — and clusterNodes
+// carries them out: Join starts a fresh Node (or re-publishes a drained
 // one) and re-registers it with the Ideal manager; Drain withdraws a
 // node from the directory and deactivates it at the manager while it
-// keeps serving its queue; Leave retires a drained node's bookkeeping
-// (its process stays up until teardown so residual work always
-// completes — killing a node mid-queue is what faults.Crash is for).
-// The autoscaler samples the routable pool's load index on the scaled
-// wall clock and applies the same policy the simulator replays on its
-// event clock.
+// keeps serving its queue; Leave is bookkeeping only (the process stays
+// up until teardown so residual work always completes — killing a node
+// mid-queue is what faults.Crash is for).
 
 package cluster
 
@@ -18,11 +17,85 @@ import (
 	"finelb/internal/membership"
 )
 
+// transition is one applied membership change, for tracing.
+type transition struct {
+	kind string
+	id   int
+	pool int
+}
+
+// clusterNodes is the prototype's membership.Substrate. Its methods run
+// under churnMu, from inside the pool's decisions.
+type clusterNodes struct{ cl *Cluster }
+
+// Start starts node id from the cluster's template, or re-publishes it
+// when it has run before. A node that fails to start vetoes the join.
+func (s clusterNodes) Start(id int) bool {
+	cl := s.cl
+	for len(cl.Nodes) <= id {
+		cl.Nodes = append(cl.Nodes, nil)
+	}
+	if n := cl.Nodes[id]; n != nil {
+		n.Rejoin()
+		return true
+	}
+	n, err := StartNode(cl.newNode(id))
+	if err != nil {
+		return false
+	}
+	cl.Nodes[id] = n
+	return true
+}
+
+// Changed tells the Ideal manager (and, on drain, the node) about a
+// transition, and records it for the caller's trace.
+func (s clusterNodes) Changed(kind membership.Kind, id int) {
+	cl := s.cl
+	switch kind {
+	case membership.Join:
+		if cl.Manager != nil {
+			cl.Manager.EnsureServers(id + 1)
+			cl.Manager.SetActive(id, true)
+		}
+	case membership.Drain:
+		cl.Nodes[id].Drain()
+		if cl.Manager != nil {
+			cl.Manager.SetActive(id, false)
+		}
+	}
+	cl.noteLocked(kind, id)
+}
+
+// noteLocked records an applied transition for the caller's trace.
+func (cl *Cluster) noteLocked(kind membership.Kind, id int) {
+	cl.applied = append(cl.applied, transition{"server." + kind.String(), id, cl.members.Size()})
+}
+
+// Load returns node id's load index.
+func (s clusterNodes) Load(id int) int { return s.cl.Nodes[id].LoadIndex() }
+
+// churn runs one pool decision under churnMu and hands each transition
+// it applied to event, after unlocking, so event may call back into
+// the cluster. It returns the decision's result.
+func (cl *Cluster) churn(event func(kind string, id, pool int), decide func(*membership.Pool) bool) bool {
+	cl.churnMu.Lock()
+	cl.applied = cl.applied[:0]
+	ok := decide(cl.members)
+	applied := append([]transition(nil), cl.applied...)
+	cl.churnMu.Unlock()
+	if event != nil {
+		for _, t := range applied {
+			event(t.kind, t.id, t.pool)
+		}
+	}
+	return ok
+}
+
 // Pool returns the current routable pool size.
 func (cl *Cluster) Pool() int {
 	cl.churnMu.Lock()
 	defer cl.churnMu.Unlock()
-	return cl.pool
+	return cl.members.Size()
 }
 
 // ChurnStats snapshots the cluster's membership counters: pool
@@ -30,226 +103,38 @@ func (cl *Cluster) Pool() int {
 func (cl *Cluster) ChurnStats() (joins, drains, leaves int64, finalPool, peakPool int) {
 	cl.churnMu.Lock()
 	defer cl.churnMu.Unlock()
-	return cl.joins, cl.drains, cl.leaves, cl.pool, cl.peakPool
+	return cl.members.Stats()
 }
 
-// ensureSlot grows the membership bookkeeping (and the public Nodes
-// slice, with nil placeholders) to hold node id. Callers hold churnMu.
-func (cl *Cluster) ensureSlot(id int) {
-	for len(cl.routable) <= id {
-		cl.routable = append(cl.routable, false)
-		cl.left = append(cl.left, false)
-		cl.retiring = append(cl.retiring, false)
-	}
-	for len(cl.Nodes) <= id {
-		cl.Nodes = append(cl.Nodes, nil)
-	}
-}
-
-// Join makes node id routable: an id the cluster has never seen gets a
-// fresh Node started from the cluster's template, a drained or retired
-// one re-publishes with whatever queue it still holds. The Ideal
-// manager's view grows and the id reactivates, so acquire can assign
-// it again. Returns whether the pool changed.
+// Join makes node id routable: an id the cluster has never run gets a
+// fresh Node, a drained or retired one re-publishes with whatever queue
+// it still holds. Returns whether the pool changed.
 func (cl *Cluster) Join(id int) bool {
-	if id < 0 {
-		return false
-	}
-	cl.churnMu.Lock()
-	defer cl.churnMu.Unlock()
-	cl.ensureSlot(id)
-	if cl.routable[id] {
-		return false
-	}
-	if cl.Nodes[id] == nil {
-		if cl.newNode == nil {
-			return false // cluster predates elastic support (tests building Cluster by hand)
-		}
-		n, err := StartNode(cl.newNode(id))
-		if err != nil {
-			return false
-		}
-		cl.Nodes[id] = n
-	} else {
-		cl.Nodes[id].Rejoin()
-	}
-	cl.routable[id] = true
-	cl.left[id] = false
-	cl.retiring[id] = false
-	cl.pool++
-	if cl.pool > cl.peakPool {
-		cl.peakPool = cl.pool
-	}
-	cl.joins++
-	if cl.Manager != nil {
-		cl.Manager.EnsureServers(id + 1)
-		cl.Manager.SetActive(id, true)
-	}
-	if cl.mm != nil {
-		cl.mm.Joins.Inc()
-		cl.mm.Pool.Set(int64(cl.pool))
-	}
-	return true
+	return cl.churn(nil, func(p *membership.Pool) bool { return p.Join(id) })
 }
 
-// Drain withdraws node id from routing while it keeps serving: the
-// node's directory entry disappears, its heartbeats stop, and the
-// Ideal manager stops assigning it. The last routable node never
-// drains — a cluster must always have somewhere to send work. Returns
-// whether the pool changed.
+// Drain withdraws node id from routing while it keeps serving. The last
+// routable node never drains. Returns whether the pool changed.
 func (cl *Cluster) Drain(id int) bool {
-	cl.churnMu.Lock()
-	defer cl.churnMu.Unlock()
-	return cl.drainLocked(id)
+	return cl.churn(nil, func(p *membership.Pool) bool { return p.Drain(id) })
 }
 
-func (cl *Cluster) drainLocked(id int) bool {
-	if id < 0 || id >= len(cl.routable) || !cl.routable[id] || cl.Nodes[id] == nil {
-		return false
-	}
-	if cl.pool <= 1 {
-		return false
-	}
-	cl.Nodes[id].Drain()
-	cl.routable[id] = false
-	cl.pool--
-	cl.drains++
-	if cl.Manager != nil {
-		cl.Manager.SetActive(id, false)
-	}
-	if cl.mm != nil {
-		cl.mm.Drains.Inc()
-		cl.mm.Pool.Set(int64(cl.pool))
-	}
-	return true
-}
-
-// Leave retires node id (draining it first when still routable). The
-// node process stays up until cluster teardown so work still queued or
-// routed by stale tables completes; leave is the bookkeeping that stops
-// the autoscaler's first-fit scan from preferring the id for re-joins.
+// Leave retires node id (draining it first when still routable).
 // Returns whether anything changed.
 func (cl *Cluster) Leave(id int) bool {
-	cl.churnMu.Lock()
-	defer cl.churnMu.Unlock()
-	return cl.leaveLocked(id)
-}
-
-func (cl *Cluster) leaveLocked(id int) bool {
-	if id < 0 || id >= len(cl.routable) || cl.left[id] {
-		return false
-	}
-	if cl.routable[id] && !cl.drainLocked(id) {
-		return false // last routable node: refuse to retire it
-	}
-	cl.left[id] = true
-	cl.retiring[id] = false
-	cl.leaves++
-	if cl.mm != nil {
-		cl.mm.Leaves.Inc()
-	}
-	return true
+	return cl.churn(nil, func(p *membership.Pool) bool { return p.Leave(id) })
 }
 
 // Autoscale runs one autoscaler evaluation at elapsed run time now
 // (already unscaled back to spec time by the caller): retire idle
-// retiring nodes, sample the routable pool's load index, and apply the
-// policy's delta as joins (first-fit over never-used and drained ids,
-// then retired ones, then brand-new ids) or drains (highest id first —
-// joined last, first out). event, when non-nil, receives one callback
-// per applied transition for tracing.
+// retiring nodes, then let the pool sample the routable load and apply
+// the policy's delta. event, when non-nil, receives one callback per
+// applied transition for tracing.
 func (cl *Cluster) Autoscale(as *membership.Autoscaler, now time.Duration, event func(kind string, id, pool int)) {
-	type transition struct {
-		kind string
-		id   int
-		pool int
-	}
-	var applied []transition
-
-	cl.churnMu.Lock()
-	// Nodes drained by a previous scale-down retire once idle.
-	for id := range cl.retiring {
-		if cl.retiring[id] && !cl.routable[id] && cl.Nodes[id] != nil && cl.Nodes[id].LoadIndex() == 0 {
-			if cl.leaveLocked(id) {
-				applied = append(applied, transition{"server.leave", id, cl.pool})
-			}
-		}
-	}
-	pool := cl.pool
-	outstanding := 0
-	for id, r := range cl.routable {
-		if r {
-			outstanding += cl.Nodes[id].LoadIndex()
-		}
-	}
-	load := 0.0
-	if pool > 0 {
-		load = float64(outstanding) / float64(pool)
-	}
-	delta := as.Evaluate(now, pool, load)
-	switch {
-	case delta > 0:
-		added := 0
-		for added < delta {
-			id := cl.pickJoinLocked()
-			cl.churnMu.Unlock()
-			ok := cl.Join(id)
-			cl.churnMu.Lock()
-			if !ok {
-				break
-			}
-			added++
-			applied = append(applied, transition{"server.join", id, cl.pool})
-		}
-		if added > 0 && cl.mm != nil {
-			cl.mm.ScaleUps.Inc()
-		}
-	case delta < 0:
-		removed := 0
-		for removed < -delta && cl.pool > 1 {
-			id := -1
-			for i := len(cl.routable) - 1; i >= 0; i-- {
-				if cl.routable[i] {
-					id = i
-					break
-				}
-			}
-			if id < 0 || !cl.drainLocked(id) {
-				break
-			}
-			removed++
-			cl.retiring[id] = true
-			applied = append(applied, transition{"server.drain", id, cl.pool})
-			if cl.Nodes[id].LoadIndex() == 0 && cl.leaveLocked(id) {
-				applied = append(applied, transition{"server.leave", id, cl.pool})
-			}
-		}
-		if removed > 0 && cl.mm != nil {
-			cl.mm.ScaleDowns.Inc()
-		}
-	}
-	cl.churnMu.Unlock()
-
-	if event != nil {
-		for _, t := range applied {
-			event(t.kind, t.id, t.pool)
-		}
-	}
-}
-
-// pickJoinLocked chooses the id the next scale-up joins: the lowest
-// non-routable id that never left, then the lowest retired one, then a
-// brand-new id past every known slot. Callers hold churnMu.
-func (cl *Cluster) pickJoinLocked() int {
-	for id := range cl.routable {
-		if !cl.routable[id] && !cl.left[id] {
-			return id
-		}
-	}
-	for id := range cl.routable {
-		if !cl.routable[id] {
-			return id
-		}
-	}
-	return len(cl.routable)
+	cl.churn(event, func(p *membership.Pool) bool {
+		// The prototype learns of idleness only by sampling.
+		p.RetireIdle()
+		p.Autoscale(as, now)
+		return true
+	})
 }

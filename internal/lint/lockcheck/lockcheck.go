@@ -294,21 +294,32 @@ func (w *walkCtx) anyHeld() string {
 	return ""
 }
 
+// clone copies the state for one branch. Defers are per path: a defer
+// registered on one branch does not cover its sibling.
 func (w *walkCtx) clone() *walkCtx {
 	c := &walkCtx{
 		st:       make(map[string]lockState, len(w.st)),
-		deferred: w.deferred, // shared: defers accumulate for the whole unit
+		deferred: make(map[string]bool, len(w.deferred)),
 		dflt:     w.dflt,
 	}
 	for k, v := range w.st {
 		c.st[k] = v
 	}
+	for k := range w.deferred {
+		c.deferred[k] = true
+	}
 	return c
 }
 
 // mergeInto folds other's state into w: agreement survives, conflict
-// becomes unknown.
+// becomes unknown, and only the defers registered on both paths still
+// cover the exit.
 func (w *walkCtx) mergeInto(other *walkCtx) {
+	for k := range w.deferred {
+		if !other.deferred[k] {
+			delete(w.deferred, k)
+		}
+	}
 	for k := range other.st {
 		if w.get(k) != other.get(k) {
 			w.set(k, unknown)

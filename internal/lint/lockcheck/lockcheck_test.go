@@ -14,6 +14,12 @@ func TestGuards(t *testing.T) {
 	analysistest.Run(t, "testdata", lockcheck.Analyzer, "guards")
 }
 
+// TestDeferPerPath proves a deferred unlock covers only the path that
+// registered it: a one-branch defer does not mask a leak on the other.
+func TestDeferPerPath(t *testing.T) {
+	analysistest.Run(t, "testdata", lockcheck.Analyzer, "deferpath")
+}
+
 // TestBlocking covers the no-blocking-while-held rules and their
 // sanctioned counterparts (select with default, write after unlock).
 func TestBlocking(t *testing.T) {

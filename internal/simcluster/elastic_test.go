@@ -265,7 +265,7 @@ func TestElasticMetricsRegisteredOnlyWhenActive(t *testing.T) {
 	}
 }
 
-// TestElasticValidation: the config guard rails.
+// TestElasticValidation: the config guard rails ("" = accepted).
 func TestElasticValidation(t *testing.T) {
 	w := elasticWorkload(4, 0.5)
 	sched := &membership.Schedule{Events: []membership.Event{{At: 0, Node: 0, Kind: membership.Drain}}}
@@ -280,10 +280,11 @@ func TestElasticValidation(t *testing.T) {
 			"Broadcast",
 		},
 		{
+			// Membership and faults combine: the run is accepted.
 			"faults combo",
-			Config{Servers: 4, Workload: w, Policy: core.NewRandom(), Membership: sched,
+			Config{Servers: 4, Workload: w, Policy: core.NewRandom(), Accesses: 2000, Membership: sched,
 				Faults: &faults.Schedule{Events: []faults.NodeEvent{{At: 0, Node: 1, Kind: faults.Crash}}}},
-			"Faults",
+			"",
 		},
 		{
 			"autoscaler max below servers",
@@ -307,6 +308,12 @@ func TestElasticValidation(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			_, err := Run(c.cfg)
+			if c.want == "" {
+				if err != nil {
+					t.Fatalf("err = %v, want the run accepted", err)
+				}
+				return
+			}
 			if err == nil || !strings.Contains(err.Error(), c.want) {
 				t.Fatalf("err = %v, want mention of %q", err, c.want)
 			}
@@ -353,8 +360,8 @@ func TestElasticDispatchZeroAllocs(t *testing.T) {
 					t.Fatal("run drained during priming")
 				}
 			}
-			if len(r.ms.members) != 66 {
-				t.Fatalf("pool = %d after priming, want 66", len(r.ms.members))
+			if r.pool.Size() != 66 {
+				t.Fatalf("pool = %d after priming, want 66", r.pool.Size())
 			}
 			avg := testing.AllocsPerRun(8000, func() {
 				r.eng.ProcessNextEvent()

@@ -3,8 +3,11 @@ package simcluster
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"finelb/internal/core"
+	"finelb/internal/faults"
+	"finelb/internal/membership"
 	"finelb/internal/workload"
 )
 
@@ -21,20 +24,50 @@ func TestDispatchPathZeroAllocs(t *testing.T) {
 		t.Skip("allocation accounting is not stable under -race")
 	}
 	w := workload.PoissonExp(0.05).ScaledTo(64, 0.8)
-	policies := []core.Policy{
+	base := func(pol core.Policy) Config {
+		return Config{
+			Servers: 64, Workload: w, Policy: pol,
+			Accesses: 400000, WarmupFrac: 0.9, Seed: 7,
+		}
+	}
+	type zcase struct {
+		name string
+		cfg  Config
+	}
+	var cases []zcase
+	for _, pol := range []core.Policy{
 		core.NewRandom(),
 		core.NewRoundRobin(),
 		core.NewIdeal(),
 		core.NewLocalLeast(),
 		core.NewPoll(2),
 		core.NewPoll(8),
+	} {
+		cases = append(cases, zcase{pol.String(), base(pol)})
 	}
-	for _, pol := range policies {
-		t.Run(pol.String(), func(t *testing.T) {
-			r, err := newRunner(Config{
-				Servers: 64, Workload: w, Policy: pol,
-				Accesses: 400000, WarmupFrac: 0.9, Seed: 7,
-			})
+	// The fault path: every inquiry crosses a slow, lossy link, so
+	// rounds go silent, retry, and quarantine servers.
+	links := &faults.Schedule{Seed: 9, Links: []faults.LinkRule{
+		{Client: -1, Server: -1, Latency: 200 * time.Microsecond, Loss: 0.01},
+	}}
+	lossy := base(core.NewPoll(2))
+	lossy.Faults = links
+	cases = append(cases, zcase{"poll-2-link-faults", lossy})
+	// Faults and churn together: a crash and pool changes during
+	// priming, then lossy polling over the grown pool.
+	combined := base(core.NewPollDiscard(2, 10*time.Millisecond))
+	combined.Faults = &faults.Schedule{Seed: 9, Links: links.Links, Events: []faults.NodeEvent{
+		{At: time.Second, Node: 0, Kind: faults.Crash},
+	}}
+	combined.Membership = &membership.Schedule{Events: []membership.Event{
+		{At: time.Second, Node: 64, Kind: membership.Join},
+		{At: 2 * time.Second, Node: 5, Kind: membership.Drain},
+	}}
+	cases = append(cases, zcase{"faults-and-churn", combined})
+
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			r, err := newRunner(c.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -21,7 +21,6 @@ package simcluster
 
 import (
 	"fmt"
-	"strconv"
 
 	"finelb/internal/core"
 	"finelb/internal/faults"
@@ -87,10 +86,9 @@ type Config struct {
 	// Membership, when active, makes the server set elastic: Join/
 	// Drain/Leave events play out on the simulated clock, growing the
 	// pool past Servers (up to the schedule's MaxNode) or gracefully
-	// shrinking it. An inert schedule takes the fixed-pool fast path
-	// bit for bit. Unsupported with the Broadcast policy and with an
-	// active fault schedule (drain is the planned counterpart of
-	// crash; combine churn kinds in one seam, not two).
+	// shrinking it. It combines with Faults: a crashed server never
+	// rejoins. An inert schedule leaves the run bit-identical to a
+	// fixed pool. Unsupported with the Broadcast policy.
 	Membership *membership.Schedule
 	// Autoscaler, when active, samples the routable pool's load every
 	// policy interval on the simulated clock and applies the resulting
@@ -169,27 +167,14 @@ func (c Config) withDefaults() (Config, error) {
 			return c, fmt.Errorf("simcluster: Faults is unsupported with the Broadcast policy")
 		}
 	}
-	if c.Membership != nil || c.Autoscaler != nil {
-		if err := c.Membership.Validate(); err != nil {
-			return c, err
-		}
-		if err := c.Autoscaler.Validate(); err != nil {
-			return c, err
-		}
+	if err := membership.Check(c.Servers, c.Membership, c.Autoscaler); err != nil {
+		return c, err
 	}
-	if c.elastic() {
-		if c.Policy.Kind == core.Broadcast {
-			// Broadcast tables are sized to the fixed pool and its
-			// agents run on Every() timers; elastic pools are a polling/
-			// index-policy feature.
-			return c, fmt.Errorf("simcluster: Membership is unsupported with the Broadcast policy")
-		}
-		if c.Faults.Active() {
-			return c, fmt.Errorf("simcluster: Membership and Faults cannot combine in one run")
-		}
-		if c.Autoscaler.Active() && c.Autoscaler.Max < c.Servers {
-			return c, fmt.Errorf("simcluster: autoscaler max pool %d below initial %d servers", c.Autoscaler.Max, c.Servers)
-		}
+	if c.elastic() && c.Policy.Kind == core.Broadcast {
+		// Broadcast tables are sized to the fixed pool and its agents
+		// run on Every() timers; elastic pools are a polling/index-policy
+		// feature.
+		return c, fmt.Errorf("simcluster: Membership is unsupported with the Broadcast policy")
 	}
 	if c.SpeedFactors != nil {
 		// An elastic run may carry extra factors for joinable ids past
@@ -211,20 +196,11 @@ func (c Config) elastic() bool {
 	return c.Membership.Active() || c.Autoscaler.Active()
 }
 
-// maxPool returns the largest server id space the run can reach: the
-// initial pool, grown by whatever the membership schedule or the
-// autoscaler bound can add. Fixed-pool runs return Servers, so every
-// capacity sized from maxPool is exactly what it was before the
-// elastic seam existed.
+// maxPool returns the largest server id space the run can reach.
+// Fixed-pool runs return Servers, so every capacity sized from maxPool
+// is exactly what a fixed pool needs.
 func (c Config) maxPool() int {
-	mp := c.Servers
-	if n := c.Membership.MaxNode() + 1; n > mp {
-		mp = n
-	}
-	if c.Autoscaler.Active() && c.Autoscaler.Max > mp {
-		mp = c.Autoscaler.Max
-	}
-	return mp
+	return membership.MaxPool(c.Servers, c.Membership, c.Autoscaler)
 }
 
 // MessageCount tallies the load-information traffic of a run,
@@ -291,1032 +267,6 @@ type Result struct {
 	// Metrics is the end-of-run snapshot of the obs.RunMetrics catalog
 	// (taken after the engine drains, so cross-metric invariants hold).
 	Metrics *obs.Snapshot
-}
-
-// access is one in-flight service access. Records are pooled by the
-// runner: a record is minted with its callbacks bound once and then
-// recycled when the access completes or is lost, so the steady-state
-// dispatch path schedules pooled engine events with pooled callbacks —
-// no per-access closure allocation.
-type access struct {
-	idx     int
-	client  int
-	attempt int
-	srv     int          // chosen server of the current dispatch
-	start   sim.Time     // arrival time; response time is measured from it
-	service sim.Duration // service demand
-	pollDur sim.Duration // polling duration of the deciding round
-
-	// Callbacks bound to this record for its lifetime (across recycles).
-	runArrival func() // the access's arrival event
-	onArrive   func() // service request reaches the server
-	onService  func() // the server finishes the access's service
-	onDone     func() // response lands back at the client
-	onFail     func() // broken round trip lands back at the client
-	onRetry    func() // backoff elapsed: re-run server selection
-}
-
-// serverState models the paper's server — a FIFO queue feeding one
-// non-preemptive processing unit, load index = queued + in service —
-// as one compact record in the runner's value slice. Keeping all
-// per-server state in a flat []serverState (no per-server engine or
-// metrics pointers, no per-server heap allocations) is what lets a run
-// hold 10k servers without pointer-chasing on every event.
-type serverState struct {
-	speed        float64 // work rate; demand d takes d/speed
-	busyTime     sim.Duration
-	curEnd       sim.Time     // when the job in service would complete
-	curRemaining sim.Duration // remaining demand while paused
-	curHandle    sim.Handle   // scheduled completion (cancellable)
-	cur          *access      // the access in service
-	qavg         stats.TimeWeighted
-	series       *QSeries
-	queue        []*access // FIFO ring: valid entries are queue[qhead:]
-	qhead        int
-	active       int // the load index
-	busy         bool
-	down         bool
-	paused       bool
-	hasCur       bool
-}
-
-// push appends a to the service queue, compacting the consumed prefix
-// only when the backing array is full — amortized O(1), allocation-free
-// once the queue has reached its high-water capacity.
-//
-//lint:noalloc
-func (s *serverState) push(a *access) {
-	if s.qhead > 0 && len(s.queue) == cap(s.queue) {
-		n := copy(s.queue, s.queue[s.qhead:])
-		for i := n; i < len(s.queue); i++ {
-			s.queue[i] = nil
-		}
-		s.queue = s.queue[:n]
-		s.qhead = 0
-	}
-	s.queue = append(s.queue, a)
-}
-
-// pop removes and returns the head of the service queue, or nil.
-//
-//lint:noalloc
-func (s *serverState) pop() *access {
-	if s.qhead == len(s.queue) {
-		return nil
-	}
-	a := s.queue[s.qhead]
-	s.queue[s.qhead] = nil
-	s.qhead++
-	if s.qhead == len(s.queue) {
-		s.queue, s.qhead = s.queue[:0], 0
-	}
-	return a
-}
-
-// runner is one simulated run's full state. One runner serves every
-// run. When the fault schedule is absent or inert
-// (faults.Schedule.Active() == false), none of the failure machinery is
-// allocated and the run takes exactly the paper model's RNG draws — the
-// golden-seed harness (golden_test.go) pins this bit for bit. With an
-// active schedule the same runner adds the failure handling that the
-// prototype client implements: per-server quarantine fed by consecutive
-// silent polls, jittered-backoff poll retries, bounded access retries
-// after broken round trips, and random fallback when all polled servers
-// are quarantined.
-type runner struct {
-	cfg Config
-	eng *sim.Engine
-	res *Result
-	reg *obs.Registry
-	rm  *obs.RunMetrics
-	tr  *obs.Trace
-
-	clientActor []string
-	serverActor []string
-
-	srv []serverState
-
-	policyRNG *stats.RNG
-	jitterRNG *stats.RNG
-	stream    *workload.Stream
-
-	// Lazy arrival scheduling: arrivals reserve a sequence band up front
-	// (sim.Engine.ReserveSeqs) and each arrival event schedules the next
-	// one, so the pending heap holds the in-flight population instead of
-	// the whole access trace, with tie-breaking bit-identical to
-	// scheduling everything up front.
-	arrivalBase uint64
-	nextIdx     int
-
-	// commit is the IDEAL oracle's committed-work index (nil for other
-	// policies): accurate load indexes acquired free of cost (§2), seen
-	// as committed work, matching the prototype's centralized manager
-	// which increments on assignment. Crashed and paused servers are
-	// detached, so Min() routes around them directly.
-	commit *core.LoadIndex
-	// local is the per-client outstanding-access index (LocalLeast
-	// only): the message-free least-connections rule.
-	local []*core.LoadIndex
-
-	tables []*core.LoadTable
-	rrs    []core.RoundRobinState
-
-	// Poll scratch: pollIdent is the identity permutation PollSet
-	// requires (restored after every call, so it doubles as the
-	// "all servers" candidate list on quarantine-exhausted paths).
-	pollIdent []int
-	pollSwaps []int
-	pollDst   []int
-
-	ft *clientFaults
-	ms *memberState // elastic membership (nil on fixed-pool runs)
-
-	freeAcc  []*access  // recycled access records
-	freePoll []*pollCtx // recycled healthy-poll round contexts
-
-	completed int
-	lost      int
-	warmup    int
-}
-
-// newAccess takes an access record from the free-list, or mints one
-// with its callbacks bound.
-func (r *runner) newAccess() *access {
-	if n := len(r.freeAcc); n > 0 {
-		a := r.freeAcc[n-1]
-		r.freeAcc[n-1] = nil
-		r.freeAcc = r.freeAcc[:n-1]
-		return a
-	}
-	a := &access{}
-	a.runArrival = func() { r.arrival(a) }
-	a.onArrive = func() { r.serverArrive(a) }
-	a.onService = func() { r.serviceDone(a) }
-	a.onDone = func() { r.accessDone(a) }
-	a.onFail = func() { r.accessFailed(a) }
-	a.onRetry = func() { r.handle(a) }
-	return a
-}
-
-// recycle retires a finished access record to the free-list.
-//
-//lint:noalloc
-func (r *runner) recycle(a *access) {
-	r.freeAcc = append(r.freeAcc, a)
-}
-
-// emit records one trace event; actors is clientActor or serverActor
-// (indexed lazily so the nil-trace path never touches them).
-//
-//lint:noalloc
-func (r *runner) emit(name string, actors []string, idx int, a, b int64) {
-	if r.tr != nil {
-		r.tr.Emit(r.eng.Now().Seconds(), name, actors[idx], a, b)
-	}
-}
-
-// record samples server id's load index into its time-weighted average
-// (and optional series) at the current simulated time.
-//
-//lint:noalloc
-func (r *runner) record(id int) {
-	s := &r.srv[id]
-	now := r.eng.Now().Seconds()
-	s.qavg.Set(now, float64(s.active))
-	if s.series != nil {
-		s.series.record(now, s.active)
-	}
-}
-
-// scheduleArrival draws the next access from the workload stream and
-// schedules its arrival event in the reserved sequence band.
-//
-//lint:noalloc
-func (r *runner) scheduleArrival() {
-	i := r.nextIdx
-	r.nextIdx++
-	acc := r.stream.Next()
-	a := r.newAccess()
-	a.idx = i
-	a.client = i % r.cfg.Clients
-	a.attempt = 0
-	a.pollDur = 0
-	a.service = sim.FromSeconds(acc.Service)
-	r.eng.AtSeq(sim.Time(sim.FromSeconds(acc.Arrival)), r.arrivalBase+uint64(i), a.runArrival)
-}
-
-// arrival is one access's arrival event: chain the next arrival (the
-// workload stream is monotone in arrival time), then run the policy
-// decision for this one.
-//
-//lint:noalloc
-func (r *runner) arrival(a *access) {
-	if r.nextIdx < r.cfg.Accesses {
-		r.scheduleArrival()
-	}
-	a.start = r.eng.Now()
-	r.handle(a)
-}
-
-// dispatch sends the access to a.srv; the response lands back at the
-// client via onDone (or onFail when the round trip breaks under
-// faults).
-//
-//lint:noalloc
-func (r *runner) dispatch(a *access) {
-	r.res.Messages.Dispatches++
-	r.rm.Dispatches.Inc()
-	r.emit("access.dispatch", r.clientActor, a.client, int64(a.srv), int64(a.idx))
-	if r.commit != nil {
-		r.commit.Add(a.srv, 1)
-	}
-	if r.local != nil {
-		r.local[a.client].Add(a.srv, 1)
-	}
-	r.eng.After(r.cfg.ServiceNetDelay, a.onArrive)
-}
-
-// settle reverses dispatch's load-index commitments when the round trip
-// concludes (completion or failure).
-//
-//lint:noalloc
-func (r *runner) settle(a *access) {
-	if r.commit != nil {
-		r.commit.Add(a.srv, -1)
-	}
-	if r.local != nil {
-		r.local[a.client].Add(a.srv, -1)
-	}
-}
-
-// serverArrive enqueues the access at its server; an access arriving at
-// a crashed server fails immediately (the connection is refused), one
-// arriving at a paused server queues behind the stalled processing
-// unit.
-//
-//lint:noalloc
-func (r *runner) serverArrive(a *access) {
-	s := &r.srv[a.srv]
-	if s.down {
-		if r.ft != nil {
-			r.eng.After(r.cfg.ServiceNetDelay, a.onFail)
-		}
-		return
-	}
-	s.active++
-	r.rm.ServerActive.Add(1)
-	r.record(a.srv)
-	if s.busy || s.paused {
-		s.push(a)
-		return
-	}
-	r.startService(a)
-}
-
-// startService begins a's service on its (idle) server.
-//
-//lint:noalloc
-func (r *runner) startService(a *access) {
-	s := &r.srv[a.srv]
-	s.busy = true
-	r.rm.WorkersBusy.Add(1)
-	d := sim.Duration(float64(a.service) / s.speed)
-	s.busyTime += d
-	s.cur, s.hasCur = a, true
-	s.curEnd = r.eng.Now().Add(d)
-	s.curHandle = r.eng.After(d, a.onService)
-}
-
-// serviceDone completes a's service: the next queued access starts, and
-// the response travels back to the client.
-//
-//lint:noalloc
-func (r *runner) serviceDone(a *access) {
-	s := &r.srv[a.srv]
-	s.hasCur = false
-	s.cur = nil
-	s.active--
-	r.rm.ServerActive.Add(-1)
-	r.rm.ServerServed.Inc()
-	r.record(a.srv)
-	s.busy = false
-	r.rm.WorkersBusy.Add(-1)
-	if next := s.pop(); next != nil {
-		r.startService(next)
-	} else if r.ms != nil && s.active == 0 && r.ms.retiring[a.srv] {
-		// An autoscaler-drained server retires once its queue empties.
-		r.leave(a.srv)
-	}
-	r.eng.After(r.cfg.ServiceNetDelay, a.onDone)
-}
-
-// accessDone lands the response at the client and closes the access.
-//
-//lint:noalloc
-func (r *runner) accessDone(a *access) {
-	r.settle(a)
-	r.completed++
-	r.rm.Completions.Inc()
-	r.rm.ResponseSeconds.Observe(r.eng.Now().Sub(a.start).Seconds())
-	r.emit("access.complete", r.clientActor, a.client, int64(a.srv), int64(a.idx))
-	if a.idx >= r.warmup {
-		r.res.Response.Add(r.eng.Now().Sub(a.start).Seconds())
-		if r.cfg.Policy.Kind == core.Poll {
-			r.res.PollTime.Add(a.pollDur.Seconds())
-		}
-	}
-	if r.cfg.Policy.Kind == core.Poll {
-		r.rm.PollWaitSeconds.Observe(a.pollDur.Seconds())
-	}
-	r.recycle(a)
-	r.finish()
-}
-
-// accessFailed lands a broken round trip at the client: quarantine the
-// server and retry the whole server selection, up to
-// faults.DefaultAccessRetries times.
-func (r *runner) accessFailed(a *access) {
-	r.settle(a)
-	r.ft.quarantine(a.client, a.srv)
-	if a.attempt >= faults.DefaultAccessRetries {
-		r.lost++
-		r.emit("access.lost", r.clientActor, a.client, int64(a.srv), int64(a.idx))
-		r.recycle(a)
-		r.finish()
-		return
-	}
-	r.res.Retries++
-	r.rm.Retries.Inc()
-	r.emit("access.retry", r.clientActor, a.client, int64(a.srv), int64(a.attempt))
-	attempt := a.attempt
-	a.attempt++
-	r.eng.After(r.ft.backoff(attempt), a.onRetry)
-}
-
-// finish stops the engine once every access is accounted for.
-//
-//lint:noalloc
-func (r *runner) finish() {
-	if r.completed+r.lost == r.cfg.Accesses {
-		r.eng.Stop()
-	}
-}
-
-// crash kills server id permanently: the in-service access and every
-// queued access fail (their client connections break) and the load
-// index drops to zero.
-func (r *runner) crash(id int) {
-	s := &r.srv[id]
-	if s.down {
-		return
-	}
-	s.down = true
-	s.paused = false
-	if s.hasCur {
-		s.curHandle.Cancel()
-		if r.ft != nil {
-			r.eng.After(r.cfg.ServiceNetDelay, s.cur.onFail)
-		}
-		s.cur = nil
-		s.hasCur = false
-	}
-	if s.busy {
-		r.rm.WorkersBusy.Add(-1)
-	}
-	s.busy = false
-	for a := s.pop(); a != nil; a = s.pop() {
-		if r.ft != nil {
-			r.eng.After(r.cfg.ServiceNetDelay, a.onFail)
-		}
-	}
-	r.rm.ServerActive.Add(-int64(s.active))
-	s.active = 0
-	r.record(id)
-	if r.commit != nil {
-		r.commit.Remove(id)
-	}
-}
-
-// pause freezes server id's processing unit mid-job: the in-service
-// access's completion is suspended with its remaining demand intact,
-// and no queued access starts until resume.
-func (r *runner) pause(id int) {
-	s := &r.srv[id]
-	if s.down || s.paused {
-		return
-	}
-	s.paused = true
-	if s.hasCur {
-		s.curHandle.Cancel()
-		s.curRemaining = s.curEnd.Sub(r.eng.Now())
-	}
-	if r.commit != nil {
-		r.commit.Remove(id)
-	}
-}
-
-// resume unfreezes server id; the suspended access finishes its
-// remaining demand, then the queue drains normally.
-func (r *runner) resume(id int) {
-	s := &r.srv[id]
-	if s.down || !s.paused {
-		return
-	}
-	s.paused = false
-	if r.commit != nil {
-		r.commit.Restore(id)
-	}
-	if s.hasCur {
-		a := s.cur
-		s.curEnd = r.eng.Now().Add(s.curRemaining)
-		s.curHandle = r.eng.After(s.curRemaining, a.onService)
-		return
-	}
-	if !s.busy {
-		if next := s.pop(); next != nil {
-			r.startService(next)
-		}
-	}
-}
-
-// pollCtx is one healthy poll round's state, pooled like access
-// records: its slices and per-slot observation callbacks are reused
-// across rounds, so a poll-policy access schedules only pooled events
-// with pooled callbacks. The deadline event always fires after every
-// scheduled observation (obsAt <= deadline, and equal times resolve by
-// schedule order), so recycling in the decision callback is safe.
-type pollCtx struct {
-	a         *access
-	deadline  sim.Time
-	polled    []int
-	respAt    []sim.Time
-	responses []core.PollResponse
-	obsFns    []func() // obsFns[i] observes polled[i] at the server
-	decideFn  func()
-}
-
-// newPollCtx takes a context from the free-list (or mints one) and
-// ensures it has observation callbacks for d poll slots.
-func (r *runner) newPollCtx(d int) *pollCtx {
-	var c *pollCtx
-	if n := len(r.freePoll); n > 0 {
-		c = r.freePoll[n-1]
-		r.freePoll[n-1] = nil
-		r.freePoll = r.freePoll[:n-1]
-	} else {
-		c = &pollCtx{}
-		c.decideFn = func() { r.healthyDecide(c) }
-	}
-	for i := len(c.obsFns); i < d; i++ {
-		i := i
-		c.obsFns = append(c.obsFns, func() { r.healthyObserve(c, i) })
-	}
-	return c
-}
-
-// healthyPoll is the paper's poll round: every inquiry is answered
-// within its round trip, so the decision closes when the last answer is
-// due (capped uniformly by DefaultPollTimeout and the policy's discard
-// threshold).
-//
-//lint:noalloc
-func (r *runner) healthyPoll(a *access) {
-	cfg := &r.cfg
-	var set []int
-	if r.ms != nil {
-		// Elastic pool: draw the poll set over the routable members.
-		// PollSet picks indices into [0, len(members)); remap in place.
-		set = core.PollSet(r.policyRNG, len(r.ms.members), cfg.Policy.PollSize, r.pollDst, r.pollIdent, r.pollSwaps)
-		for i := range set {
-			set[i] = r.ms.members[set[i]]
-		}
-	} else {
-		set = core.PollSet(r.policyRNG, cfg.Servers, cfg.Policy.PollSize, r.pollDst, r.pollIdent, r.pollSwaps)
-	}
-	c := r.newPollCtx(len(set))
-	c.a = a
-	c.polled = append(c.polled[:0], set...)
-	r.res.Messages.PollRequests += int64(len(c.polled))
-	r.rm.PollRequests.Add(int64(len(c.polled)))
-
-	// Sample each poll's round trip up front; the response value
-	// is observed at the server halfway through.
-	c.respAt = c.respAt[:0]
-	var latest sim.Time
-	for range c.polled {
-		rtt := cfg.PollRTT
-		if cfg.PollJitter != nil {
-			rtt += sim.FromSeconds(cfg.PollJitter.Sample(r.jitterRNG))
-		}
-		respAt := a.start.Add(rtt)
-		c.respAt = append(c.respAt, respAt)
-		if respAt > latest {
-			latest = respAt
-		}
-	}
-	deadline := latest
-	if dl := a.start.Add(DefaultPollTimeout); dl < deadline {
-		deadline = dl
-	}
-	if d := cfg.Policy.DiscardAfter; d > 0 {
-		if dl := a.start.Add(sim.FromSeconds(d.Seconds())); dl < deadline {
-			deadline = dl
-		}
-	}
-	c.deadline = deadline
-	c.responses = c.responses[:0]
-	for i, srv := range c.polled {
-		resp := c.respAt[i]
-		if resp > deadline {
-			r.res.Messages.PollsDiscarded++
-			// In the healthy model every server answers; a discarded
-			// inquiry's answer arrives past the deadline, so it is
-			// both a discard and a late answer (prototype semantics).
-			r.rm.PollDiscards.Inc()
-			r.rm.PollLate.Inc()
-			r.rm.InquiriesServed.Inc() // the server did answer, just late
-			r.rm.PollRTTSeconds.Observe(resp.Sub(a.start).Seconds())
-			r.emit("poll.discard", r.clientActor, a.client, int64(srv), int64(a.idx))
-			continue
-		}
-		// Observe the server's load index when the inquiry
-		// reaches it (half the round trip in).
-		obsAt := resp.Add(-sim.Duration((resp.Sub(a.start)) / 2))
-		r.eng.At(obsAt, c.obsFns[i])
-	}
-	r.eng.At(deadline, c.decideFn)
-}
-
-// healthyObserve is poll slot i's observation event: the inquiry
-// reaches the server and reads its load index; the answer lands back
-// at the client at respAt[i] (within the deadline by construction).
-//
-//lint:noalloc
-func (r *runner) healthyObserve(c *pollCtx, i int) {
-	srv := c.polled[i]
-	c.responses = append(c.responses, core.PollResponse{
-		Server: srv, Load: r.srv[srv].active,
-	})
-	r.res.Messages.PollResponses++
-	r.rm.PollResponses.Inc()
-	r.rm.InquiriesServed.Inc()
-	r.rm.PollRTTSeconds.Observe(c.respAt[i].Sub(c.a.start).Seconds())
-}
-
-// healthyDecide closes the round at the deadline and dispatches.
-//
-//lint:noalloc
-func (r *runner) healthyDecide(c *pollCtx) {
-	a := c.a
-	a.srv = core.PickFromPolls(r.policyRNG, c.responses, c.polled)
-	a.pollDur = c.deadline.Sub(a.start)
-	c.a = nil
-	r.freePoll = append(r.freePoll, c)
-	r.dispatch(a)
-}
-
-// pollRound is the fault-aware poll round over the unquarantined
-// candidates: silent servers (crashed, stalled, or behind a lossy
-// link) never answer, so it either dispatches on the answers it got
-// or (after DefaultPollRetries silent rounds) falls back to random.
-func (r *runner) pollRound(a *access, round int, cands []int) {
-	cfg := &r.cfg
-	roundStart := r.eng.Now()
-	set := core.PollSet(r.policyRNG, len(cands), cfg.Policy.PollSize, r.pollDst, r.pollIdent, r.pollSwaps)
-	polled := make([]int, len(set))
-	for i, ci := range set {
-		polled[i] = cands[ci]
-	}
-	r.res.Messages.PollRequests += int64(len(polled))
-	r.rm.PollRequests.Add(int64(len(polled)))
-
-	deadline := roundStart.Add(DefaultPollTimeout)
-	if da := cfg.Policy.DiscardAfter; da > 0 {
-		if dl := roundStart.Add(sim.FromSeconds(da.Seconds())); dl < deadline {
-			deadline = dl
-		}
-	}
-
-	responses := make([]core.PollResponse, 0, len(polled))
-	answered := make(map[int]bool, len(polled))
-
-	// decide closes the round — either when the last answer arrives
-	// (the client has all it asked for) or at the deadline, whichever
-	// comes first.
-	decided := false
-	decide := func() {
-		if decided {
-			return
-		}
-		decided = true
-		r.res.Messages.PollsDiscarded += int64(len(polled) - len(responses))
-		r.rm.PollDiscards.Add(int64(len(polled) - len(responses)))
-		if n := len(polled) - len(responses); n > 0 {
-			r.emit("poll.discard", r.clientActor, a.client, int64(n), int64(round))
-		}
-		for _, srv := range polled {
-			if answered[srv] {
-				r.ft.noteAnswered(a.client, srv)
-			} else {
-				r.ft.noteSilent(a.client, srv)
-			}
-		}
-		pollDur := r.eng.Now().Sub(a.start)
-		if len(responses) > 0 {
-			a.srv = core.PickFromPolls(r.policyRNG, responses, polled)
-			a.pollDur = pollDur
-			r.dispatch(a)
-			return
-		}
-		if round >= faults.DefaultPollRetries {
-			// Every round was silence: random fallback among the
-			// servers still believed live (or all, if none).
-			fresh := r.ft.candidates(a.client)
-			if fresh == nil {
-				a.srv = r.policyRNG.Intn(cfg.Servers)
-			} else {
-				a.srv = fresh[r.policyRNG.Intn(len(fresh))]
-			}
-			a.pollDur = pollDur
-			r.dispatch(a)
-			return
-		}
-		r.res.Retries++
-		r.rm.Retries.Inc()
-		r.emit("poll.retry", r.clientActor, a.client, int64(round), int64(a.idx))
-		r.eng.After(r.ft.backoff(round), func() {
-			fresh := r.ft.candidates(a.client)
-			if fresh == nil {
-				a.srv = r.policyRNG.Intn(cfg.Servers)
-				a.pollDur = r.eng.Now().Sub(a.start)
-				r.dispatch(a)
-				return
-			}
-			r.pollRound(a, round+1, fresh)
-		})
-	}
-
-	for _, srv := range polled {
-		srv := srv
-		drop, extra := r.ft.pollFault(a.client, srv)
-		if drop {
-			r.rm.InquiriesDropped.Inc()
-			continue // lost datagram: pure silence until the deadline
-		}
-		rtt := cfg.PollRTT + extra
-		if cfg.PollJitter != nil {
-			rtt += sim.FromSeconds(cfg.PollJitter.Sample(r.jitterRNG))
-		}
-		respAt := roundStart.Add(rtt)
-		if respAt > deadline {
-			continue // answer would arrive too late; discarded
-		}
-		// The inquiry reaches the server halfway through the round
-		// trip; a crashed or stalled server never answers it. A live
-		// server's load is observed there, and the answer lands back
-		// at the client at respAt.
-		obsAt := respAt.Add(-sim.Duration((respAt.Sub(roundStart)) / 2))
-		r.eng.At(obsAt, func() {
-			s := &r.srv[srv]
-			if s.down || s.paused {
-				r.rm.InquiriesDropped.Inc()
-				return
-			}
-			load := s.active
-			r.rm.InquiriesServed.Inc()
-			r.eng.At(respAt, func() {
-				if decided {
-					r.rm.PollLate.Inc() // answer landed after the round closed
-					return
-				}
-				responses = append(responses, core.PollResponse{Server: srv, Load: load})
-				answered[srv] = true
-				r.res.Messages.PollResponses++
-				r.rm.PollResponses.Inc()
-				r.rm.PollRTTSeconds.Observe(respAt.Sub(roundStart).Seconds())
-				if len(responses) == len(polled) {
-					decide()
-				}
-			})
-		})
-	}
-
-	r.eng.At(deadline, decide)
-}
-
-// handle runs the policy decision for one access. The healthy branch
-// is the paper's model, draw for draw; the faulted branch filters
-// quarantined servers first.
-//
-//lint:noalloc
-func (r *runner) handle(a *access) {
-	cfg := &r.cfg
-	if r.ms != nil {
-		// Elastic pool: route over the current members (elastic.go).
-		// Membership and faults never combine, so the branches are
-		// mutually exclusive.
-		r.handleElastic(a)
-		return
-	}
-	if r.ft == nil {
-		switch cfg.Policy.Kind {
-		case core.Random:
-			a.srv = r.policyRNG.Intn(cfg.Servers)
-			a.pollDur = 0
-			r.dispatch(a)
-
-		case core.RoundRobin:
-			a.srv = r.rrs[a.client].Next(cfg.Servers)
-			a.pollDur = 0
-			r.dispatch(a)
-
-		case core.Ideal:
-			// O(1) via the committed-work index; equal loads go to the
-			// lowest server id (deterministic JSQ).
-			a.srv = r.commit.Min()
-			a.pollDur = 0
-			r.dispatch(a)
-
-		case core.LocalLeast:
-			a.srv = r.local[a.client].Min()
-			a.pollDur = 0
-			r.dispatch(a)
-
-		case core.Broadcast:
-			tbl := r.tables[a.client]
-			srv := tbl.PickLeast(r.policyRNG)
-			if cfg.Policy.LocalCorrection {
-				tbl.Increment(srv)
-			}
-			a.srv = srv
-			a.pollDur = 0
-			r.dispatch(a)
-
-		case core.Poll:
-			r.healthyPoll(a)
-		}
-		return
-	}
-
-	cands := r.ft.candidates(a.client)
-	pickFrom := cands
-	if pickFrom == nil {
-		// Everything quarantined: the full table is all there is.
-		// pollIdent is the identity permutation and every use below
-		// reads it before the next PollSet call can permute it.
-		pickFrom = r.pollIdent[:cfg.Servers]
-	}
-	switch cfg.Policy.Kind {
-	case core.Random:
-		a.srv = pickFrom[r.policyRNG.Intn(len(pickFrom))]
-		a.pollDur = 0
-		r.dispatch(a)
-
-	case core.RoundRobin:
-		a.srv = pickFrom[r.rrs[a.client].Next(len(pickFrom))]
-		a.pollDur = 0
-		r.dispatch(a)
-
-	case core.Ideal:
-		// The omniscient oracle routes around dead and stalled servers
-		// directly (they are detached from the index); quarantine is
-		// the clients' crutch, not the oracle's.
-		best := r.commit.Min()
-		if best == -1 {
-			best = pickFrom[r.policyRNG.Intn(len(pickFrom))]
-		}
-		a.srv = best
-		a.pollDur = 0
-		r.dispatch(a)
-
-	case core.LocalLeast:
-		// Candidates vary per client and per access (quarantine), so
-		// this stays a scan over the candidate set, reservoir
-		// tie-breaking like core.PickLeast. Fault scenarios run at
-		// test scale; the 10k-server hot path is the healthy branch.
-		li := r.local[a.client]
-		//lint:allow noalloc fault scenarios run at test scale; the 10k-server hot path is the healthy branch above
-		loads := make([]int, len(pickFrom))
-		for i, srv := range pickFrom {
-			loads[i] = li.Load(srv)
-		}
-		a.srv = pickFrom[core.PickLeast(r.policyRNG, loads)]
-		a.pollDur = 0
-		r.dispatch(a)
-
-	case core.Poll:
-		if cands == nil {
-			// All quarantined: skip the pointless poll, go random.
-			a.srv = r.policyRNG.Intn(cfg.Servers)
-			a.pollDur = 0
-			r.dispatch(a)
-			return
-		}
-		r.pollRound(a, 0, cands)
-	}
-}
-
-// newRunner validates cfg and builds the run: engine, RNG streams,
-// server state, fault machinery, policy state, and the first arrival.
-// The construction order (and hence sequence-number and RNG-draw
-// order) is part of the golden contract.
-func newRunner(cfg Config) (*runner, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
-	eng := sim.New()
-	master := stats.NewRNG(cfg.Seed)
-	arrivalRNG := master.Split()
-	policyRNG := master.Split()
-	jitterRNG := master.Split()
-
-	r := &runner{
-		cfg: cfg,
-		eng: eng,
-		res: &Result{
-			Config:   cfg,
-			Response: stats.NewSummary(true),
-			PollTime: stats.NewSummary(true),
-		},
-		policyRNG: policyRNG,
-		jitterRNG: jitterRNG,
-		warmup:    int(float64(cfg.Accesses) * cfg.WarmupFrac),
-	}
-
-	// Observability. The catalog always exists (a private registry when
-	// the caller supplied none) so instrumentation is branch-free; it
-	// schedules no events and draws no randomness, keeping seeded runs
-	// bit-identical with or without a caller registry.
-	r.reg = cfg.Metrics
-	if r.reg == nil {
-		r.reg = obs.NewRegistry()
-	}
-	r.rm = obs.NewRunMetrics(r.reg)
-	// Elastic runs can grow past Servers; every capacity below is sized
-	// to the reachable maximum so growth reuses reserved space instead
-	// of reallocating. Fixed-pool runs have maxPool == Servers, leaving
-	// every allocation exactly as it was.
-	maxPool := cfg.maxPool()
-	r.tr = cfg.Trace
-	if r.tr != nil {
-		r.clientActor = make([]string, cfg.Clients)
-		for i := range r.clientActor {
-			r.clientActor[i] = "client:" + strconv.Itoa(i)
-		}
-		r.serverActor = make([]string, maxPool)
-		for i := range r.serverActor {
-			r.serverActor[i] = "server:" + strconv.Itoa(i)
-		}
-	}
-
-	r.srv = make([]serverState, cfg.Servers, maxPool)
-	for i := range r.srv {
-		s := &r.srv[i]
-		s.speed = r.speedFor(i)
-		if cfg.RecordQueueSeries {
-			s.series = &QSeries{}
-		}
-		r.record(i)
-	}
-
-	// Fault machinery, allocated only for an active schedule: the
-	// healthy path pays nothing and draws nothing extra.
-	if cfg.Faults.Active() {
-		r.ft = newClientFaults(eng, cfg.Faults, cfg.Clients, cfg.Servers)
-		r.ft.onQuarantine = func(client, srv int) {
-			r.rm.Quarantines.Inc()
-			r.emit("client.quarantine", r.clientActor, client, int64(srv), 0)
-		}
-		// Replay node events on the simulated clock.
-		for _, ev := range cfg.Faults.Sorted() {
-			ev := ev
-			if ev.Node >= cfg.Servers {
-				continue
-			}
-			eng.At(sim.Time(sim.FromSeconds(ev.At.Seconds())), func() {
-				switch ev.Kind {
-				case faults.Crash:
-					r.crash(ev.Node)
-					r.emit("server.crash", r.serverActor, ev.Node, 0, 0)
-				case faults.Pause:
-					r.pause(ev.Node)
-					r.emit("server.pause", r.serverActor, ev.Node, 0, 0)
-				case faults.Resume:
-					r.resume(ev.Node)
-					r.emit("server.resume", r.serverActor, ev.Node, 0, 0)
-				}
-			})
-		}
-	}
-
-	// Per-client policy state.
-	r.rrs = make([]core.RoundRobinState, cfg.Clients)
-	if cfg.Policy.Kind == core.Broadcast {
-		r.tables = make([]*core.LoadTable, cfg.Clients)
-		for i := range r.tables {
-			r.tables[i] = core.NewLoadTable(cfg.Servers)
-		}
-	}
-	if cfg.Policy.Kind == core.LocalLeast {
-		r.local = make([]*core.LoadIndex, cfg.Clients)
-		for i := range r.local {
-			r.local[i] = core.NewLoadIndexCap(cfg.Servers, maxPool)
-		}
-	}
-	if cfg.Policy.Kind == core.Ideal {
-		r.commit = core.NewLoadIndexCap(cfg.Servers, maxPool)
-	}
-	r.pollIdent = core.Identity(maxPool)
-	r.pollSwaps = make([]int, maxPool)
-	r.pollDst = make([]int, maxPool)
-
-	// Elastic membership, allocated only for an active schedule or
-	// autoscaler: the fixed-pool path pays nothing and draws nothing.
-	if cfg.elastic() {
-		r.setupElastic(maxPool)
-	}
-
-	// Broadcast agents.
-	if cfg.Policy.Kind == core.Broadcast {
-		mean := sim.FromSeconds(cfg.Policy.BroadcastInterval.Seconds())
-		for id := range r.srv {
-			id := id
-			interval := func() sim.Duration {
-				if cfg.Policy.BroadcastFixed {
-					return mean
-				}
-				// Jittered uniformly over [0.5, 1.5] x mean (§2.2).
-				f := 0.5 + jitterRNG.Float64()
-				return sim.Duration(float64(mean) * f)
-			}
-			eng.Every(interval, func() {
-				r.res.Messages.Broadcasts++
-				load := r.srv[id].active
-				eng.After(cfg.BroadcastDelay, func() {
-					for _, tbl := range r.tables {
-						tbl.Update(id, load)
-						r.res.Messages.BroadcastDeliveries++
-					}
-				})
-			})
-		}
-	}
-
-	// Arrivals: reserve the whole trace's sequence band, then chain
-	// arrival events lazily. Accesses are assigned to clients
-	// round-robin, mirroring the paper's multiple client nodes sharing
-	// the workload.
-	r.stream = cfg.Workload.Stream(arrivalRNG.Uint64())
-	r.arrivalBase = eng.ReserveSeqs(uint64(cfg.Accesses))
-	r.scheduleArrival()
-	return r, nil
-}
-
-// collect assembles the Result after the engine has drained.
-func (r *runner) collect() *Result {
-	end := r.eng.Now().Seconds()
-	res := r.res
-	res.SimDuration = end
-	res.EventsFired = r.eng.Fired()
-	// len(r.srv) == cfg.Servers on fixed-pool runs; elastic runs report
-	// every server the run ever grew (joined servers count their
-	// pre-join span as idle).
-	res.ServerUtilization = make([]float64, len(r.srv))
-	var qsum float64
-	for i := range r.srv {
-		s := &r.srv[i]
-		if end > 0 {
-			res.ServerUtilization[i] = s.busyTime.Seconds() / end
-		}
-		qsum += s.qavg.Finish(end)
-		if r.cfg.RecordQueueSeries {
-			res.QueueSeries = append(res.QueueSeries, s.series)
-		}
-	}
-	res.MeanQueueLength = qsum / float64(len(r.srv))
-	res.FinalPool, res.PeakPool = r.cfg.Servers, r.cfg.Servers
-	if r.ms != nil {
-		res.Joins, res.Drains, res.Leaves = r.ms.joins, r.ms.drains, r.ms.leaves
-		res.FinalPool = len(r.ms.members)
-		res.PeakPool = r.ms.peakPool
-	}
-	// Accesses stranded on a paused-forever server drain no events, so
-	// the engine exits with them still frozen; they are lost too.
-	res.Lost = int64(r.cfg.Accesses - r.completed)
-	r.rm.Lost.Add(res.Lost)
-	res.Metrics = r.reg.Snapshot()
-	return res
-}
-
-// Run executes one simulated experiment and returns its measurements.
-func Run(cfg Config) (*Result, error) {
-	r, err := newRunner(cfg)
-	if err != nil {
-		return nil, err
-	}
-	r.eng.Run()
-	return r.collect(), nil
 }
 
 // MeanResponse is a convenience accessor: the run's mean response time
