@@ -242,11 +242,13 @@ func (r *runner) pollRound(a *access, round int, cands []int) {
 		}
 		c.respAt[i] = c.start.Add(rtt)
 		if c.respAt[i] > c.deadline {
-			// The answer lands past the deadline: the server answers,
-			// but the client has already decided without it.
-			r.rm.PollLate.Inc()
-			r.rm.InquiriesServed.Inc()
-			r.rm.PollRTTSeconds.Observe(rtt.Seconds())
+			// A live server's answer lands after the client has decided
+			// without it.
+			if s := &r.srv[srv]; !s.down && !s.paused {
+				r.rm.PollLate.Inc()
+				r.rm.InquiriesServed.Inc()
+				r.rm.PollRTTSeconds.Observe(rtt.Seconds())
+			}
 			decideAt = c.deadline
 			continue
 		}
