@@ -57,11 +57,14 @@ func newConnPool(tr transport.Transport, addr string) *connPool {
 }
 
 func (p *connPool) get() (*pconn, error) {
-	// Acquire a connection slot (bounds total live connections).
+	// Acquire a connection slot (bounds total live connections). A free
+	// slot is taken at once; only a full pool arms a timer and waits.
 	select {
 	case <-p.slots:
-	case <-time.After(p.dialTimeout):
-		return nil, fmt.Errorf("cluster: no connection slot to %s within %v", p.addr, p.dialTimeout)
+	default:
+		if err := p.waitSlot(); err != nil {
+			return nil, err
+		}
 	}
 	p.mu.Lock()
 	if p.closed {
@@ -82,6 +85,20 @@ func (p *connPool) get() (*pconn, error) {
 		return nil, err
 	}
 	return &pconn{c: c, r: bufio.NewReader(c), w: bufio.NewWriter(c)}, nil
+}
+
+// waitSlot blocks until a connection slot frees up, for at most
+// dialTimeout. The timer is stopped on the way out, so a slot that
+// frees up early leaves no timer behind.
+func (p *connPool) waitSlot() error {
+	t := time.NewTimer(p.dialTimeout)
+	defer t.Stop()
+	select {
+	case <-p.slots:
+		return nil
+	case <-t.C:
+		return fmt.Errorf("cluster: no connection slot to %s within %v", p.addr, p.dialTimeout)
+	}
 }
 
 // put returns a healthy connection to the free list and releases its

@@ -72,6 +72,32 @@ func TestConnPoolBoundsConcurrentConnections(t *testing.T) {
 	}
 }
 
+// TestConnPoolGetPutZeroAllocs: checking a connection out of a warm
+// pool and back in allocates nothing — no per-access timer or dial.
+func TestConnPoolGetPutZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is not stable under -race")
+	}
+	n := startTestNode(t, NodeConfig{ID: 1, Service: "svc"})
+	p := newConnPool(testTransport(t), n.AccessAddr())
+	defer p.closeAll()
+	pc, err := p.get()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.put(pc)
+	avg := testing.AllocsPerRun(1000, func() {
+		pc, err := p.get()
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.put(pc)
+	})
+	if avg != 0 {
+		t.Errorf("get/put on a warm pool allocates %.2f allocs/op, want 0", avg)
+	}
+}
+
 func TestConnPoolGetAfterClose(t *testing.T) {
 	n := startTestNode(t, NodeConfig{ID: 1, Service: "svc"})
 	p := newConnPool(testTransport(t), n.AccessAddr())

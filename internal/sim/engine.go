@@ -1,6 +1,7 @@
 // Package sim implements a deterministic discrete-event simulation
 // engine: an indexed event heap ordered by simulated time with FIFO
-// tie-breaking, an integer-nanosecond clock, and cancellable timers.
+// tie-breaking, FIFO lanes beside it for declared fixed delays, an
+// integer-nanosecond clock, and cancellable timers.
 //
 // The engine is intentionally minimal; domain models (servers, clients,
 // networks) live in higher-level packages and are expressed as
@@ -71,7 +72,7 @@ type event struct {
 	at    Time
 	seq   uint64
 	fn    func()
-	index int // position in the heap; -1 while on the free-list
+	index int // position in the heap; inLane while on a lane; -1 while on the free-list
 
 	// gen is incremented every time the record is recycled (fire or
 	// cancel). A Handle is live only while its gen matches.
@@ -81,6 +82,9 @@ type event struct {
 	cancelledGen uint64
 }
 
+// inLane is event.index for a record queued on a fixed-delay lane.
+const inLane = -2
+
 // Handle identifies a scheduled event and allows cancelling it.
 // The zero Handle is valid and inert.
 type Handle struct {
@@ -89,18 +93,24 @@ type Handle struct {
 	gen uint64
 }
 
-// Cancel removes the event from the schedule in place (O(log n) via the
-// event's heap index — no tombstone lingers in the heap) and clears its
-// callback immediately, so a cancelled closure's captures are released
-// at cancel time rather than when the slot would have surfaced.
-// Cancelling an already-fired or already-cancelled event is a no-op.
+// Cancel removes the event from the schedule and clears its callback
+// immediately, so a cancelled closure's captures are released at
+// cancel time rather than when the slot would have surfaced. A heap
+// event is removed in place (O(log n) via its heap index); a lane
+// event leaves a tombstone entry that the lane head skips by
+// generation check and Pending never counts. Cancelling an
+// already-fired or already-cancelled event is a no-op.
 func (h Handle) Cancel() {
 	ev := h.ev
 	if ev == nil || ev.gen != h.gen {
 		return // already fired or cancelled (record recycled)
 	}
 	ev.cancelledGen = h.gen
-	h.eng.removeAt(ev.index)
+	if ev.index == inLane {
+		h.eng.laneLive--
+	} else {
+		h.eng.removeAt(ev.index)
+	}
 	h.eng.recycle(ev)
 }
 
@@ -112,15 +122,93 @@ func (h Handle) Cancelled() bool {
 	return h.ev != nil && h.ev.gen != h.gen && h.ev.cancelledGen == h.gen
 }
 
+// laneEntry is one queued lane event. at and seq are copied out of the
+// record so comparing lane heads never touches it; gen is the record's
+// incarnation when queued, so a cancelled (recycled) record reads as a
+// tombstone.
+type laneEntry struct {
+	at  Time
+	seq uint64
+	ev  *event
+	gen uint64
+}
+
+// lane is a FIFO ring of the events scheduled exactly delay after the
+// moment they were scheduled. The clock never runs backwards and
+// sequence numbers only grow, so entries arrive in (at, seq) order and
+// the ring is sorted by construction. Freed slots are reused in place,
+// so the ring's size tracks the lane's in-flight high-water mark.
+type lane struct {
+	delay Duration
+	ring  []laneEntry
+	head  int // ring index of the oldest entry
+	n     int // queued entries, tombstones included
+}
+
+// push queues x behind every earlier entry.
+//
+//lint:noalloc
+func (l *lane) push(x laneEntry) {
+	if l.n == len(l.ring) {
+		l.grow()
+	}
+	i := l.head + l.n
+	if i >= len(l.ring) {
+		i -= len(l.ring)
+	}
+	l.ring[i] = x
+	l.n++
+}
+
+// grow doubles a full ring, unwrapping its entries to start at index 0.
+//
+//lint:noalloc (the doubling below is the one sanctioned mint)
+func (l *lane) grow() {
+	//lint:allow noalloc the ring doubles once per doubling of the lane's in-flight high-water mark, then is reused forever
+	ring := make([]laneEntry, max(2*len(l.ring), 1))
+	k := copy(ring, l.ring[l.head:])
+	copy(ring[k:], l.ring[:l.head])
+	l.ring, l.head = ring, 0
+}
+
+// front returns the oldest live entry, first dropping tombstones, or
+// nil when the lane holds none.
+//
+//lint:noalloc
+func (l *lane) front() *laneEntry {
+	for l.n > 0 {
+		x := &l.ring[l.head]
+		if x.ev.gen == x.gen {
+			return x
+		}
+		l.pop()
+	}
+	return nil
+}
+
+// pop drops the oldest entry.
+//
+//lint:noalloc
+func (l *lane) pop() {
+	l.head++
+	if l.head == len(l.ring) {
+		l.head = 0
+	}
+	l.n--
+}
+
 // Engine is a discrete-event simulator. The zero value is ready to use.
 // Engine is not safe for concurrent use.
 type Engine struct {
-	now     Time
-	events  []*event // indexed binary min-heap ordered by (at, seq)
-	seq     uint64
-	stopped bool
-	nFired  uint64
-	free    []*event // recycled event records
+	now      Time
+	events   []*event // indexed binary min-heap ordered by (at, seq)
+	lanes    []lane   // one FIFO per declared fixed delay
+	laneLive int      // live (non-tombstone) lane entries across all lanes
+	seq      uint64
+	stopped  bool
+	nFired   uint64
+	nLane    uint64   // events fired from a lane
+	free     []*event // recycled event records
 }
 
 // New returns a fresh engine at time 0.
@@ -132,9 +220,42 @@ func (e *Engine) Now() Time { return e.now }
 // Fired returns the number of events executed so far.
 func (e *Engine) Fired() uint64 { return e.nFired }
 
+// LaneFired returns how many of the Fired events came from a lane, so a
+// caller can check that the delays it declared are the ones it uses.
+func (e *Engine) LaneFired() uint64 { return e.nLane }
+
 // Pending returns the number of scheduled events. Cancelled events are
-// removed from the schedule immediately, so they are never counted.
-func (e *Engine) Pending() int { return len(e.events) }
+// never counted, whether removed from the heap or left as lane
+// tombstones.
+func (e *Engine) Pending() int { return len(e.events) + e.laneLive }
+
+// AddLane declares a fixed delay d: from then on, every At or After
+// whose time is exactly d past now is queued on a FIFO lane instead of
+// the heap. A lane is already in (time, sequence) order, so firing the
+// earliest of the heap top and the lane heads reproduces the one-heap
+// order exactly; lanes only make that order cheaper to find when many
+// events share a delay. Declaring a delay twice is a no-op. AtSeq
+// events never use a lane.
+func (e *Engine) AddLane(d Duration) {
+	if d < 0 {
+		panic(fmt.Sprintf("sim: negative lane delay %v", d))
+	}
+	if e.laneFor(d) == nil {
+		e.lanes = append(e.lanes, lane{delay: d})
+	}
+}
+
+// laneFor returns the lane declared for delay d, or nil.
+//
+//lint:noalloc
+func (e *Engine) laneFor(d Duration) *lane {
+	for i := range e.lanes {
+		if e.lanes[i].delay == d {
+			return &e.lanes[i]
+		}
+	}
+	return nil
+}
 
 // alloc takes an event record from the free-list, or mints one.
 //
@@ -163,14 +284,38 @@ func (e *Engine) recycle(ev *event) {
 	e.free = append(e.free, ev)
 }
 
+// schedule validates and builds the record for fn at t with sequence
+// number seq. Scheduling in the past panics — that is always a model
+// bug.
+//
+//lint:noalloc
+func (e *Engine) schedule(t Time, seq uint64, fn func()) *event {
+	if t < e.now {
+		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, e.now))
+	}
+	if fn == nil {
+		panic("sim: scheduling nil callback")
+	}
+	ev := e.alloc()
+	ev.at, ev.seq, ev.fn = t, seq, fn
+	return ev
+}
+
 // At schedules fn to run at absolute time t. Scheduling in the past
 // panics — that is always a model bug.
 //
 //lint:noalloc
 func (e *Engine) At(t Time, fn func()) Handle {
-	h := e.AtSeq(t, e.seq, fn)
+	ev := e.schedule(t, e.seq, fn)
 	e.seq++
-	return h
+	if l := e.laneFor(t.Sub(e.now)); l != nil {
+		ev.index = inLane
+		l.push(laneEntry{at: t, seq: ev.seq, ev: ev, gen: ev.gen})
+		e.laneLive++
+	} else {
+		e.push(ev)
+	}
+	return Handle{eng: e, ev: ev, gen: ev.gen}
 }
 
 // ReserveSeqs reserves n consecutive sequence numbers and returns the
@@ -187,18 +332,12 @@ func (e *Engine) ReserveSeqs(n uint64) uint64 {
 
 // AtSeq schedules fn at absolute time t with an explicit sequence
 // number previously obtained from ReserveSeqs. The same past- and
-// nil-callback panics as At apply.
+// nil-callback panics as At apply. A reserved number may be older than
+// a lane's entries, so AtSeq events always go on the heap.
 //
 //lint:noalloc
 func (e *Engine) AtSeq(t Time, seq uint64, fn func()) Handle {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, e.now))
-	}
-	if fn == nil {
-		panic("sim: scheduling nil callback")
-	}
-	ev := e.alloc()
-	ev.at, ev.seq, ev.fn = t, seq, fn
+	ev := e.schedule(t, seq, fn)
 	e.push(ev)
 	return Handle{eng: e, ev: ev, gen: ev.gen}
 }
@@ -218,15 +357,33 @@ func (e *Engine) After(d Duration, fn func()) Handle {
 func (e *Engine) Stop() { e.stopped = true }
 
 // HasPendingEvents reports whether any event remains scheduled.
-func (e *Engine) HasPendingEvents() bool { return len(e.events) > 0 }
+func (e *Engine) HasPendingEvents() bool { return e.Pending() > 0 }
+
+// next locates the earliest pending event by (at, seq): the heap top
+// (src < 0) or lane src's head. ok is false when nothing is pending.
+//
+//lint:noalloc
+func (e *Engine) next() (src int, at Time, ok bool) {
+	src = -1
+	var seq uint64
+	if len(e.events) > 0 {
+		top := e.events[0]
+		at, seq, ok = top.at, top.seq, true
+	}
+	for i := range e.lanes {
+		x := e.lanes[i].front()
+		if x != nil && (!ok || x.at < at || x.at == at && x.seq < seq) {
+			src, at, seq, ok = i, x.at, x.seq, true
+		}
+	}
+	return src, at, ok
+}
 
 // PeekNextEventTime returns the time of the earliest scheduled event
 // without firing it. The boolean is false when nothing is pending.
 func (e *Engine) PeekNextEventTime() (Time, bool) {
-	if len(e.events) == 0 {
-		return 0, false
-	}
-	return e.events[0].at, true
+	_, at, ok := e.next()
+	return at, ok
 }
 
 // ProcessNextEvent pops the earliest event, advances the clock to its
@@ -236,27 +393,34 @@ func (e *Engine) PeekNextEventTime() (Time, bool) {
 //
 //lint:noalloc
 func (e *Engine) ProcessNextEvent() bool {
-	if len(e.events) == 0 {
-		return false
-	}
-	ev := e.events[0]
-	e.removeAt(0)
-	e.now = ev.at
-	e.nFired++
-	fn := ev.fn
-	e.recycle(ev)
-	fn()
-	return true
+	return e.step(math.MaxInt64)
 }
 
 // step fires the next event if its time is within limit.
 //
 //lint:noalloc
 func (e *Engine) step(limit Time) bool {
-	if len(e.events) == 0 || e.events[0].at > limit {
+	src, at, ok := e.next()
+	if !ok || at > limit {
 		return false
 	}
-	return e.ProcessNextEvent()
+	var ev *event
+	if src < 0 {
+		ev = e.events[0]
+		e.removeAt(0)
+	} else {
+		l := &e.lanes[src]
+		ev = l.ring[l.head].ev
+		l.pop()
+		e.laneLive--
+		e.nLane++
+	}
+	e.now = at
+	e.nFired++
+	fn := ev.fn
+	e.recycle(ev)
+	fn()
+	return true
 }
 
 // Run executes events until none remain or Stop is called.
@@ -283,26 +447,22 @@ func (e *Engine) RunUntil(t Time) {
 // Every schedules fn at now+interval(), then repeatedly at successive
 // intervals, until the returned stop function is called. interval is
 // re-evaluated for every period, which is how jittered broadcast timers
-// are built. fn runs before the next period is scheduled.
+// are built, and a negative interval panics as in After. fn runs before
+// the next period is scheduled. The period callback is bound once, so a
+// running timer allocates nothing.
 func (e *Engine) Every(interval func() Duration, fn func()) (stop func()) {
 	stopped := false
-	var schedule func()
-	schedule = func() {
-		d := interval()
-		if d < 0 {
-			panic("sim: Every interval returned negative duration")
+	var tick func()
+	tick = func() {
+		if stopped {
+			return
 		}
-		e.After(d, func() {
-			if stopped {
-				return
-			}
-			fn()
-			if !stopped {
-				schedule()
-			}
-		})
+		fn()
+		if !stopped {
+			e.After(interval(), tick)
+		}
 	}
-	schedule()
+	e.After(interval(), tick)
 	return func() { stopped = true }
 }
 

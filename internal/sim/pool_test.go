@@ -201,45 +201,79 @@ func TestQuickPoolCancelSubset(t *testing.T) {
 }
 
 // TestScheduleFireZeroAllocs is the pool's allocation gate: once the
-// free-list is primed, scheduling and firing events allocates nothing.
+// free-list (and any lane ring) is primed, scheduling and firing events
+// allocates nothing, on the heap or on a fixed-delay lane.
 func TestScheduleFireZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is not stable under -race")
 	}
-	e := New()
-	fn := func() {}
-	// Prime the pool.
-	for i := 0; i < 64; i++ {
-		e.After(1, fn)
-	}
-	e.Run()
-	avg := testing.AllocsPerRun(1000, func() {
-		e.After(1, fn)
-		e.After(2, fn)
-		e.Run()
-	})
-	if avg != 0 {
-		t.Errorf("schedule/fire allocates %.2f allocs/op, want 0", avg)
+	for _, tc := range []struct {
+		name  string
+		lanes []Duration
+	}{
+		{"heap", nil},
+		{"lane-and-heap", []Duration{1}},
+		{"lanes", []Duration{1, 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := New()
+			for _, d := range tc.lanes {
+				e.AddLane(d)
+			}
+			fn := func() {}
+			// Prime the pool.
+			for i := 0; i < 64; i++ {
+				e.After(1, fn)
+				e.After(2, fn)
+			}
+			e.Run()
+			avg := testing.AllocsPerRun(1000, func() {
+				e.After(1, fn)
+				e.After(2, fn)
+				e.Run()
+			})
+			if avg != 0 {
+				t.Errorf("schedule/fire allocates %.2f allocs/op, want 0", avg)
+			}
+		})
 	}
 }
 
-// TestCancelZeroAllocs: in-place cancel is allocation-free too.
+// TestCancelZeroAllocs: cancel is allocation-free too — in place on the
+// heap, and as a tombstone the lane head later skips.
 func TestCancelZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is not stable under -race")
 	}
-	e := New()
-	fn := func() {}
-	for i := 0; i < 64; i++ {
-		e.After(1, fn)
-	}
-	e.Run()
-	avg := testing.AllocsPerRun(1000, func() {
-		h := e.After(1, fn)
-		h.Cancel()
-	})
-	if avg != 0 {
-		t.Errorf("schedule/cancel allocates %.2f allocs/op, want 0", avg)
+	for _, tc := range []struct {
+		name  string
+		lanes []Duration
+	}{
+		{"heap", nil},
+		{"lane", []Duration{1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := New()
+			for _, d := range tc.lanes {
+				e.AddLane(d)
+			}
+			fn := func() {}
+			for i := 0; i < 64; i++ {
+				e.After(1, fn)
+			}
+			e.Run()
+			avg := testing.AllocsPerRun(1000, func() {
+				h := e.After(1, fn)
+				h.Cancel()
+				e.Run() // drops a lane tombstone; fires nothing
+			})
+			if avg != 0 {
+				t.Errorf("schedule/cancel allocates %.2f allocs/op, want 0", avg)
+			}
+			if e.Pending() != 0 || e.Fired() != 64 {
+				t.Errorf("Pending = %d, Fired = %d after cancels only, want 0, 64", e.Pending(), e.Fired())
+			}
+		})
 	}
 }
 

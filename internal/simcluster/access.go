@@ -253,10 +253,17 @@ func (r *runner) pollRound(a *access, round int, cands []int) {
 			continue
 		}
 		decideAt = max(decideAt, c.respAt[i])
-		r.eng.At(c.respAt[i].Add(-rtt/2), c.obsFns[i])
+		r.eng.At(c.start.Add(obsDelay(rtt)), c.obsFns[i])
 	}
 	r.eng.At(decideAt, c.decideFn)
 }
+
+// obsDelay is when a poll inquiry over a round trip rtt reaches its
+// server and reads the load: half the round trip before the answer
+// lands back at the client. newRunner declares a lane for it.
+//
+//lint:noalloc
+func obsDelay(rtt sim.Duration) sim.Duration { return rtt - rtt/2 }
 
 // observe is poll slot i's observation event: the inquiry reaches the
 // server and reads its load index; the answer lands back at the client

@@ -68,8 +68,9 @@ type runner struct {
 
 	ft *clientFaults // nil unless the fault schedule is active
 
-	freeAcc  []*access  // recycled access records
-	freePoll []*pollCtx // recycled poll round contexts
+	freeAcc   []*access    // recycled access records
+	freePoll  []*pollCtx   // recycled poll round contexts
+	freeBcast []*broadcast // recycled broadcast deliveries
 
 	completed int
 	lost      int
@@ -96,6 +97,15 @@ func newRunner(cfg Config) (*runner, error) {
 		return nil, err
 	}
 	eng := sim.New()
+	// The run's fixed message delays get FIFO lanes beside the event
+	// heap: requests and responses, and for poll runs the decisions and
+	// observations. Firing order is unchanged (Engine.AddLane);
+	// TestFixedDelaysRideLanes checks these are the delays scheduled.
+	eng.AddLane(cfg.ServiceNetDelay)
+	if cfg.Policy.Kind == core.Poll {
+		eng.AddLane(cfg.PollRTT)
+		eng.AddLane(obsDelay(cfg.PollRTT))
+	}
 	master := stats.NewRNG(cfg.Seed)
 	arrivalRNG := master.Split()
 	policyRNG := master.Split()
@@ -112,6 +122,12 @@ func newRunner(cfg Config) (*runner, error) {
 		policyRNG: policyRNG,
 		jitterRNG: jitterRNG,
 		warmup:    int(float64(cfg.Accesses) * cfg.WarmupFrac),
+	}
+	// Each access past warmup leaves at most one sample; reserving them up
+	// front keeps a long run from regrowing the sample slices.
+	r.res.Response.Reserve(cfg.Accesses - r.warmup)
+	if cfg.Policy.Kind == core.Poll {
+		r.res.PollTime.Reserve(cfg.Accesses - r.warmup)
 	}
 
 	// Observability. The catalog always exists (a private registry when
@@ -225,13 +241,9 @@ func newRunner(cfg Config) (*runner, error) {
 			}
 			eng.Every(interval, func() {
 				r.res.Messages.Broadcasts++
-				load := r.srv[id].active
-				eng.After(cfg.BroadcastDelay, func() {
-					for _, tbl := range r.tables {
-						tbl.Update(id, load)
-						r.res.Messages.BroadcastDeliveries++
-					}
-				})
+				b := r.newBroadcast()
+				b.id, b.load = id, r.srv[id].active
+				eng.After(cfg.BroadcastDelay, b.deliverFn)
 			})
 		}
 	}
@@ -244,6 +256,40 @@ func newRunner(cfg Config) (*runner, error) {
 	r.arrivalBase = eng.ReserveSeqs(uint64(cfg.Accesses))
 	r.scheduleArrival()
 	return r, nil
+}
+
+// broadcast is one load announcement in flight to every client's
+// table, pooled like access records so a broadcasting run allocates
+// nothing per period.
+type broadcast struct {
+	id, load  int
+	deliverFn func()
+}
+
+// newBroadcast takes a delivery record from the free-list, or mints one
+// with its callback bound.
+func (r *runner) newBroadcast() *broadcast {
+	if n := len(r.freeBcast); n > 0 {
+		b := r.freeBcast[n-1]
+		r.freeBcast[n-1] = nil
+		r.freeBcast = r.freeBcast[:n-1]
+		return b
+	}
+	b := &broadcast{}
+	b.deliverFn = func() { r.deliver(b) }
+	return b
+}
+
+// deliver lands a broadcast in every client's load table and recycles
+// its record.
+//
+//lint:noalloc
+func (r *runner) deliver(b *broadcast) {
+	for _, tbl := range r.tables {
+		tbl.Update(b.id, b.load)
+		r.res.Messages.BroadcastDeliveries++
+	}
+	r.freeBcast = append(r.freeBcast, b)
 }
 
 // fault applies one node event of the fault schedule. An id past the

@@ -3,6 +3,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -46,6 +47,15 @@ func (s *Summary) Add(x float64) {
 	if !s.discard {
 		s.samples = append(s.samples, x)
 		s.sorted = false
+	}
+}
+
+// Reserve makes room for n more retained samples, so the next n Adds
+// do not regrow the sample slice. It does nothing for a moments-only
+// summary.
+func (s *Summary) Reserve(n int) {
+	if !s.discard && n > 0 {
+		s.samples = slices.Grow(s.samples, n)
 	}
 }
 

@@ -290,3 +290,25 @@ func TestSummarySamples(t *testing.T) {
 	}()
 	mo.Samples()
 }
+
+// TestSummaryReserveZeroAllocs: after Reserve(n), the next n Adds never
+// regrow the sample slice; a moments-only summary reserves nothing.
+func TestSummaryReserveZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is not stable under -race")
+	}
+	s := NewSummary(true)
+	s.Add(1)
+	s.Reserve(1001) // AllocsPerRun makes one warm-up call
+	if avg := testing.AllocsPerRun(1000, func() { s.Add(2) }); avg != 0 {
+		t.Errorf("Add after Reserve allocates %.2f allocs/op, want 0", avg)
+	}
+	if s.N() != 1+1001 || s.Percentile(1) != 2 {
+		t.Errorf("N = %d, max = %v after reserved adds", s.N(), s.Percentile(1))
+	}
+	mo := NewSummary(false)
+	mo.Reserve(1000)
+	if cap(mo.samples) != 0 {
+		t.Errorf("moments-only summary reserved %d samples", cap(mo.samples))
+	}
+}
