@@ -344,9 +344,18 @@ func (c *Client) refreshLoop() {
 
 // Endpoints snapshots the current mapping table.
 func (c *Client) Endpoints() []Endpoint {
+	return append([]Endpoint(nil), c.table()...)
+}
+
+// table returns the current mapping table without copying it. Refresh
+// always installs a freshly built slice and nothing writes one after
+// installing it, so the result is an immutable snapshot: callers may
+// read it without the lock for as long as they like, and must never
+// write it.
+func (c *Client) table() []Endpoint {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return append([]Endpoint(nil), c.endpoints...)
+	return c.endpoints
 }
 
 // Close releases sockets and stops background goroutines.
@@ -550,7 +559,7 @@ func (c *Client) Access(serviceUs uint32, payload []byte) (*AccessInfo, error) {
 
 // accessOnce runs one server-selection + service round trip.
 func (c *Client) accessOnce(serviceUs uint32, payload []byte, info *AccessInfo) error {
-	eps := c.Endpoints()
+	eps := c.table()
 	if len(eps) == 0 {
 		return fmt.Errorf("cluster: no live endpoints for %q", c.cfg.Service)
 	}
@@ -601,7 +610,7 @@ func (c *Client) accessOnce(serviceUs uint32, payload []byte, info *AccessInfo) 
 			// A just-joined server can be assigned before this client's
 			// periodic refresh has seen it; refresh once before giving up.
 			c.Refresh()
-			lookup(c.Endpoints())
+			lookup(c.table())
 		}
 		if !found {
 			// Mapping table behind the manager's view; release and fail.
@@ -693,7 +702,7 @@ func (c *Client) AccessNode(nodeID int, serviceUs uint32, payload []byte) (*Acce
 	}
 	var target Endpoint
 	found := false
-	for _, ep := range c.Endpoints() {
+	for _, ep := range c.table() {
 		if ep.NodeID == nodeID {
 			target, found = ep, true
 			break

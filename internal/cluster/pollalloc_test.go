@@ -63,3 +63,41 @@ func TestPollPathZeroAllocs(t *testing.T) {
 		}
 	})
 }
+
+// TestAccessAllocCeiling caps what one whole access costs on the mem
+// fabric, client and node sides together, at the measured count: a
+// policy access (poll round, request, service, reply) and a pinned
+// AccessNode. The mapping table is shared, not copied, per access and
+// fabric streams arm no timer per deadline, so either regression
+// pushes the count over its ceiling.
+func TestAccessAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is not stable under -race")
+	}
+	const accessCeiling, accessNodeCeiling = 18, 15
+	c, eps := pollBenchCluster(t, transport.NewMem(transport.MemConfig{Seed: 1}), 16, 3)
+	payload := []byte("payload")
+	node := eps[3].NodeID
+	for i := 0; i < 300; i++ {
+		if _, err := c.Access(0, payload); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.AccessNode(node, 0, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if avg := testing.AllocsPerRun(2000, func() {
+		if _, err := c.Access(0, payload); err != nil {
+			t.Fatal(err)
+		}
+	}); avg > accessCeiling {
+		t.Errorf("Access allocates %.0f allocs/op, ceiling %d", avg, accessCeiling)
+	}
+	if avg := testing.AllocsPerRun(2000, func() {
+		if _, err := c.AccessNode(node, 0, payload); err != nil {
+			t.Fatal(err)
+		}
+	}); avg > accessNodeCeiling {
+		t.Errorf("AccessNode allocates %.0f allocs/op, ceiling %d", avg, accessNodeCeiling)
+	}
+}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -243,4 +244,76 @@ func TestRefreshPruneGrace(t *testing.T) {
 		t.Fatalf("after grace expiry: %d agents (node0 agent held: %v, node0 pool held: %v), want only node 1's",
 			agents, agent0, pool0)
 	}
+}
+
+// TestTableSnapshotStableUnderRefresh runs accesses, pinned accesses
+// and table churn (withdraw and republish, explicit and periodic
+// Refresh) at once, and checks a table taken beforehand never changes:
+// accesses share the installed table read-only instead of copying it,
+// which is sound only while Refresh installs a fresh slice and nothing
+// writes one after. -race reports any write to a shared table.
+func TestTableSnapshotStableUnderRefresh(t *testing.T) {
+	tr := transport.NewMem(transport.MemConfig{Seed: 4})
+	dir := NewDirectory(time.Hour)
+	for i := 0; i < 4; i++ {
+		n, err := StartNode(NodeConfig{
+			ID: i, Service: "svc", Directory: dir, SlowProb: -1,
+			Transport: tr, Seed: uint64(i + 1),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = n.Close() })
+	}
+	c, err := NewClient(ClientConfig{
+		Directory: dir, Service: "svc",
+		Policy:          core.NewPoll(2),
+		PollRetries:     -1,
+		QuarantineAfter: -1,
+		RefreshInterval: time.Millisecond,
+		Transport:       tr,
+		Seed:            6,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = c.Close() })
+
+	snapshot := c.table()
+	want := append([]Endpoint(nil), snapshot...)
+	if len(want) != 4 {
+		t.Fatalf("table has %d endpoints, want 4", len(want))
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 300; i++ {
+				_, _ = c.Access(0, nil) // errors fine: the table may briefly lack a node
+				_, _ = c.AccessNode(want[g].NodeID, 0, nil)
+			}
+		}(g)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 300; i++ {
+			dir.Withdraw(want[3].NodeID, "svc")
+			c.Refresh()
+			dir.Publish(want[3])
+			c.Refresh()
+		}
+	}()
+	wg.Wait()
+
+	if !reflect.DeepEqual(snapshot, want) {
+		t.Fatalf("snapshot changed from %+v to %+v", want, snapshot)
+	}
+	for _, ep := range c.Endpoints() {
+		if ep.NodeID == want[3].NodeID {
+			return
+		}
+	}
+	t.Fatalf("republished node %d missing from the final table", want[3].NodeID)
 }

@@ -3,6 +3,7 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"sync"
@@ -14,8 +15,8 @@ import (
 
 // MemConfig parameterizes the in-memory fabric's ambient network
 // model. The model applies to datagrams (the unreliable plane: load
-// inquiries, directory traffic); streams are reliable in-process
-// pipes with no modeled latency, so access response times are
+// inquiries, directory traffic); streams are reliable, socket-like
+// byte streams with no modeled latency, so access response times are
 // dominated by service time exactly as on loopback TCP. Injected
 // per-link faults are a separate mechanism layered on top
 // (WithFaults) and work identically on both transports.
@@ -33,8 +34,11 @@ type MemConfig struct {
 }
 
 // Mem is the in-process transport: a channel fabric carrying
-// datagrams between registered endpoints and net.Pipe byte streams
-// between dialers and listeners. It needs no file descriptors, so
+// datagrams between registered endpoints and byte streams (memConn)
+// between dialers and listeners. Like a TCP socket, a stream buffers
+// each direction (up to 64 KiB), so a Write waits for buffer space,
+// never for the reader, and a closed end's peer reads what was sent
+// before it sees EOF. The fabric needs no file descriptors, so
 // cluster size is bounded by memory, not OS socket limits, and with
 // zero Latency/Loss its behavior is independent of wall-clock timing.
 //
@@ -111,7 +115,7 @@ func (m *Mem) Dial(addr string, timeout time.Duration) (net.Conn, error) {
 	if l == nil {
 		return nil, &net.OpError{Op: "dial", Net: "mem", Err: errors.New("connection refused: no listener at " + addr)}
 	}
-	c1, c2 := net.Pipe()
+	c1, c2 := newMemConnPair(memAddr(addr))
 	var timeoutCh <-chan time.Time
 	if timeout > 0 {
 		//lint:allow detclock dial timeouts bound real goroutine waits; message fates stay seeded-rng driven
@@ -388,5 +392,296 @@ func (l *memListener) Close() error {
 		l.fab.mu.Unlock()
 		close(l.closed)
 	})
+	return nil
+}
+
+// memStreamBuf bounds the unread bytes one direction of a fabric
+// stream holds, as a socket buffer bounds a TCP connection's: Write
+// returns once its bytes are buffered and blocks only while the buffer
+// is full.
+const memStreamBuf = 64 << 10
+
+// memStreamMinBuf is a direction's first buffer. It doubles toward
+// memStreamBuf only as far as the stream's unread high-water mark
+// needs, so a request/response stream of a few hundred bytes never
+// holds more.
+const memStreamMinBuf = 1 << 10
+
+// memAddr is a fabric address as a net.Addr.
+type memAddr string
+
+func (memAddr) Network() string  { return "mem" }
+func (a memAddr) String() string { return string(a) }
+
+// memConn is one end of a fabric stream: a socket-like byte stream
+// with a bounded buffer per direction and no goroutine of its own.
+// Readers are serialized, as are writers, so one Write's bytes are
+// never interleaved with another's. After one end closes, the peer
+// reads what is buffered and then io.EOF; its writes fail with
+// io.ErrClosedPipe; every operation on the closed end fails with
+// net.ErrClosed. An expired deadline fails with
+// os.ErrDeadlineExceeded, and a deadline set while an operation is
+// blocked takes effect at once.
+type memConn struct {
+	rx   *memPipe // peer → this end
+	tx   *memPipe // this end → peer
+	addr net.Addr // the listener's address, reported as both local and remote
+}
+
+// newMemConnPair connects two stream ends, the dialer's first.
+func newMemConnPair(addr net.Addr) (*memConn, *memConn) {
+	ab, ba := newMemPipe(), newMemPipe()
+	return &memConn{rx: ba, tx: ab, addr: addr}, &memConn{rx: ab, tx: ba, addr: addr}
+}
+
+// memPipe is one direction of a stream.
+type memPipe struct {
+	rmu    sync.Mutex  // serializes reads
+	rtimer *time.Timer // the reader's deadline timer, owned by the holder of rmu
+	wmu    sync.Mutex  // serializes writes
+	wtimer *time.Timer // the writer's deadline timer, owned by the holder of wmu
+
+	mu sync.Mutex //lint:guards buf, r, w, rdl, wdl, rclosed, wclosed
+	// Unread bytes are buf[r:w].
+	buf  []byte
+	r, w int
+	// Deadlines of the reading and the writing end.
+	rdl, wdl time.Time
+	// Whether the reading or the writing end has closed.
+	rclosed, wclosed bool
+
+	// Wake channels (capacity 1) for the one blocked reader and the one
+	// blocked writer. Any change a waiter could be waiting for signals
+	// its channel; a waiter re-checks the state on every wake, so a
+	// stale signal costs one loop.
+	readable chan struct{}
+	writable chan struct{}
+}
+
+func newMemPipe() *memPipe {
+	return &memPipe{readable: make(chan struct{}, 1), writable: make(chan struct{}, 1)}
+}
+
+// wake signals ch without blocking; a signal already pending covers
+// this one.
+//
+//lint:noalloc
+func wake(ch chan struct{}) {
+	select {
+	case ch <- struct{}{}:
+	default:
+	}
+}
+
+// untilDeadline is the wait a deadline still allows: 0 for no
+// deadline, os.ErrDeadlineExceeded once it has passed.
+//
+//lint:noalloc
+func untilDeadline(dl time.Time) (time.Duration, error) {
+	if dl.IsZero() {
+		return 0, nil
+	}
+	//lint:allow detclock stream deadlines honor net-style wall-clock semantics callers set explicitly
+	d := time.Until(dl)
+	if d <= 0 {
+		return 0, os.ErrDeadlineExceeded
+	}
+	return d, nil
+}
+
+// await parks until ch is signalled or, when d > 0, until d elapses
+// on the direction's reusable timer *t.
+//
+//lint:noalloc
+func await(ch chan struct{}, t **time.Timer, d time.Duration) {
+	if d == 0 {
+		<-ch
+		return
+	}
+	if *t == nil {
+		//lint:allow noalloc one timer per stream direction, minted at its first deadline wait and re-armed ever after
+		*t = time.NewTimer(d) //lint:allow detclock stream deadlines honor net-style wall-clock semantics callers set explicitly
+	} else {
+		(*t).Reset(d)
+	}
+	select {
+	case <-ch:
+		// Drain a fire that raced the wake, so the next Reset starts
+		// clean under either timer-channel semantics.
+		if !(*t).Stop() {
+			select {
+			case <-(*t).C:
+			default:
+			}
+		}
+	case <-(*t).C:
+	}
+}
+
+// Read drains buffered bytes, blocking while none are buffered.
+//
+//lint:noalloc
+func (c *memConn) Read(b []byte) (int, error) {
+	p := c.rx
+	p.rmu.Lock()
+	defer p.rmu.Unlock()
+	for {
+		p.mu.Lock()
+		if p.rclosed {
+			p.mu.Unlock()
+			return 0, net.ErrClosed
+		}
+		d, err := untilDeadline(p.rdl)
+		if err != nil {
+			p.mu.Unlock()
+			return 0, err
+		}
+		if p.w > p.r || len(b) == 0 {
+			n := copy(b, p.buf[p.r:p.w])
+			p.r += n
+			if p.r == p.w {
+				p.r, p.w = 0, 0
+			}
+			p.mu.Unlock()
+			wake(p.writable)
+			return n, nil
+		}
+		if p.wclosed {
+			p.mu.Unlock()
+			return 0, io.EOF
+		}
+		p.mu.Unlock()
+		await(p.readable, &p.rtimer, d)
+	}
+}
+
+// Write buffers all of b, blocking while the buffer is full.
+//
+//lint:noalloc
+func (c *memConn) Write(b []byte) (int, error) {
+	p := c.tx
+	p.wmu.Lock()
+	defer p.wmu.Unlock()
+	n := 0
+	for {
+		p.mu.Lock()
+		if p.wclosed {
+			p.mu.Unlock()
+			return n, net.ErrClosed
+		}
+		if p.rclosed {
+			p.mu.Unlock()
+			return n, io.ErrClosedPipe
+		}
+		d, err := untilDeadline(p.wdl)
+		if err != nil {
+			p.mu.Unlock()
+			return n, err
+		}
+		if free := memStreamBuf - (p.w - p.r); free > 0 {
+			m := min(free, len(b)-n)
+			p.reserveLocked(m)
+			p.w += copy(p.buf[p.w:], b[n:n+m])
+			n += m
+			p.mu.Unlock()
+			wake(p.readable)
+			if n == len(b) {
+				return n, nil
+			}
+			continue
+		}
+		p.mu.Unlock()
+		await(p.writable, &p.wtimer, d)
+	}
+}
+
+// reserveLocked makes room for m more bytes at buf[w:], first by
+// sliding the unread bytes to the front, then by growing the buffer
+// (never past memStreamBuf, since unread+m never exceeds it). Caller
+// holds p.mu.
+//
+//lint:noalloc
+func (p *memPipe) reserveLocked(m int) {
+	if p.w+m <= len(p.buf) {
+		return
+	}
+	if p.r > 0 {
+		p.w = copy(p.buf, p.buf[p.r:p.w])
+		p.r = 0
+		if p.w+m <= len(p.buf) {
+			return
+		}
+	}
+	size := max(2*len(p.buf), memStreamMinBuf)
+	for size < p.w+m {
+		size *= 2
+	}
+	//lint:allow noalloc the buffer doubles once per doubling of the direction's unread high-water mark, capped at memStreamBuf
+	buf := make([]byte, min(size, memStreamBuf))
+	copy(buf, p.buf[:p.w])
+	p.buf = buf
+}
+
+// Close closes this end. Its buffered input is dropped; its buffered
+// output stays readable by the peer until the peer closes too.
+func (c *memConn) Close() error {
+	rx, tx := c.rx, c.tx
+	rx.mu.Lock()
+	if rx.rclosed {
+		rx.mu.Unlock()
+		return net.ErrClosed
+	}
+	rx.rclosed = true
+	rx.buf, rx.r, rx.w = nil, 0, 0
+	rx.mu.Unlock()
+	tx.mu.Lock()
+	tx.wclosed = true
+	if tx.rclosed {
+		tx.buf, tx.r, tx.w = nil, 0, 0
+	}
+	tx.mu.Unlock()
+	wake(rx.readable)
+	wake(rx.writable)
+	wake(tx.readable)
+	wake(tx.writable)
+	return nil
+}
+
+func (c *memConn) LocalAddr() net.Addr  { return c.addr }
+func (c *memConn) RemoteAddr() net.Addr { return c.addr }
+
+//lint:noalloc
+func (c *memConn) SetDeadline(t time.Time) error {
+	if err := c.SetReadDeadline(t); err != nil {
+		return err
+	}
+	return c.SetWriteDeadline(t)
+}
+
+//lint:noalloc
+func (c *memConn) SetReadDeadline(t time.Time) error {
+	p := c.rx
+	p.mu.Lock()
+	if p.rclosed {
+		p.mu.Unlock()
+		return net.ErrClosed
+	}
+	p.rdl = t
+	p.mu.Unlock()
+	wake(p.readable)
+	return nil
+}
+
+//lint:noalloc
+func (c *memConn) SetWriteDeadline(t time.Time) error {
+	p := c.tx
+	p.mu.Lock()
+	if p.wclosed {
+		p.mu.Unlock()
+		return net.ErrClosed
+	}
+	p.wdl = t
+	p.mu.Unlock()
+	wake(p.writable)
 	return nil
 }

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"net"
+	"net/netip"
 	"sync"
 	"time"
 )
@@ -62,43 +63,64 @@ func (l netListener) Accept() (net.Conn, error) { return l.ln.Accept() }
 func (l netListener) Addr() string              { return l.ln.Addr().String() }
 func (l netListener) Close() error              { return l.ln.Close() }
 
-// netPacketConn adapts *net.UDPConn to PacketConn. It caches resolved
-// peer addresses so the node's answer path (one WriteTo per inquiry)
-// does not re-parse the same client address thousands of times.
+// netPacketConn adapts *net.UDPConn to PacketConn. It caches peer
+// addresses both ways, so the node's inquiry reader (one ReadFrom per
+// inquiry) and answer path (one WriteTo per inquiry) neither format
+// nor parse the same client address thousands of times.
 type netPacketConn struct {
 	c *net.UDPConn
 
-	mu    sync.Mutex
-	peers map[string]*net.UDPAddr
+	mu    sync.Mutex                //lint:guards peers, names
+	peers map[string]netip.AddrPort // WriteTo destinations, resolved once
+	names map[netip.AddrPort]string // ReadFrom sources, formatted once
 }
 
+// netAddrCacheMax bounds each address cache; a full cache starts over
+// rather than growing with every peer a long-lived socket has seen.
+const netAddrCacheMax = 4096
+
+//lint:noalloc steady state; the first datagram from a source formats its name once
 func (p *netPacketConn) ReadFrom(b []byte) (int, string, error) {
-	n, addr, err := p.c.ReadFromUDP(b)
-	from := ""
-	if addr != nil {
-		from = addr.String()
+	n, ap, err := p.c.ReadFromUDPAddrPort(b)
+	if !ap.IsValid() {
+		return n, "", err
 	}
+	p.mu.Lock()
+	from, ok := p.names[ap]
+	if !ok {
+		from = net.UDPAddrFromAddrPort(ap).String()
+		if p.names == nil || len(p.names) >= netAddrCacheMax {
+			//lint:allow noalloc the cache is minted on the first datagram and again only when it fills up
+			p.names = make(map[netip.AddrPort]string)
+		}
+		p.names[ap] = from
+	}
+	p.mu.Unlock()
 	return n, from, err
 }
 
+//lint:noalloc steady state; the first datagram to an address resolves it once
 func (p *netPacketConn) WriteTo(b []byte, to string) (int, error) {
 	p.mu.Lock()
-	addr := p.peers[to]
+	ap, ok := p.peers[to]
 	p.mu.Unlock()
-	if addr == nil {
-		var err error
-		addr, err = net.ResolveUDPAddr("udp", to)
+	if !ok {
+		addr, err := net.ResolveUDPAddr("udp", to)
 		if err != nil {
 			return 0, err
 		}
+		// Unmapped, because WriteToUDPAddrPort on an IPv4 socket
+		// rejects the v4-in-v6 form a resolver may return.
+		ap = netip.AddrPortFrom(addr.AddrPort().Addr().Unmap(), uint16(addr.Port))
 		p.mu.Lock()
-		if p.peers == nil || len(p.peers) > 4096 {
-			p.peers = make(map[string]*net.UDPAddr)
+		if p.peers == nil || len(p.peers) >= netAddrCacheMax {
+			//lint:allow noalloc the cache is minted on the first send and again only when it fills up
+			p.peers = make(map[string]netip.AddrPort)
 		}
-		p.peers[to] = addr
+		p.peers[to] = ap
 		p.mu.Unlock()
 	}
-	return p.c.WriteToUDP(b, addr)
+	return p.c.WriteToUDPAddrPort(b, ap)
 }
 
 func (p *netPacketConn) Read(b []byte) (int, error)        { return p.c.Read(b) }
