@@ -62,10 +62,6 @@ func BenchmarkFigure4(b *testing.B) { benchExperiment(b, "figure4") }
 // BenchmarkFigure6 regenerates Figure 6 (poll-size sweep, prototype).
 func BenchmarkFigure6(b *testing.B) { benchExperiment(b, "figure6") }
 
-// BenchmarkFigure6Mem regenerates Figure 6 over the in-memory
-// transport (no sockets).
-func BenchmarkFigure6Mem(b *testing.B) { benchExperiment(b, "figure6mem") }
-
 // BenchmarkTable2 regenerates Table 2 (discarding slow-responding polls).
 func BenchmarkTable2(b *testing.B) { benchExperiment(b, "table2") }
 

@@ -95,22 +95,9 @@ func main() {
 		}
 	}
 
-	var p core.Policy
-	switch *pname {
-	case "random":
-		p = core.NewRandom()
-	case "rr":
-		p = core.NewRoundRobin()
-	case "poll":
-		if *discard > 0 {
-			p = core.NewPollDiscard(*d, *discard)
-		} else {
-			p = core.NewPoll(*d)
-		}
-	case "ideal":
-		p = core.NewIdeal()
-	default:
-		fmt.Fprintf(os.Stderr, "lbclient: unknown policy %q\n", *pname)
+	p, err := core.ParsePolicy(*pname, *d, *discard, 0)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "lbclient:", err)
 		os.Exit(2)
 	}
 

@@ -74,31 +74,17 @@ func run() int {
 		return 1
 	}
 
-	var tr transport.Transport
-	switch *trName {
-	case "net":
-		tr = transport.Net{}
-	case "mem":
-		tr = transport.NewMem(transport.MemConfig{Seed: *seed})
-	default:
-		return fail("unknown transport %q (want net or mem)", *trName)
+	tr, err := transport.ByName(*trName, *seed)
+	if err != nil {
+		return fail("%v", err)
 	}
 	if *addr != "" && *trName != "net" {
 		return fail("-addr requires -transport net")
 	}
 
-	var policy core.Policy
-	switch *pname {
-	case "random":
-		policy = core.NewRandom()
-	case "rr":
-		policy = core.NewRoundRobin()
-	case "poll":
-		policy = core.NewPoll(*d)
-	case "ideal":
-		policy = core.NewIdeal()
-	default:
-		return fail("unknown policy %q (want random, rr, poll, or ideal)", *pname)
+	policy, err := core.ParsePolicy(*pname, *d, 0, 0)
+	if err != nil {
+		return fail("%v", err)
 	}
 
 	tenants, err := gateway.ParseTenants(*tenantsSpec)

@@ -53,24 +53,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	var p core.Policy
-	switch *pname {
-	case "random":
-		p = core.NewRandom()
-	case "rr":
-		p = core.NewRoundRobin()
-	case "poll":
-		if *discard > 0 {
-			p = core.NewPollDiscard(*d, *discard)
-		} else {
-			p = core.NewPoll(*d)
-		}
-	case "broadcast":
-		p = core.NewBroadcast(*interval)
-	case "ideal":
-		p = core.NewIdeal()
-	default:
-		fmt.Fprintf(os.Stderr, "lbsim: unknown policy %q\n", *pname)
+	p, err := core.ParsePolicy(*pname, *d, *discard, *interval)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "lbsim:", err)
 		os.Exit(2)
 	}
 

@@ -30,6 +30,7 @@ import (
 
 	"finelb/internal/experiments"
 	"finelb/internal/simcluster"
+	"finelb/internal/transport"
 )
 
 func main() {
@@ -66,10 +67,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *csv {
 		*format = "csv"
 	}
-	switch *transportName {
-	case "net", "mem":
-	default:
-		fmt.Fprintf(stderr, "repro: unknown transport %q (want net or mem)\n", *transportName)
+	if _, err := transport.ByName(*transportName, *seed); err != nil {
+		fmt.Fprintf(stderr, "repro: %v\n", err)
 		return 2
 	}
 	switch *format {

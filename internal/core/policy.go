@@ -122,6 +122,27 @@ func NewIdeal() Policy { return Policy{Kind: Ideal} }
 // policy (ablation A4; not part of the paper).
 func NewLocalLeast() Policy { return Policy{Kind: LocalLeast} }
 
+// ParsePolicy builds a policy from the command-line tools' -policy
+// name and their -d, -discard and -interval values: random, rr, poll
+// (poll size d, slow-poll discard after discard when positive),
+// broadcast (mean interval), or ideal.
+func ParsePolicy(name string, d int, discard, interval time.Duration) (Policy, error) {
+	switch name {
+	case "random":
+		return NewRandom(), nil
+	case "rr":
+		return NewRoundRobin(), nil
+	case "poll":
+		return NewPollDiscard(d, discard), nil
+	case "broadcast":
+		return NewBroadcast(interval), nil
+	case "ideal":
+		return NewIdeal(), nil
+	default:
+		return Policy{}, fmt.Errorf("unknown policy %q (want random, rr, poll, broadcast, or ideal)", name)
+	}
+}
+
 // Validate reports whether the policy's parameters are coherent.
 func (p Policy) Validate() error {
 	switch p.Kind {
@@ -154,7 +175,14 @@ func (p Policy) String() string {
 		}
 		return fmt.Sprintf("poll %d", p.PollSize)
 	case Broadcast:
-		return fmt.Sprintf("broadcast %v", p.BroadcastInterval)
+		s := fmt.Sprintf("broadcast %v", p.BroadcastInterval)
+		if p.BroadcastFixed {
+			s += " (fixed)"
+		}
+		if p.LocalCorrection {
+			s += " (local correction)"
+		}
+		return s
 	default:
 		return p.Kind.String()
 	}

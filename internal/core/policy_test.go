@@ -56,6 +56,39 @@ func TestPolicyString(t *testing.T) {
 	if s := NewBroadcast(time.Second).String(); !strings.Contains(s, "broadcast") {
 		t.Errorf("broadcast policy string %q", s)
 	}
+	// The broadcast ablation variants must not share a name with the
+	// plain policy: experiment cells are labeled by it.
+	fixed, corrected := NewBroadcast(time.Second), NewBroadcast(time.Second)
+	fixed.BroadcastFixed = true
+	corrected.LocalCorrection = true
+	if f, c := fixed.String(), corrected.String(); f != "broadcast 1s (fixed)" || c != "broadcast 1s (local correction)" {
+		t.Errorf("ablation variant strings %q, %q", f, c)
+	}
+}
+
+func TestParsePolicy(t *testing.T) {
+	cases := []struct {
+		name string
+		want Policy
+	}{
+		{"random", NewRandom()},
+		{"rr", NewRoundRobin()},
+		{"poll", NewPoll(3)},
+		{"broadcast", NewBroadcast(50 * time.Millisecond)},
+		{"ideal", NewIdeal()},
+	}
+	for _, c := range cases {
+		got, err := ParsePolicy(c.name, 3, 0, 50*time.Millisecond)
+		if err != nil || got != c.want {
+			t.Errorf("ParsePolicy(%q) = %+v, %v; want %+v", c.name, got, err, c.want)
+		}
+	}
+	if got, err := ParsePolicy("poll", 2, 10*time.Millisecond, 0); err != nil || got != NewPollDiscard(2, 10*time.Millisecond) {
+		t.Errorf("poll with discard = %+v, %v", got, err)
+	}
+	if _, err := ParsePolicy("least-loaded", 2, 0, 0); err == nil || !strings.Contains(err.Error(), "least-loaded") {
+		t.Errorf("unknown policy: err %v", err)
+	}
 }
 
 func TestPaperFigurePolicies(t *testing.T) {

@@ -62,27 +62,24 @@ func Degraded(o Options) (*Table, error) {
 	for _, m := range matrix {
 		sched := faults.DegradedDemo(servers, 2, m.killAt, lossProb, o.Seed+1)
 		for _, p := range policies {
-			run := func(sched *faults.Schedule) (*substrate.RunResult, error) {
-				return m.sub.Run(substrate.RunSpec{
+			run := func(mode string, sched *faults.Schedule) (*substrate.RunResult, error) {
+				return runCell(o, t.ID, m.sub, p.String()+" "+mode, substrate.RunSpec{
 					Servers: servers, Clients: 6,
 					Workload: w, Policy: p,
 					Accesses: m.accesses, Seed: o.Seed,
 					Faults: sched, DirTTL: m.dirTTL,
 				})
 			}
-			healthy, err := run(nil)
+			healthy, err := run("healthy", nil)
 			if err != nil {
 				return nil, err
 			}
-			degraded, err := run(sched)
+			degraded, err := run("degraded", sched)
 			if err != nil {
 				return nil, err
 			}
 			hm, dm := healthy.MeanResponse*1e3, degraded.MeanResponse*1e3
-			o.record("degraded", p.String()+" healthy", m.sub.Name(), healthy.Metrics)
-			o.record("degraded", p.String()+" degraded", m.sub.Name(), degraded.Metrics)
 			t.AddRow(m.sub.Name(), p.String(), hm, dm, dm/hm, degraded.Lost, degraded.Retries)
-			o.progress("degraded: %s %s done (%.4g -> %.4g ms)", m.sub.Name(), p, hm, dm)
 		}
 	}
 

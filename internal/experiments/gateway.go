@@ -31,15 +31,9 @@ func Gateway(o Options) (*Table, error) {
 		subName = "net"
 	}
 	for _, p := range policies {
-		tr, err := protoTransport(o, o.Seed)
+		tr, err := transport.ByName(o.Transport, o.Seed)
 		if err != nil {
 			return nil, err
-		}
-		if tr == nil {
-			// The gateway dials and listens through the seam itself, so
-			// it needs a concrete transport where the cluster layer
-			// would default internally.
-			tr = transport.Net{}
 		}
 		reg := obs.NewRegistry()
 		cl, err := cluster.StartCluster(cluster.ExperimentConfig{

@@ -5,6 +5,7 @@ import (
 
 	"finelb/internal/cluster"
 	"finelb/internal/core"
+	"finelb/internal/transport"
 )
 
 // PollPath is the poll hot-path throughput benchmark behind the
@@ -55,10 +56,7 @@ func pollRounds(o Options, servers, d, prime, rounds int) (int64, float64, error
 	// The cell always runs on the mem fabric regardless of o.Transport:
 	// a syscall-bound net cell would measure the kernel, not the codecs
 	// and fan-out this record gates.
-	tr, err := protoTransport(Options{Transport: "mem"}, o.Seed+1)
-	if err != nil {
-		return 0, 0, err
-	}
+	tr := transport.NewMem(transport.MemConfig{Seed: o.Seed + 1})
 	dir := cluster.NewDirectory(time.Hour)
 	var nodes []*cluster.Node
 	for i := 0; i < servers; i++ {

@@ -15,20 +15,6 @@ import (
 // (restored from OCR; see DESIGN.md §4).
 const DiscardThreshold = 10 * time.Millisecond
 
-// protoTransport resolves o.Transport for experiments that drive
-// cluster.RunExperiment directly: nil lets the cluster layer default to
-// real sockets, "mem" builds a seeded in-memory fabric.
-func protoTransport(o Options, seed uint64) (transport.Transport, error) {
-	switch o.Transport {
-	case "", "net":
-		return nil, nil
-	case "mem":
-		return transport.NewMem(transport.MemConfig{Seed: seed}), nil
-	default:
-		return nil, fmt.Errorf("experiments: unknown transport %q", o.Transport)
-	}
-}
-
 // protoAccesses sizes a prototype cell so it spans about targetSeconds
 // of wall time at the cell's arrival rate.
 func protoAccesses(w workload.Workload, servers int, rho, targetSeconds float64) int {
@@ -46,18 +32,11 @@ func protoAccesses(w workload.Workload, servers int, rho, targetSeconds float64)
 // Figure6 regenerates Figure 6: the poll-size sweep on the prototype —
 // real UDP load inquiries, real TCP accesses, the §3.2 contention model
 // active — for 16 servers across load levels. Same driver as Figure 4,
-// different substrate.
+// different substrate; -transport=mem runs it on the in-memory fabric.
 func Figure6(o Options) (*Table, error) {
-	seconds := pick(o, 8.0, 2.2)
-	t, err := pollSizeSweep(o, substrate.Proto{Transport: o.Transport}, "figure6",
-		"Impact of poll size, prototype with 16 servers (real sockets), mean response time in ms",
-		pick(o, core.PaperFigurePolicies(), []core.Policy{
-			core.NewRandom(), core.NewPoll(2), core.NewPoll(8), core.NewIdeal(),
-		}),
-		pick(o, paperLoads, []float64{0.9}),
-		func(w workload.Workload, rho float64) int {
-			return protoAccesses(w, sweepServers, rho, seconds)
-		})
+	t, err := figure6Sweep(o, pick(o, core.PaperFigurePolicies(), []core.Policy{
+		core.NewRandom(), core.NewPoll(2), core.NewPoll(8), core.NewIdeal(),
+	}))
 	if err != nil {
 		return nil, err
 	}
@@ -65,39 +44,25 @@ func Figure6(o Options) (*Table, error) {
 	return t, nil
 }
 
-// Figure6Mem reruns the Figure 6 poll-size sweep on the in-memory
-// fabric: the same prototype protocol code with no kernel sockets. It
-// sanity-checks that the poll-size ordering survives the transport
-// swap, and gives CI a socket-free prototype figure.
-//
-// The sweep runs at real time (TimeScale 1): the Fine-Grain trace's
-// 2.22 ms mean service time already sits at the floor where sleep and
-// scheduler overshoot are a meaningful fraction of a service, so
-// compressing time further inflates effective utilization past 1 and
-// collapses the poll-vs-random ordering.
-func Figure6Mem(o Options) (*Table, error) {
+// figure6Sweep runs Figure 6's rows under the given policies.
+func figure6Sweep(o Options, policies []core.Policy) (*Table, error) {
 	seconds := pick(o, 8.0, 2.2)
-	t, err := pollSizeSweep(o,
-		substrate.Proto{Transport: "mem"}, "figure6mem",
-		"Impact of poll size, prototype with 16 servers (in-memory fabric), mean response time in ms",
-		pick(o, core.PaperFigurePolicies(), []core.Policy{
-			core.NewRandom(), core.NewPoll(2), core.NewPoll(8), core.NewIdeal(),
-		}),
-		pick(o, paperLoads, []float64{0.9}),
+	fabric := "real sockets"
+	if o.Transport == "mem" {
+		fabric = "in-memory fabric"
+	}
+	return pollSizeSweep(o, substrate.Proto{Transport: o.Transport}, "figure6",
+		"Impact of poll size, prototype with 16 servers ("+fabric+"), mean response time in ms",
+		policies, pick(o, paperLoads, []float64{0.9}),
 		func(w workload.Workload, rho float64) int {
 			return protoAccesses(w, sweepServers, rho, seconds)
 		})
-	if err != nil {
-		return nil, err
-	}
-	t.AddNote("same sweep as figure6 over transport.Mem: no kernel sockets, so differences against figure6 isolate the transport's share of poll latency")
-	return t, nil
 }
 
 // Table2 regenerates Table 2: the improvement from discarding
 // slow-responding polls, with poll size 3 at 90% busy.
 func Table2(o Options) (*Table, error) {
-	servers := 16
+	const servers = 16
 	seconds := pick(o, 12.0, 1.5)
 	t := &Table{
 		ID:    "table2",
@@ -107,41 +72,32 @@ func Table2(o Options) (*Table, error) {
 			"Optimized(ms)", "OptPoll(ms)",
 			"Improvement", "ImprovementExclPolling"},
 	}
+	var rows []sweepRow
 	for _, w := range workload.Paper() {
-		scaled := w.ScaledTo(servers, 0.9)
-		accesses := protoAccesses(w, servers, 0.9, seconds)
-		run := func(p core.Policy) (*cluster.ExperimentResult, error) {
-			// A fresh fabric per run mirrors substrate.Proto: no state
-			// leaks between the original and optimized measurements.
-			tr, err := protoTransport(o, o.Seed)
-			if err != nil {
-				return nil, err
+		rows = append(rows, sweepRow{
+			lead: []any{w.Name},
+			spec: substrate.RunSpec{
+				Servers: servers, Clients: 6, Workload: w.ScaledTo(servers, 0.9),
+				Accesses: protoAccesses(w, servers, 0.9, seconds), Seed: o.Seed,
+			},
+		})
+	}
+	err := sweep(o, substrate.Proto{Transport: o.Transport}, t, rows,
+		[]core.Policy{core.NewPoll(3), core.NewPollDiscard(3, DiscardThreshold)},
+		func(rs []*substrate.RunResult) []any {
+			orig, opt := rs[0], rs[1]
+			imp := 1 - opt.MeanResponse/orig.MeanResponse
+			// "Improvement excluding polling time" compares response
+			// times with each run's mean polling time subtracted.
+			impEx := 1 - (opt.MeanResponse-opt.MeanPollTime)/(orig.MeanResponse-orig.MeanPollTime)
+			return []any{
+				orig.MeanResponse * 1e3, orig.MeanPollTime * 1e3,
+				opt.MeanResponse * 1e3, opt.MeanPollTime * 1e3,
+				fmt.Sprintf("%.1f%%", imp*100), fmt.Sprintf("%.1f%%", impEx*100),
 			}
-			return cluster.RunExperiment(cluster.ExperimentConfig{
-				Servers: servers, Clients: 6,
-				Workload: scaled, Policy: p, Transport: tr,
-				Accesses: accesses, Seed: o.Seed,
-			})
-		}
-		orig, err := run(core.NewPoll(3))
-		if err != nil {
-			return nil, err
-		}
-		opt, err := run(core.NewPollDiscard(3, DiscardThreshold))
-		if err != nil {
-			return nil, err
-		}
-		imp := 1 - opt.MeanResponse()/orig.MeanResponse()
-		// "Improvement excluding polling time" compares response times
-		// with each run's mean polling time subtracted (Table 2).
-		origEx := orig.MeanResponse() - orig.PollTime.Mean()
-		optEx := opt.MeanResponse() - opt.PollTime.Mean()
-		impEx := 1 - optEx/origEx
-		t.AddRow(w.Name,
-			orig.MeanResponse()*1e3, orig.PollTime.Mean()*1e3,
-			opt.MeanResponse()*1e3, opt.PollTime.Mean()*1e3,
-			fmt.Sprintf("%.1f%%", imp*100), fmt.Sprintf("%.1f%%", impEx*100))
-		o.progress("table2: %s done (%.1f%% improvement)", w.Name, imp*100)
+		})
+	if err != nil {
+		return nil, err
 	}
 	t.AddNote("paper: up to 8.3%% improvement on the Fine-Grain trace; slight degradation (-0.4%%) on Medium-Grain from lost load information")
 	return t, nil
@@ -151,7 +107,7 @@ func Table2(o Options) (*Table, error) {
 // fraction of polls not completed within 10 ms and 20 ms under poll
 // size 3 at 90% busy — the numbers that motivate the discard threshold.
 func PollProfile(o Options) (*Table, error) {
-	servers := 16
+	const servers = 16
 	seconds := pick(o, 12.0, 1.5)
 	workloads := pick(o, workload.Paper(),
 		[]workload.Workload{workload.PoissonExp(workload.PoissonExpServiceMean)})
@@ -161,16 +117,10 @@ func PollProfile(o Options) (*Table, error) {
 		Header: []string{"Workload", "MeanPoll(ms)", ">10ms", ">20ms", "Polls"},
 	}
 	for _, w := range workloads {
-		tr, err := protoTransport(o, o.Seed)
-		if err != nil {
-			return nil, err
-		}
-		res, err := cluster.RunExperiment(cluster.ExperimentConfig{
+		res, err := runCell(o, t.ID, substrate.Proto{Transport: o.Transport}, w.Name, substrate.RunSpec{
 			Servers: servers, Clients: 6,
 			Workload: w.ScaledTo(servers, 0.9), Policy: core.NewPoll(3),
-			Transport: tr,
-			Accesses:  protoAccesses(w, servers, 0.9, seconds),
-			Seed:      o.Seed,
+			Accesses: protoAccesses(w, servers, 0.9, seconds), Seed: o.Seed,
 		})
 		if err != nil {
 			return nil, err
@@ -180,7 +130,6 @@ func PollProfile(o Options) (*Table, error) {
 			fmt.Sprintf("%.1f%%", res.PollRTT.FracAbove(0.010)*100),
 			fmt.Sprintf("%.1f%%", res.PollRTT.FracAbove(0.020)*100),
 			res.PollRTT.N())
-		o.progress("pollprofile: %s done", w.Name)
 	}
 	t.AddNote("paper profile: 8.1%% of polls exceed 10 ms and 5.6%% exceed 20 ms; the contention model is calibrated to this")
 	return t, nil
@@ -197,7 +146,7 @@ func Failover(o Options) (*Table, error) {
 	dir := cluster.NewDirectory(300 * time.Millisecond)
 	// Every node and the client must share one fabric, or they could
 	// not reach each other's addresses.
-	tr, err := protoTransport(o, o.Seed)
+	tr, err := transport.ByName(o.Transport, o.Seed)
 	if err != nil {
 		return nil, err
 	}

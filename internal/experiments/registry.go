@@ -20,7 +20,6 @@ var registry = map[string]registryEntry{
 	"figure3":      {Figure3, "Figure 3: broadcast frequency sweep (simulation)"},
 	"figure4":      {Figure4, "Figure 4: poll-size sweep (simulation)"},
 	"figure6":      {Figure6, "Figure 6: poll-size sweep (prototype, real sockets)"},
-	"figure6mem":   {Figure6Mem, "Figure 6 on the in-memory fabric (prototype, no sockets)"},
 	"table2":       {Table2, "Table 2: discarding slow-responding polls"},
 	"upperbound":   {Upperbound, "E1: Equation 1 staleness bound validation"},
 	"pollprofile":  {PollProfile, "P1: poll completion-time profile (section 3.2)"},

@@ -37,7 +37,6 @@ func SimScale(o Options) (*Table, error) {
 		core.NewIdeal(),
 	}
 
-	sub := substrate.Sim{}
 	t := &Table{
 		ID:    "simscale",
 		Title: "Simulator hot-path throughput at scale",
@@ -46,7 +45,7 @@ func SimScale(o Options) (*Table, error) {
 	}
 	for _, p := range policies {
 		start := time.Now()
-		res, err := sub.Run(substrate.RunSpec{
+		res, err := runCell(o, t.ID, substrate.Sim{}, p.String(), substrate.RunSpec{
 			Servers:  servers,
 			Workload: w,
 			Policy:   p,
@@ -57,12 +56,8 @@ func SimScale(o Options) (*Table, error) {
 			return nil, err
 		}
 		wall := time.Since(start).Seconds()
-		eps := float64(res.EventsFired) / wall
 		t.AddRow(p.String(), servers, accesses, int64(res.EventsFired),
-			wall, eps, res.MeanResponse*1e3, res.P99Response*1e3)
-		o.record("simscale", p.String(), sub.Name(), res.Metrics)
-		o.progress("simscale: %s done (%d events, %.3g events/sec)",
-			p, res.EventsFired, eps)
+			wall, float64(res.EventsFired)/wall, res.MeanResponse*1e3, res.P99Response*1e3)
 	}
 	t.AddNote("busy %.0f%%, poisson/exp workload; events/sec is wall-clock event throughput", load*100)
 	return t, nil

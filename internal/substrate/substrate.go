@@ -23,6 +23,7 @@ import (
 	"finelb/internal/membership"
 	"finelb/internal/obs"
 	"finelb/internal/simcluster"
+	"finelb/internal/stats"
 	"finelb/internal/transport"
 	"finelb/internal/workload"
 )
@@ -57,6 +58,13 @@ type RunSpec struct {
 	// emulates service times by sleeping, so it cannot honor factors
 	// and rejects a spec that sets them.
 	SpeedFactors []float64
+	// PollJitter and RecordQueueSeries forward the simulator's
+	// simcluster.Config fields of the same names: an extra sampled
+	// delay (seconds) on every poll round trip, and retention of each
+	// server's queue-length series. The prototype measures real poll
+	// latency and keeps no series, so it rejects a spec that sets them.
+	PollJitter        stats.Dist
+	RecordQueueSeries bool
 	// DirTTL overrides the prototype directory's soft-state TTL (fault
 	// runs use a short TTL so crashed nodes expire quickly). The
 	// simulator has no directory and ignores it.
@@ -103,6 +111,15 @@ type RunResult struct {
 	// run — the unit the simscale throughput benchmark is denominated
 	// in. Zero on the prototype substrate, which has no event loop.
 	EventsFired uint64
+	// QueueSeries (when RunSpec.RecordQueueSeries is set), SimDuration
+	// (simulated seconds) and LoadMessages (simcluster.MessageCount.Total,
+	// the §2.4 load-information message count) are simulator-only.
+	QueueSeries  []*simcluster.QSeries
+	SimDuration  float64
+	LoadMessages int64
+	// PollRTT summarizes individual load-inquiry round trips in seconds
+	// (the §3.2 poll profile); prototype only.
+	PollRTT *stats.Summary
 
 	// Elastic membership (zero churn on fixed-pool runs, where
 	// FinalPool = PeakPool = Servers): pool transitions applied and the
@@ -135,16 +152,18 @@ func (Sim) Name() string { return "sim" }
 // Run implements Substrate.
 func (Sim) Run(spec RunSpec) (*RunResult, error) {
 	res, err := simcluster.Run(simcluster.Config{
-		Servers:      spec.Servers,
-		Clients:      spec.Clients,
-		Workload:     spec.Workload,
-		Policy:       spec.Policy,
-		Accesses:     spec.Accesses,
-		Seed:         spec.Seed,
-		Faults:       spec.Faults,
-		Membership:   spec.Membership,
-		Autoscaler:   spec.Autoscaler,
-		SpeedFactors: spec.SpeedFactors,
+		Servers:           spec.Servers,
+		Clients:           spec.Clients,
+		Workload:          spec.Workload,
+		Policy:            spec.Policy,
+		Accesses:          spec.Accesses,
+		Seed:              spec.Seed,
+		Faults:            spec.Faults,
+		Membership:        spec.Membership,
+		Autoscaler:        spec.Autoscaler,
+		SpeedFactors:      spec.SpeedFactors,
+		PollJitter:        spec.PollJitter,
+		RecordQueueSeries: spec.RecordQueueSeries,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("substrate sim: %w", err)
@@ -164,6 +183,9 @@ func (Sim) Run(spec RunSpec) (*RunResult, error) {
 		Lost:           res.Lost,
 		Retries:        res.Retries,
 		EventsFired:    res.EventsFired,
+		QueueSeries:    res.QueueSeries,
+		SimDuration:    res.SimDuration,
+		LoadMessages:   res.Messages.Total(),
 		Joins:          res.Joins,
 		Drains:         res.Drains,
 		Leaves:         res.Leaves,
@@ -199,17 +221,15 @@ func (p Proto) Name() string {
 
 // Run implements Substrate.
 func (p Proto) Run(spec RunSpec) (*RunResult, error) {
-	if len(spec.SpeedFactors) > 0 {
+	switch {
+	case len(spec.SpeedFactors) > 0:
 		return nil, fmt.Errorf("substrate %s: SpeedFactors are simulator-only (the prototype emulates service time, not server speed)", p.Name())
+	case spec.PollJitter != nil || spec.RecordQueueSeries:
+		return nil, fmt.Errorf("substrate %s: PollJitter and RecordQueueSeries are simulator-only (the prototype measures real poll latency)", p.Name())
 	}
-	var tr transport.Transport
-	switch p.Transport {
-	case "", "net":
-		// nil lets the cluster layer default to transport.Net.
-	case "mem":
-		tr = transport.NewMem(transport.MemConfig{Seed: spec.Seed})
-	default:
-		return nil, fmt.Errorf("substrate proto: unknown transport %q", p.Transport)
+	tr, err := transport.ByName(p.Transport, spec.Seed)
+	if err != nil {
+		return nil, fmt.Errorf("substrate %s: %w", p.Name(), err)
 	}
 	res, err := cluster.RunExperiment(cluster.ExperimentConfig{
 		Servers:         spec.Servers,
@@ -241,6 +261,7 @@ func (p Proto) Run(spec RunSpec) (*RunResult, error) {
 		PollResponses:  res.Answered,
 		PollsDiscarded: res.Discarded,
 		PollsLate:      res.LateAnswers,
+		PollRTT:        res.PollRTT,
 		Lost:           res.Lost,
 		Retries:        res.Retries,
 		Joins:          res.Joins,

@@ -1,11 +1,13 @@
 package substrate
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
 	"finelb/internal/core"
 	"finelb/internal/faults"
+	"finelb/internal/stats"
 	"finelb/internal/workload"
 )
 
@@ -54,7 +56,7 @@ func TestSimRun(t *testing.T) {
 	}
 	a, b := *again, *res
 	a.Metrics, b.Metrics = nil, nil
-	if a != b {
+	if !reflect.DeepEqual(a, b) {
 		t.Errorf("same spec diverged:\n%+v\nvs\n%+v", a, b)
 	}
 	if again.Metrics.Digest() != res.Metrics.Digest() {
@@ -108,6 +110,20 @@ func TestProtoRejectsUnknownTransport(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("unknown transport accepted")
+	}
+}
+
+func TestProtoRejectsSimulatorOnlyFields(t *testing.T) {
+	w := workload.PoissonExp(0.005).ScaledTo(2, 0.5)
+	for name, spec := range map[string]RunSpec{
+		"SpeedFactors":      {SpeedFactors: []float64{1, 2}},
+		"PollJitter":        {PollJitter: stats.Exponential{MeanValue: 1e-3}},
+		"RecordQueueSeries": {RecordQueueSeries: true},
+	} {
+		spec.Servers, spec.Workload, spec.Policy, spec.Accesses, spec.Seed = 2, w, core.NewRandom(), 10, 1
+		if _, err := (Proto{Transport: "mem"}).Run(spec); err == nil {
+			t.Errorf("prototype accepted %s", name)
+		}
 	}
 }
 

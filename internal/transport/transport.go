@@ -18,6 +18,7 @@
 package transport
 
 import (
+	"fmt"
 	"net"
 	"time"
 )
@@ -109,3 +110,17 @@ type Transport interface {
 // the choice empty: real loopback sockets, preserving the prototype's
 // original behavior.
 func Default() Transport { return Net{} }
+
+// ByName resolves a transport name as the tools and experiments spell
+// it: "" or "net" for real loopback sockets, "mem" for a fresh
+// in-memory fabric seeded with seed. Any other name is an error.
+func ByName(name string, seed uint64) (Transport, error) {
+	switch name {
+	case "", "net":
+		return Net{}, nil
+	case "mem":
+		return NewMem(MemConfig{Seed: seed}), nil
+	default:
+		return nil, fmt.Errorf("unknown transport %q (want net or mem)", name)
+	}
+}
