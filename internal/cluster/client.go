@@ -167,11 +167,11 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	if cfg.Directory == nil && cfg.RemoteDir == nil && len(cfg.StaticEndpoints) == 0 {
 		return nil, fmt.Errorf("cluster: client needs a directory, a remote directory, or static endpoints")
 	}
-	if err := cfg.Policy.Validate(); err != nil {
-		return nil, err
-	}
 	if cfg.Policy.Kind == core.Broadcast {
 		return nil, fmt.Errorf("cluster: the prototype does not implement the broadcast policy (the paper's didn't either, §3)")
+	}
+	if err := cfg.Policy.Validate(); err != nil {
+		return nil, err
 	}
 	if cfg.Policy.Kind == core.Ideal && cfg.ManagerAddr == "" {
 		return nil, fmt.Errorf("cluster: Ideal policy needs ManagerAddr")
