@@ -164,15 +164,8 @@ type (
 	MemTransportConfig = transport.MemConfig
 )
 
-// Transport construction helpers.
-var (
-	// NewMemTransport builds an in-memory fabric.
-	NewMemTransport = transport.NewMem
-	// TransportWithFaults wraps a transport so a fault schedule's link
-	// rules (loss, latency) apply to its datagram traffic — the single
-	// point where LinkRule replay happens.
-	TransportWithFaults = transport.WithFaults
-)
+// NewMemTransport builds an in-memory fabric.
+var NewMemTransport = transport.NewMem
 
 // Fault injection (§3.1 availability): a FaultSchedule describes node
 // crashes, pause/resume pairs, and per-link loss/latency; pass it to

@@ -22,9 +22,7 @@ type ClientConfig struct {
 	Policy    core.Policy
 
 	// Transport is the messaging substrate the client dials through
-	// (default transport.Net, real loopback sockets). When Faults has
-	// link rules the client wraps it with transport.WithFaults, so the
-	// schedule replays identically on any transport.
+	// (default transport.Net, real loopback sockets).
 	Transport transport.Transport
 
 	// RemoteDir, when non-nil, refreshes the mapping table from a
@@ -84,9 +82,9 @@ type ClientConfig struct {
 
 	// Faults, when non-nil, injects the schedule's link faults (poll
 	// loss and added latency) into this client's load inquiries, keyed
-	// by this client's ID. Replay happens at the transport seam
-	// (transport.WithFaults). Node events are replayed by the driver,
-	// not here.
+	// by this client's ID. The poll fan-out replays them, so Net and
+	// Mem honor a schedule identically. Node events are replayed by the
+	// driver, not here.
 	Faults *faults.Schedule
 
 	// Metrics is the run's shared obs.RunMetrics catalog (poll
@@ -118,38 +116,42 @@ type serverHealth struct {
 
 // Client is a client node: it maintains a service mapping table from
 // the availability subsystem and runs the load-balancing subsystem
-// (polling agent or baseline policies) in front of the service access
+// (poll rounds or baseline policies) in front of the service access
 // point (Figure 5).
 type Client struct {
-	cfg ClientConfig
-	tr  transport.Transport
+	cfg   ClientConfig
+	tr    transport.Transport
+	links *faults.LinkState // this client's link-fault stream; nil when none
 
-	//lint:guards rng, rr, endpoints, ident, agents, pools, outstanding, health, latePruned, absentSince
+	//lint:guards rng, rr, endpoints, ident, pools, outstanding, health, absentSince
 	mu          sync.Mutex
 	rng         *stats.RNG
 	rr          core.RoundRobinState
 	endpoints   []Endpoint
 	ident       []int                 // identity permutation scratch for poll-set selection
-	agents      map[string]*pollAgent // by load address
 	pools       map[string]*connPool  // by access address
 	outstanding map[int]int           // this client's in-flight accesses by NodeID (LocalLeast)
 	health      map[int]*serverHealth // quarantine state by NodeID
-
-	// rounds pools pollRound scratch structs (slot tables, encode
-	// buffer, timer) so steady-state poll rounds allocate nothing;
-	// pollPath counts their reuse on a private registry (run snapshots
-	// never include these names).
-	rounds   sync.Pool
-	pollPath *obs.PollPathMetrics
-
-	// latePruned preserves the late-answer counts of agents closed by
-	// Refresh pruning, so LateAnswers stays monotone across membership
-	// churn. absentSince records when a held address was first missing
-	// from the mapping table; pruning waits out a soft-state TTL so a
-	// starved republish (one missed heartbeat under load) doesn't tear
-	// down live sockets.
-	latePruned  int64
+	// absentSince records when a pooled access address was first
+	// missing from the mapping table; pruning waits out a soft-state TTL
+	// so a starved republish (one missed heartbeat under load) doesn't
+	// tear down live connections.
 	absentSince map[string]time.Time
+
+	// Poll rounds, each owning one datagram socket (pollround.go). idle
+	// is the free list; rounds is every round the client has minted,
+	// idle or in flight, so Close can close an in-flight round's socket
+	// and unblock its owner at once. A free list, not a sync.Pool: a
+	// round the pool dropped would leak its socket.
+	//lint:guards idle, rounds
+	roundMu sync.Mutex
+	idle    []*pollRound
+	rounds  []*pollRound
+	// late counts answers that arrived after their round stopped
+	// waiting (§3.2); pollPath counts round reuse on a private registry
+	// (run snapshots never include these names).
+	late     atomic.Int64
+	pollPath *obs.PollPathMetrics
 
 	mgr *managerClient
 
@@ -219,20 +221,20 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	if tr == nil {
 		tr = transport.Default()
 	}
-	// Link-fault replay happens at the transport seam, not in the
-	// client, so Net and Mem honor the same schedule identically.
-	tr = transport.WithFaults(tr, cfg.Faults)
 	c := &Client{
 		cfg:         cfg,
 		tr:          tr,
 		rng:         stats.NewRNG(cfg.Seed ^ 0xc1e9a7b3d5f01234),
-		agents:      make(map[string]*pollAgent),
 		pools:       make(map[string]*connPool),
 		absentSince: make(map[string]time.Time),
 		outstanding: make(map[int]int),
 		health:      make(map[int]*serverHealth),
 		pollPath:    obs.NewPollPathMetrics(nil),
 		done:        make(chan struct{}),
+	}
+	// A negative ID is no client of a link, so no link rule applies.
+	if cfg.ID >= 0 {
+		c.links = cfg.Faults.NewLinkState(cfg.ID)
 	}
 	if cfg.Policy.Kind == core.Ideal {
 		c.mgr = newManagerClient(tr, cfg.ManagerAddr)
@@ -268,8 +270,8 @@ func (c *Client) Refresh() {
 	c.mu.Unlock()
 }
 
-// pruneGrace is how long an address must stay missing from the
-// mapping table before Refresh closes its sockets. One soft-state TTL
+// pruneGrace is how long an access address must stay missing from the
+// mapping table before Refresh closes its connections. One soft-state TTL
 // distinguishes a genuinely departed server from a republish that
 // arrived late under load: a single starved heartbeat expires an entry
 // for at most one publish interval, well inside the grace, while a
@@ -277,27 +279,15 @@ func (c *Client) Refresh() {
 // expires.
 const pruneGrace = DefaultTTL
 
-// pruneLocked closes the poll agents and connection pools of servers
-// that left the mapping table at least pruneGrace ago, so an elastic
-// pool's membership churn cannot accumulate sockets toward departed
-// nodes (the FD-reuse audit in DESIGN.md §12: one UDP socket per live
-// polled server, one bounded TCP pool per live access address, nothing
-// for the long dead). A round in flight may still hold a pruned agent;
-// its sends fail as a dead port would (ErrClosed → silence) and its
-// answers are dropped by the agent's closed check, exactly like a
-// crashed server. Caller holds c.mu.
+// pruneLocked closes the connection pools of servers that left the
+// mapping table at least pruneGrace ago, so an elastic pool's
+// membership churn cannot accumulate connections toward departed nodes
+// (the FD audit in DESIGN.md §12: one bounded TCP pool per live access
+// address, nothing for the long dead). Caller holds c.mu.
 func (c *Client) pruneLocked() {
 	now := time.Now()
-	for addr, a := range c.agents {
-		if c.keepLocked(addr, now, func(ep *Endpoint) string { return ep.LoadAddr }) {
-			continue
-		}
-		delete(c.agents, addr)
-		c.latePruned += a.lateCount()
-		a.close()
-	}
 	for addr, p := range c.pools {
-		if c.keepLocked(addr, now, func(ep *Endpoint) string { return ep.AccessAddr }) {
+		if c.keepLocked(addr, now) {
 			continue
 		}
 		delete(c.pools, addr)
@@ -305,13 +295,13 @@ func (c *Client) pruneLocked() {
 	}
 }
 
-// keepLocked reports whether the resources held for addr should
-// survive this refresh, updating the absence bookkeeping: present
-// addresses clear their absence mark, missing ones are pruned only
-// once they have been missing for pruneGrace. Caller holds c.mu.
-func (c *Client) keepLocked(addr string, now time.Time, key func(*Endpoint) string) bool {
+// keepLocked reports whether the pool held for access address addr
+// should survive this refresh, updating the absence bookkeeping:
+// present addresses clear their absence mark, missing ones are pruned
+// only once they have been missing for pruneGrace. Caller holds c.mu.
+func (c *Client) keepLocked(addr string, now time.Time) bool {
 	for i := range c.endpoints {
-		if key(&c.endpoints[i]) == addr {
+		if c.endpoints[i].AccessAddr == addr {
 			delete(c.absentSince, addr)
 			return true
 		}
@@ -363,10 +353,12 @@ func (c *Client) Close() error {
 	c.once.Do(func() {
 		c.closed.Store(true)
 		close(c.done)
-		c.mu.Lock()
-		for _, a := range c.agents {
-			a.close()
+		c.roundMu.Lock()
+		for _, r := range c.rounds {
+			_ = r.conn.Close()
 		}
+		c.roundMu.Unlock()
+		c.mu.Lock()
 		for _, p := range c.pools {
 			p.closeAll()
 		}
@@ -379,34 +371,17 @@ func (c *Client) Close() error {
 	return nil
 }
 
-// agent returns (creating if needed) the poll agent for an endpoint.
-// The dial names the client→server link so the transport seam can
-// replay that link's injected faults.
-func (c *Client) agent(ep Endpoint) (*pollAgent, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if a, ok := c.agents[ep.LoadAddr]; ok {
-		return a, nil
-	}
-	a, err := newPollAgent(c.tr, ep.LoadAddr, transport.Link{Client: c.cfg.ID, Server: ep.NodeID}, c.cfg.Metrics.PollLate)
-	if err != nil {
-		return nil, err
-	}
-	c.agents[ep.LoadAddr] = a
-	return a, nil
-}
-
-// LateAnswers reports how many poll answers arrived after their
-// inquiry was cancelled at the deadline — the observable count of
-// the §3.2 slow-poll discards.
+// LateAnswers reports how many poll answers arrived after their round
+// stopped waiting for them at the deadline — the observable count of
+// the §3.2 slow-poll discards. Answers already queued on idle round
+// sockets are read and counted first.
 func (c *Client) LateAnswers() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := c.latePruned
-	for _, a := range c.agents {
-		n += a.lateCount()
+	c.roundMu.Lock()
+	for _, r := range c.idle {
+		c.drainLocked(r)
 	}
-	return n
+	c.roundMu.Unlock()
+	return c.late.Load()
 }
 
 // pool returns (creating if needed) the connection pool for an access
@@ -755,7 +730,7 @@ func (c *Client) pollAndPick(eps, live []Endpoint, info *AccessInfo) (Endpoint, 
 		info.Retries++
 		c.cfg.Metrics.Retries.Inc()
 		if !c.backoff(round) {
-			return Endpoint{}, fmt.Errorf("cluster: client closed during poll")
+			return Endpoint{}, errPollClosed
 		}
 		// Re-filter: the silent round may have quarantined servers.
 		if fresh := c.liveEndpoints(eps); fresh != nil {
@@ -771,26 +746,29 @@ func (c *Client) pollAndPick(eps, live []Endpoint, info *AccessInfo) (Endpoint, 
 }
 
 // pollOnce runs one poll round: send load inquiries to PollSize random
-// servers through connected UDP sockets, let the agents' read loops
-// demultiplex answers into the round's slots, discard those not
-// answered within the deadline, and pick the least-loaded respondent.
-// ok is false when not a single answer arrived in time.
+// servers from the round's own datagram socket, read the answers back
+// on it until all are in or the discard deadline passes, and pick the
+// least-loaded respondent. ok is false when not a single answer
+// arrived in time.
 //
-// The round is pooled scratch (pollround.go): the fan-out writes every
-// inquiry from one reusable encode buffer, the owner parks on a single
-// select — woken once, by the completing answer or the deadline — and
-// steady-state rounds allocate nothing. The RNG and sequence-number
-// streams are exactly those of the historical per-reply-channel
-// implementation: ChooseIdentity draws the same poll set Choose did,
-// and seq numbers are taken per inquiry in poll-set order.
+// The round is pooled state (pollround.go): one socket, one encode
+// buffer, one read deadline, and the owner's own reads — no reader
+// goroutine, demultiplexer or wakeup in between — so steady-state
+// rounds allocate nothing. The RNG and sequence-number streams are
+// exactly those of the historical per-reply-channel implementation:
+// ChooseIdentity draws the same poll set Choose did, and seq numbers
+// (and link-fault draws) are taken per inquiry in poll-set order.
 //
-//lint:noalloc steady state; the pool-miss mint lives in getRound
+//lint:noalloc steady state; the free-list mint lives in getRound
 func (c *Client) pollOnce(eps []Endpoint, info *AccessInfo) (ep Endpoint, ok bool, err error) {
 	d := c.cfg.Policy.PollSize
 	if d > len(eps) {
 		d = len(eps)
 	}
-	r := c.getRound(d)
+	r, err := c.getRound(d)
+	if err != nil {
+		return Endpoint{}, false, err
+	}
 	c.pollPath.Rounds.Inc()
 
 	// Choose the poll set. The identity scratch persists across rounds;
@@ -805,63 +783,30 @@ func (c *Client) pollOnce(eps []Endpoint, info *AccessInfo) (ep Endpoint, ok boo
 	r.start = time.Now()
 	sent := 0
 	for _, epIdx := range r.polled {
-		target := eps[epIdx]
-		a, agentErr := c.agent(target)
-		if agentErr != nil {
-			c.noteSilent(target.NodeID)
-			continue // node vanished between refreshes; poll fewer
-		}
+		target := &eps[epIdx]
 		seq := c.seq.Add(1)
-		// The slot is published before the inquiry is registered, so the
-		// read loop's deliver always finds it initialized.
-		r.epIdx[sent] = epIdx
-		//lint:allow lockcheck gen is written only by the round owner (in getRound); between checkout and putRound this goroutine's unlocked read races with nobody (DESIGN.md §12)
-		if err := a.inquire(seq, r, r.gen, int32(sent), r.sendBuf); err != nil {
-			// A refused send is the OS reporting the port dead
-			// (ICMP-backed ECONNREFUSED on a connected UDP socket).
+		if err := c.inquire(r, seq, target); err != nil {
+			// The send failed outright (the client is closing, or the
+			// address is unusable): the server stays unpolled.
 			c.noteSilent(target.NodeID)
 			continue
 		}
+		r.epIdx[sent] = epIdx
 		r.seqs[sent] = seq
-		r.agents[sent] = a
 		sent++
 	}
 	info.Polled += sent
 	c.cfg.Metrics.PollRequests.Add(int64(sent))
 	c.pollPath.BatchSize.Observe(float64(sent))
 
-	deadline := c.cfg.PollTimeout
-	if da := c.cfg.Policy.DiscardAfter; da > 0 && da < deadline {
-		deadline = da
+	wait := c.cfg.PollTimeout
+	if da := c.cfg.Policy.DiscardAfter; da > 0 && da < wait {
+		wait = da
 	}
-	if sent > 0 && !r.arm(sent) {
-		// One wakeup, one deadline: the round's pooled timer gets a fresh
-		// Reset every use — a retry round must see the full deadline, not
-		// the remains of an already-fired one.
-		if r.timer == nil {
-			r.timer = time.NewTimer(deadline)
-		} else {
-			r.timer.Reset(deadline)
-		}
-		select {
-		case <-r.done:
-		case <-r.timer.C:
-		case <-c.done:
-			r.abandon(sent)
-			c.putRound(r)
-			//lint:allow noalloc the closed-client error is a shutdown path, not steady state
-			return Endpoint{}, false, fmt.Errorf("cluster: client closed during poll")
-		}
-		if !r.timer.Stop() {
-			select {
-			case <-r.timer.C:
-			default:
-			}
-		}
+	if err := c.collect(r, sent, r.start.Add(wait)); err != nil {
+		// Close took the round's socket with it; the round is not reused.
+		return Endpoint{}, false, err
 	}
-	// Abandon stragglers: their late answers are dropped by the agent.
-	// After this the answer slots are the owner's to read, lock-free.
-	r.abandon(sent)
 
 	r.responses = r.responses[:0]
 	for i := 0; i < sent; i++ {
@@ -875,6 +820,7 @@ func (c *Client) pollOnce(eps []Endpoint, info *AccessInfo) (ep Endpoint, ok boo
 		c.cfg.Metrics.PollRTTSeconds.Observe(rtt.Seconds())
 	}
 	answered := len(r.responses)
+	r.owed += sent - answered
 	info.Answered += answered
 	info.Discarded += sent - answered
 	info.PollTime += time.Since(r.start)
@@ -911,7 +857,7 @@ func (c *Client) PollPath() *obs.PollPathMetrics {
 }
 
 // PollRound runs exactly one poll round against eps — encode, fan-out,
-// demux, decision — with no service access attached, and reports the
+// read, decision — with no service access attached, and reports the
 // chosen endpoint. ok is false when no server answered within the
 // deadline. This is the entry point the pollpath benchmark record
 // (cmd/repro, BENCH_pollpath.json) and the in-package benchmarks drive;

@@ -597,7 +597,7 @@ func spinFor(d time.Duration) {
 // way the paper's busy Linux nodes took >10 ms to answer a 290 µs
 // round-trip inquiry. The fast-path reply is encoded into a pooled
 // buffer and written after inqMu is released: on the synchronous path
-// the whole client-side demux chain runs inside WriteTo, and holding
+// WriteTo delivers into the inquiring round's socket, and holding
 // the node's mutex across it would serialize every concurrent poller
 // of this node behind one delivery.
 //

@@ -45,7 +45,7 @@ func TestPollPathZeroAllocs(t *testing.T) {
 		tr := transport.NewMem(transport.MemConfig{Seed: 1})
 		c, eps := pollBenchCluster(t, tr, 8, 4)
 		info := &AccessInfo{PollRTTs: make([]time.Duration, 0, 4)}
-		// Prime the round pool, agents, and steady-state map sizes.
+		// Prime the round pool and steady-state map sizes.
 		for i := 0; i < 200; i++ {
 			if _, ok, err := c.pollOnce(eps, info); err != nil || !ok {
 				t.Fatalf("priming round failed: ok=%v err=%v", ok, err)

@@ -48,7 +48,7 @@ func pollBenchCluster(b testing.TB, tr transport.Transport, servers, d int) (*Cl
 func benchPollRounds(b *testing.B, tr transport.Transport, servers, d int) {
 	c, eps := pollBenchCluster(b, tr, servers, d)
 	info := &AccessInfo{PollRTTs: make([]time.Duration, 0, d)}
-	// Prime agents, pools, and steady-state map sizes.
+	// Prime the round pool, conn pools, and steady-state map sizes.
 	for i := 0; i < 100; i++ {
 		if _, ok, err := c.pollOnce(eps, info); err != nil || !ok {
 			b.Fatalf("priming round failed: ok=%v err=%v", ok, err)

@@ -15,7 +15,7 @@ import (
 // from every direction at once — accesses mutating the sharded load
 // table, poll rounds answering inquiries synchronously on the
 // accessors' own goroutines, drain/rejoin cycling membership (which
-// also exercises Refresh's agent/pool pruning), and raw load-index
+// also exercises Refresh's pool pruning), and raw load-index
 // reads — and relies on -race to catch any unsynchronized access. The
 // assertions are deliberately weak; the scheduler interleaving is the
 // test.
@@ -62,7 +62,7 @@ func TestLoadTableFanoutRace(t *testing.T) {
 		}()
 	}
 	// Drain toggler: membership churn against in-flight rounds, which
-	// also drives Refresh's agent/pool pruning.
+	// also drives Refresh's pool pruning.
 	togglers.Add(1)
 	go func() {
 		defer togglers.Done()
@@ -162,10 +162,9 @@ func TestMemFanoutDeterministic(t *testing.T) {
 }
 
 // TestRefreshPruneGrace pins the FD-audit pruning contract: a server
-// missing from one refresh keeps its sockets (a starved republish must
-// not tear down live agents), while one absent past pruneGrace loses
-// its poll agent and conn pool and folds its late count into the
-// monotone LateAnswers total.
+// missing from one refresh keeps its connection pool (a starved
+// republish must not tear down live connections), while one absent
+// past pruneGrace loses it.
 func TestRefreshPruneGrace(t *testing.T) {
 	tr := transport.NewMem(transport.MemConfig{Seed: 9})
 	dir := NewDirectory(time.Hour)
@@ -196,20 +195,26 @@ func TestRefreshPruneGrace(t *testing.T) {
 	if _, err := c.Access(0, nil); err != nil {
 		t.Fatal(err)
 	}
+	// One access reaches one server; pin the other so both hold a pool.
+	for _, n := range nodes {
+		if _, err := c.AccessNode(n.cfg.ID, 0, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
 	c.mu.Lock()
-	agents := len(c.agents)
+	pools := len(c.pools)
 	c.mu.Unlock()
-	if agents != 2 {
-		t.Fatalf("agents after first access: %d, want 2", agents)
+	if pools != 2 {
+		t.Fatalf("pools after accessing both servers: %d, want 2", pools)
 	}
 
 	dir.Withdraw(0, "svc")
-	c.Refresh() // first miss: marked absent, sockets survive
+	c.Refresh() // first miss: marked absent, connections survive
 	c.mu.Lock()
-	agents, marks := len(c.agents), len(c.absentSince)
+	pools, marks := len(c.pools), len(c.absentSince)
 	c.mu.Unlock()
-	if agents != 2 {
-		t.Fatalf("agents pruned on first missed refresh: %d, want 2", agents)
+	if pools != 2 {
+		t.Fatalf("pools pruned on first missed refresh: %d, want 2", pools)
 	}
 	if marks == 0 {
 		t.Fatal("missing endpoint not marked absent")
@@ -236,13 +241,11 @@ func TestRefreshPruneGrace(t *testing.T) {
 	c.mu.Unlock()
 	c.Refresh()
 	c.mu.Lock()
-	agents = len(c.agents)
-	_, agent0 := c.agents[nodes[0].LoadAddr()]
+	pools = len(c.pools)
 	_, pool0 := c.pools[nodes[0].AccessAddr()]
 	c.mu.Unlock()
-	if agents != 1 || agent0 || pool0 {
-		t.Fatalf("after grace expiry: %d agents (node0 agent held: %v, node0 pool held: %v), want only node 1's",
-			agents, agent0, pool0)
+	if pools != 1 || pool0 {
+		t.Fatalf("after grace expiry: %d pools (node0 pool held: %v), want only node 1's", pools, pool0)
 	}
 }
 

@@ -1,168 +1,225 @@
 package cluster
 
 import (
-	"sync"
-	"sync/atomic"
+	"errors"
+	"fmt"
 	"time"
 
 	"finelb/internal/core"
+	"finelb/internal/transport"
 )
 
-// pollRound is the reusable scratch for one poll round (§3.1-3.2): the
-// slot tables the fan-out writes from, the answer slots the agents'
-// read loops demultiplex into, and the wait machinery that wakes the
-// round owner exactly once — when the last outstanding answer lands or
-// the discard deadline fires — instead of once per reply.
+// errPollClosed reports a poll round cut short by Client.Close.
+var errPollClosed = errors.New("cluster: client closed during poll")
+
+// pollRound is the reusable state of one poll round (§3.1-3.2): an
+// unconnected datagram socket that sends the round's inquiries and
+// reads their answers, plus the slot tables the answers fill.
 //
 // Ownership rules (DESIGN.md §12): a round is checked out of the
-// client's pool by one access goroutine, which owns every field except
-// the answer slots (epIdx written before each inquiry is registered,
-// then read-only). The answer slots — loads, rtts, got — are written
-// by agent read loops through deliver under r.mu until the owner sets
-// closed; after that the owner reads them without the lock, because
-// closed is checked under the same mutex on every delivery. The
-// generation counter makes recycling safe: a read loop that looked up
-// a pending inquiry just before the owner cancelled it may call
-// deliver after the round was reset for its next use, and the stale
-// gen rejects it before any slot is touched.
+// client's free list by one access goroutine, which owns all of it —
+// socket, slots and buffers — until putRound. The owner reads its own
+// answers, so nothing else touches a round and it needs no lock. An
+// answer to an earlier use of the socket can still arrive; sequence
+// numbers are client-global and monotone, so its seq matches no slot
+// of the current round, and it is counted late and dropped.
 type pollRound struct {
-	//lint:guards gen, closed, want
-	mu     sync.Mutex
-	gen    uint32       // bumped on every reset; stale deliveries carry the old value
-	closed bool         // set at teardown; no slot writes after this
-	want   int32        // answers that complete the round; -1 while the fan-out is still sending
-	got    atomic.Int32 // answers recorded so far (atomic so the owner's yield-spin reads it lock-free)
+	conn transport.PacketConn
 
-	// Answer slots, indexed by the order inquiries were sent.
+	// Slots, indexed by the order inquiries were sent.
 	epIdx []int           // slot -> index into the round's endpoint table
+	seqs  []uint32        // slot -> the inquiry's sequence number
 	loads []int64         // slot -> answered load; -1 = unanswered
 	rtts  []time.Duration // slot -> inquiry round trip, valid when loads >= 0
 
-	// Owner-only scratch, reused across rounds via the pool.
+	// owed counts the inquiries of earlier uses that went unanswered:
+	// late answers that may still arrive on the socket.
+	owed int
+
 	start     time.Time
-	done      chan struct{} // buffered 1: the round's single completion wakeup
-	timer     *time.Timer   // the round's single deadline, Reset per use
-	sendBuf   []byte        // encode buffer for every inquiry in the round
-	seqs      []uint32
-	agents    []*pollAgent
+	sendBuf   []byte // encode buffer for every inquiry in the round
+	recvBuf   []byte // read buffer for every answer
 	polled    []int
 	swaps     []int
 	responses []core.PollResponse
 }
 
-// deliver records an answer for slot. It is called by agent read loops
-// and must not block; the round owner is woken at most once, when the
-// answer completing the round arrives after the fan-out finished
-// (want >= 0). Deliveries after teardown, for a recycled round (gen
-// mismatch), or duplicated onto an answered slot are dropped — the
-// gen check runs before the slot index, so a stale slot from a wider
-// previous round can never index out of bounds.
-//
-//lint:noalloc
-func (r *pollRound) deliver(gen uint32, slot int32, load uint32) {
-	now := time.Now()
-	r.mu.Lock()
-	if r.closed || r.gen != gen || r.loads[slot] >= 0 {
-		r.mu.Unlock()
-		return
+// getRound checks a round out of the client's free list, sized for a
+// poll set of d with every slot unanswered. When every round is in
+// flight it mints one, with a fresh socket from the transport.
+func (c *Client) getRound(d int) (*pollRound, error) {
+	if c.closed.Load() {
+		return nil, errPollClosed
 	}
-	r.loads[slot] = int64(load)
-	r.rtts[slot] = now.Sub(r.start)
-	got := r.got.Add(1)
-	if r.want >= 0 && got >= r.want {
-		select {
-		case r.done <- struct{}{}:
-		default:
-		}
+	c.roundMu.Lock()
+	var r *pollRound
+	if n := len(c.idle); n > 0 {
+		r = c.idle[n-1]
+		c.idle = c.idle[:n-1]
 	}
-	r.mu.Unlock()
-}
-
-// arm publishes how many answers complete the round, after the fan-out
-// finished assigning slots. It reports whether every answer already
-// arrived during the send phase, in which case the owner skips the
-// deadline wait entirely.
-//
-//lint:noalloc
-func (r *pollRound) arm(sent int) (complete bool) {
-	r.mu.Lock()
-	r.want = int32(sent)
-	complete = r.got.Load() >= r.want
-	r.mu.Unlock()
-	return complete
-}
-
-// abandon tears the round down: cancel the outstanding inquiries (so
-// answers still in flight are counted late by the agents, §3.2), then
-// close the slots. After abandon returns, the owner may read the
-// answer slots without the lock, and any straggling deliver is
-// rejected. The stale completion token, if the deadline and the last
-// answer raced, is drained so the pooled round starts its next use
-// with an empty channel.
-//
-//lint:noalloc
-func (r *pollRound) abandon(sent int) {
-	for i := 0; i < sent; i++ {
-		r.agents[i].cancel(r.seqs[i])
-	}
-	r.mu.Lock()
-	r.closed = true
-	r.mu.Unlock()
-	select {
-	case <-r.done:
-	default:
-	}
-}
-
-// getRound checks a round out of the client's pool, sized for a poll
-// set of d, with every answer slot reset to unanswered and a fresh
-// generation so stale deliveries from its previous use bounce off.
-func (c *Client) getRound(d int) *pollRound {
-	r, _ := c.rounds.Get().(*pollRound)
+	c.roundMu.Unlock()
 	if r == nil {
-		r = &pollRound{
-			done:    make(chan struct{}, 1),
-			sendBuf: make([]byte, 0, inquirySize),
+		var err error
+		if r, err = c.newRound(); err != nil {
+			return nil, err
 		}
 	} else {
 		c.pollPath.EncodeReuse.Inc()
 	}
 	if cap(r.epIdx) < d {
 		r.epIdx = make([]int, d)
+		r.seqs = make([]uint32, d)
 		r.loads = make([]int64, d)
 		r.rtts = make([]time.Duration, d)
-		r.seqs = make([]uint32, d)
-		r.agents = make([]*pollAgent, d)
 		r.polled = make([]int, d)
 		r.swaps = make([]int, d)
 		r.responses = make([]core.PollResponse, 0, d)
 	}
 	r.epIdx = r.epIdx[:d]
+	r.seqs = r.seqs[:d]
 	r.loads = r.loads[:d]
 	r.rtts = r.rtts[:d]
-	r.seqs = r.seqs[:d]
-	r.agents = r.agents[:d]
 	r.polled = r.polled[:d]
 	r.swaps = r.swaps[:d]
 	for i := range r.loads {
 		r.loads[i] = -1
 	}
-	r.mu.Lock()
-	r.gen++
-	r.closed = false
-	r.want = -1
-	r.got.Store(0)
-	r.mu.Unlock()
-	return r
+	return r, nil
 }
 
-// putRound returns an abandoned round to the pool. Agent pointers are
-// cleared so a pooled round does not pin agents pruned by Refresh.
+// newRound mints a round and its socket and registers it with the
+// client, so Close can reach it wherever it is.
+func (c *Client) newRound() (*pollRound, error) {
+	conn, err := c.tr.ListenPacket()
+	if err != nil {
+		return nil, fmt.Errorf("cluster: poll socket: %w", err)
+	}
+	r := &pollRound{
+		conn:    conn,
+		sendBuf: make([]byte, 0, inquirySize),
+		recvBuf: make([]byte, 64),
+	}
+	c.roundMu.Lock()
+	defer c.roundMu.Unlock()
+	if c.closed.Load() {
+		_ = conn.Close()
+		return nil, errPollClosed
+	}
+	c.rounds = append(c.rounds, r)
+	return r, nil
+}
+
+// putRound returns a finished round to the free list. Its socket stays
+// open: answers the round gave up on may still arrive there, and the
+// next owner (or LateAnswers) counts them late.
+func (c *Client) putRound(r *pollRound) {
+	c.roundMu.Lock()
+	c.idle = append(c.idle, r)
+	c.roundMu.Unlock()
+}
+
+// inquire sends the load inquiry seq to target from the round's
+// socket, replaying the client→server link's injected faults first
+// (faults.LinkRule). A dropped inquiry is never written but still
+// counts as sent: the client learns of the loss only through silence,
+// as on a lossy network. A delayed inquiry is written from a timer,
+// which reaches the round's clock the way a slow link would.
 //
 //lint:noalloc
-func (c *Client) putRound(r *pollRound) {
-	for i := range r.agents {
-		r.agents[i] = nil
+func (c *Client) inquire(r *pollRound, seq uint32, target *Endpoint) error {
+	msg := EncodeInquiry(r.sendBuf[:0], seq)
+	drop, delay := c.links.PollFault(target.NodeID)
+	if drop {
+		return nil
 	}
-	c.rounds.Put(r)
+	if delay > 0 {
+		writeLater(r.conn, msg, target.LoadAddr, delay)
+		return nil
+	}
+	_, err := r.conn.WriteTo(msg, target.LoadAddr)
+	return err
+}
+
+// writeLater sends a copy of msg to addr from conn once delay has
+// passed: an injected link latency. If the round has finished by then,
+// the answer reaches the socket's next owner and is counted late.
+func writeLater(conn transport.PacketConn, msg []byte, addr string, delay time.Duration) {
+	buf := append([]byte(nil), msg...)
+	time.AfterFunc(delay, func() { _, _ = conn.WriteTo(buf, addr) })
+}
+
+// collect reads the round's answers until all sent inquiries are
+// answered or the round's deadline passes, and reports errPollClosed
+// when Close cut the round short.
+//
+//lint:noalloc
+func (c *Client) collect(r *pollRound, sent int, deadline time.Time) error {
+	if sent == 0 {
+		return nil
+	}
+	_ = r.conn.SetReadDeadline(deadline)
+	for got := 0; got < sent; {
+		n, err := r.conn.Read(r.recvBuf)
+		if err != nil {
+			if c.closed.Load() {
+				return errPollClosed
+			}
+			// The deadline passed: the unanswered inquiries are discarded
+			// (§3.2). An unconnected socket gets no ICMP errors, so a dead
+			// server is silence, not a failed read.
+			return nil
+		}
+		if c.record(r, sent, r.recvBuf[:n]) {
+			got++
+		}
+	}
+	return nil
+}
+
+// record files one answer into the slot that asked for it and reports
+// whether it did. An answer matching no unanswered slot among the
+// first sent came back after its round stopped waiting: a discarded
+// slow poll, counted late.
+//
+//lint:noalloc
+func (c *Client) record(r *pollRound, sent int, p []byte) bool {
+	seq, load, err := DecodeLoad(p)
+	if err != nil {
+		return false
+	}
+	for i := 0; i < sent; i++ {
+		if r.seqs[i] == seq && r.loads[i] < 0 {
+			r.loads[i] = int64(load)
+			r.rtts[i] = time.Since(r.start)
+			return true
+		}
+	}
+	c.late.Add(1)
+	c.cfg.Metrics.PollLate.Inc()
+	if r.owed > 0 {
+		r.owed--
+	}
+	return false
+}
+
+// drainWait bounds how long draining an idle round socket waits for
+// owed answers that have not arrived.
+const drainWait = time.Millisecond
+
+// drainLocked reads and counts the late answers an idle round is still
+// owed. Caller holds c.roundMu, which keeps the round idle. A round
+// owed nothing returns at once; otherwise the wait for answers not yet
+// arrived (or lost) is bounded by drainWait.
+func (c *Client) drainLocked(r *pollRound) {
+	if r.owed == 0 {
+		return
+	}
+	_ = r.conn.SetReadDeadline(time.Now().Add(drainWait))
+	for r.owed > 0 {
+		n, err := r.conn.Read(r.recvBuf)
+		if err != nil {
+			return
+		}
+		c.record(r, 0, r.recvBuf[:n])
+	}
 }

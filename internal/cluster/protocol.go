@@ -12,8 +12,9 @@
 //     request queue and worker pool, plus a UDP load-index server that
 //     answers load inquiries.
 //   - Client: a client node — service mapping table, policy-driven
-//     server selection, and the polling agent (connected UDP sockets
-//     with a discard deadline).
+//     server selection, and poll rounds (each sends its inquiries
+//     from, and reads the answers on, one pooled UDP socket, with a
+//     discard deadline).
 //   - IdealManager: the centralized load-index manager used to emulate
 //     the IDEAL policy in §4.
 //

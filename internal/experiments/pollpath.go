@@ -49,8 +49,8 @@ func PollPath(o Options) (*Table, error) {
 }
 
 // pollRounds boots servers answering load inquiries instantly and a
-// Poll(d) client on a fresh seeded mem fabric, primes the round pool
-// and agents, then times rounds poll rounds. It returns the number of
+// Poll(d) client on a fresh seeded mem fabric, primes the round pool,
+// then times rounds poll rounds. It returns the number of
 // inquiries resolved and the wall seconds they took.
 func pollRounds(o Options, servers, d, prime, rounds int) (int64, float64, error) {
 	// The cell always runs on the mem fabric regardless of o.Transport:

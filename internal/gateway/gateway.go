@@ -91,7 +91,7 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 type Config struct {
 	// Backends are the polling clients requests route through
 	// (round-robin per request). At least one is required; several
-	// spread poll-agent and connection-pool contention, exactly as the
+	// spread poll-round and connection-pool contention, exactly as the
 	// paper's experiments run six client nodes.
 	Backends []*cluster.Client
 

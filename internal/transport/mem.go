@@ -18,8 +18,8 @@ import (
 // inquiries, directory traffic); streams are reliable, socket-like
 // byte streams with no modeled latency, so access response times are
 // dominated by service time exactly as on loopback TCP. Injected
-// per-link faults are a separate mechanism layered on top
-// (WithFaults) and work identically on both transports.
+// per-link faults are a separate mechanism, replayed by the cluster
+// client's poll fan-out, and work identically on both transports.
 type MemConfig struct {
 	// Seed drives the loss and jitter draws; the same seed and the
 	// same send sequence replay the same deliveries.
@@ -41,6 +41,13 @@ type MemConfig struct {
 // before it sees EOF. The fabric needs no file descriptors, so
 // cluster size is bounded by memory, not OS socket limits, and with
 // zero Latency/Loss its behavior is independent of wall-clock timing.
+//
+// An undelayed datagram is delivered on the sender's goroutine: a
+// receiver with a PacketHandler (a node's load socket) runs it there,
+// and a reader (a client's poll-round socket) finds the datagram in
+// its inbox when it next reads, on ReadFrom's non-blocking fast path.
+// A zero-latency poll round therefore never parks: every answer is
+// queued before the round's fan-out returns.
 //
 // One Mem value is one isolated network; components can only reach
 // addresses issued by the same fabric.

@@ -43,8 +43,7 @@ func (Net) ListenPacket() (PacketConn, error) {
 	return &netPacketConn{c: conn}, nil
 }
 
-// DialPacket implements Transport. The link is carried by the fault
-// decorator (WithFaults), not by Net itself.
+// DialPacket implements Transport. Net carries every link alike.
 func (Net) DialPacket(addr string, _ Link) (PacketConn, error) {
 	raddr, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {

@@ -13,8 +13,10 @@
 // as opaque tokens obtained from LocalAddr/Addr and passed back to
 // Dial/DialPacket/WriteTo.
 //
-// The transport seam is also where the fault-injection subsystem's
-// per-link rules are replayed: see WithFaults.
+// Injected per-link faults (faults.LinkRule) are not replayed here:
+// the cluster client's poll fan-out replays them before each inquiry
+// leaves, so both transports carry exactly the datagrams the schedule
+// lets through.
 package transport
 
 import (
@@ -24,19 +26,16 @@ import (
 )
 
 // Link identifies the logical client→server edge a dialed packet
-// connection belongs to, so injected per-link faults
-// (faults.LinkRule) can be replayed at the transport seam. Use NoLink
-// for traffic with no per-link fault semantics (directory lookups).
+// connection belongs to. Net and Mem carry every link alike; use
+// NoLink for traffic that belongs to no such edge (directory lookups).
 type Link struct {
 	Client int
 	Server int
 }
 
-// NoLink marks a packet connection as exempt from link-fault replay.
+// NoLink marks a packet connection that belongs to no client→server
+// edge.
 var NoLink = Link{Client: -1, Server: -1}
-
-// real reports whether the link names an actual client→server edge.
-func (l Link) real() bool { return l.Client >= 0 && l.Server >= 0 }
 
 // PacketConn is a datagram endpoint (UDP-like: unreliable, unordered
 // in principle, message-preserving). A listening conn (ListenPacket)
@@ -70,8 +69,9 @@ type PacketHandler func(p []byte, from string)
 // can install a handler invoked per datagram instead of parking a
 // goroutine in Read. On the in-memory fabric an undelayed datagram
 // then flows sender → handler synchronously — no queue, no copy, no
-// goroutine wakeup — which is what lets a whole poll round run on the
-// inquiring client's goroutine (DESIGN.md §12). Transports without
+// goroutine wakeup — which is what lets a node answer a load inquiry
+// on the inquiring client's goroutine, so a whole poll round runs
+// there (DESIGN.md §12). Transports without
 // the capability (real sockets) simply don't implement it, and
 // callers fall back to a read loop. SetPacketHandler reports whether
 // the handler was installed; install it before any traffic arrives,
@@ -102,7 +102,7 @@ type Transport interface {
 	ListenPacket() (PacketConn, error)
 	// DialPacket opens a datagram endpoint connected to addr, so Write
 	// needs no address and Read sees only that peer's datagrams. link
-	// names the logical edge for fault replay (NoLink when none).
+	// names the logical edge (NoLink when none).
 	DialPacket(addr string, link Link) (PacketConn, error)
 }
 

@@ -6,8 +6,6 @@ import (
 	"os"
 	"testing"
 	"time"
-
-	"finelb/internal/faults"
 )
 
 // both runs a subtest against each transport implementation.
@@ -263,80 +261,6 @@ func TestMemLossDeterministic(t *testing.T) {
 	if c := pattern(8); c == a {
 		t.Fatalf("different seeds, same delivery pattern %s", a)
 	}
-}
-
-// TestWithFaultsIdentity checks a fault-free schedule adds no layer.
-func TestWithFaultsIdentity(t *testing.T) {
-	inner := Net{}
-	if got := WithFaults(inner, nil); got != Transport(inner) {
-		t.Fatal("nil schedule should return inner unchanged")
-	}
-	if got := WithFaults(inner, &faults.Schedule{}); got != Transport(inner) {
-		t.Fatal("link-rule-free schedule should return inner unchanged")
-	}
-}
-
-// TestWithFaultsReplaysLinkRules checks loss and latency replay at
-// the seam, on both transports, and that NoLink dials are exempt.
-func TestWithFaultsReplaysLinkRules(t *testing.T) {
-	both(t, func(t *testing.T, inner Transport) {
-		sched := &faults.Schedule{
-			Seed: 3,
-			Links: []faults.LinkRule{
-				{Client: 0, Server: 0, Loss: 1},
-				{Client: 0, Server: 1, Latency: 40 * time.Millisecond},
-			},
-		}
-		tr := WithFaults(inner, sched)
-
-		srv, err := tr.ListenPacket()
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
-		buf := make([]byte, 8)
-
-		expect := func(pc PacketConn, wantDelivered bool, wantAfter time.Duration, desc string) {
-			t.Helper()
-			start := time.Now()
-			if _, err := pc.Write([]byte("x")); err != nil {
-				t.Fatalf("%s: write: %v", desc, err)
-			}
-			srv.SetReadDeadline(time.Now().Add(300 * time.Millisecond))
-			_, _, err := srv.ReadFrom(buf)
-			if wantDelivered {
-				if err != nil {
-					t.Fatalf("%s: not delivered: %v", desc, err)
-				}
-				if d := time.Since(start); d < wantAfter {
-					t.Fatalf("%s: delivered in %v, want >= %v", desc, d, wantAfter)
-				}
-			} else if err == nil {
-				t.Fatalf("%s: delivered, want dropped", desc)
-			}
-		}
-
-		lossy, err := tr.DialPacket(srv.LocalAddr(), Link{Client: 0, Server: 0})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer lossy.Close()
-		expect(lossy, false, 0, "loss=1 link")
-
-		slow, err := tr.DialPacket(srv.LocalAddr(), Link{Client: 0, Server: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer slow.Close()
-		expect(slow, true, 40*time.Millisecond, "latency link")
-
-		exempt, err := tr.DialPacket(srv.LocalAddr(), NoLink)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer exempt.Close()
-		expect(exempt, true, 0, "NoLink dial")
-	})
 }
 
 // TestMemManyEndpoints opens far more endpoints than typical FD
