@@ -148,7 +148,7 @@ func main() {
 	}
 	wg.Wait()
 
-	fmt.Printf("policy      %s against %d nodes at %.0f/s for %v\n", p, len(eps), *rate, *duration)
+	fmt.Printf("policy      %s against %d nodes at %.0f/s for %v\n", p, len(c.Endpoints()), *rate, *duration)
 	if resp.N() == 0 {
 		fmt.Println("no successful accesses")
 		os.Exit(1)

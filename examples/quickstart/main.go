@@ -35,7 +35,7 @@ func main() {
 	}
 
 	fmt.Println("\nprototype (real UDP/TCP on loopback, same cell):")
-	res, err := finelb.RunPrototype(finelb.PrototypeConfig{
+	res, err := finelb.ProtoSubstrate{}.Run(finelb.RunSpec{
 		Servers: 16, Clients: 6, Workload: w,
 		Policy:   finelb.NewPoll(2),
 		Accesses: 8000, Seed: 1,
@@ -44,8 +44,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("  %-8s mean %7.3f ms   p95 %7.3f ms   mean poll %.3f ms\n",
-		"poll 2", res.Response.Mean()*1e3, res.Response.Percentile(0.95)*1e3,
-		res.PollTime.Mean()*1e3)
+		"poll 2", res.MeanResponse*1e3, res.P95Response*1e3, res.MeanPollTime*1e3)
 
 	fmt.Println("\nThe poll-2 policy sits near IDEAL while random queues up —")
 	fmt.Println("the paper's conclusion 1: random polling suits fine-grain services.")

@@ -22,9 +22,11 @@
 //
 // Or run the same cell on the real-socket prototype:
 //
-//	res, err := finelb.RunPrototype(finelb.PrototypeConfig{
+//	res, err := finelb.ProtoSubstrate{}.Run(finelb.RunSpec{
 //		Servers: 16, Workload: w, Policy: finelb.NewPoll(2),
+//		Accesses: 20000, Seed: 1,
 //	})
+//	fmt.Println(res.MeanResponse, res.Lost)
 //
 // See examples/ for complete programs and cmd/repro for the experiment
 // suite.
@@ -97,19 +99,6 @@ type SimResult = simcluster.Result
 // Simulate executes one simulated cluster experiment.
 func Simulate(cfg SimConfig) (*SimResult, error) { return simcluster.Run(cfg) }
 
-// PrototypeConfig configures a real-socket prototype run (Figure 6,
-// Table 2).
-type PrototypeConfig = cluster.ExperimentConfig
-
-// PrototypeResult is a prototype run's measurements.
-type PrototypeResult = cluster.ExperimentResult
-
-// RunPrototype boots an in-process cluster over real UDP/TCP sockets
-// and replays the workload against it.
-func RunPrototype(cfg PrototypeConfig) (*PrototypeResult, error) {
-	return cluster.RunExperiment(cfg)
-}
-
 // Cluster pieces for programs that want to compose a service cluster
 // directly rather than run a canned experiment (see examples/).
 type (
@@ -150,8 +139,7 @@ const DiscardThreshold = 10 * time.Millisecond
 // directory server, the IDEAL manager) exchanges messages through a
 // Transport. The zero configuration uses real loopback sockets; an
 // in-memory fabric swaps in for deterministic, file-descriptor-free
-// runs (set PrototypeConfig.Transport, or ProtoSubstrate.Transport to
-// "mem").
+// runs (set ProtoSubstrate.Transport to "mem").
 type (
 	// Transport provides stream listeners and datagram endpoints.
 	Transport = transport.Transport
@@ -169,8 +157,8 @@ var NewMemTransport = transport.NewMem
 
 // Fault injection (§3.1 availability): a FaultSchedule describes node
 // crashes, pause/resume pairs, and per-link loss/latency; pass it to
-// SimConfig.Faults or PrototypeConfig.Faults and both substrates replay
-// it deterministically from the same seed.
+// SimConfig.Faults or RunSpec.Faults and both substrates replay it
+// deterministically from the same seed.
 type (
 	// FaultSchedule is a seedable schedule of node and link faults.
 	FaultSchedule = faults.Schedule

@@ -24,18 +24,19 @@ func TestFacadeSimulate(t *testing.T) {
 // TestFacadePrototype exercises the public prototype surface end to end.
 func TestFacadePrototype(t *testing.T) {
 	w := finelb.PoissonExp(2e-3).ScaledTo(2, 0.4)
-	res, err := finelb.RunPrototype(finelb.PrototypeConfig{
+	res, err := finelb.ProtoSubstrate{}.Run(finelb.RunSpec{
 		Servers: 2, Clients: 1, Workload: w,
 		Policy:   finelb.NewPollDiscard(2, finelb.DiscardThreshold),
-		Accesses: 400, Seed: 2, SlowProb: -1,
+		Accesses: 400, Seed: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Errors != 0 {
-		t.Fatalf("errors: %d", res.Errors)
+	// Lost is the run snapshot's lb_lost_total.
+	if res.Lost != 0 {
+		t.Fatalf("lost: %d", res.Lost)
 	}
-	if res.Response.N() == 0 {
+	if res.Responses == 0 {
 		t.Fatal("no responses")
 	}
 }

@@ -148,10 +148,8 @@ type Client struct {
 	idle    []*pollRound
 	rounds  []*pollRound
 	// late counts answers that arrived after their round stopped
-	// waiting (§3.2); pollPath counts round reuse on a private registry
-	// (run snapshots never include these names).
-	late     atomic.Int64
-	pollPath *obs.PollPathMetrics
+	// waiting (§3.2).
+	late atomic.Int64
 
 	mgr *managerClient
 
@@ -229,7 +227,6 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		absentSince: make(map[string]time.Time),
 		outstanding: make(map[int]int),
 		health:      make(map[int]*serverHealth),
-		pollPath:    obs.NewPollPathMetrics(nil),
 		done:        make(chan struct{}),
 	}
 	// A negative ID is no client of a link, so no link rule applies.
@@ -769,7 +766,6 @@ func (c *Client) pollOnce(eps []Endpoint, info *AccessInfo) (ep Endpoint, ok boo
 	if err != nil {
 		return Endpoint{}, false, err
 	}
-	c.pollPath.Rounds.Inc()
 
 	// Choose the poll set. The identity scratch persists across rounds;
 	// ChooseIdentity restores it, so growth is the only maintenance.
@@ -797,7 +793,6 @@ func (c *Client) pollOnce(eps []Endpoint, info *AccessInfo) (ep Endpoint, ok boo
 	}
 	info.Polled += sent
 	c.cfg.Metrics.PollRequests.Add(int64(sent))
-	c.pollPath.BatchSize.Observe(float64(sent))
 
 	wait := c.cfg.PollTimeout
 	if da := c.cfg.Policy.DiscardAfter; da > 0 && da < wait {
@@ -847,13 +842,6 @@ func (c *Client) pollOnce(eps []Endpoint, info *AccessInfo) (ep Endpoint, ok boo
 	ep = eps[pick]
 	c.putRound(r)
 	return ep, true, nil
-}
-
-// PollPath exposes the client's poll hot-path instrumentation (rounds,
-// batch sizes, scratch reuse). These live on a private registry so run
-// metric snapshots — and their golden digests — never see them.
-func (c *Client) PollPath() *obs.PollPathMetrics {
-	return c.pollPath
 }
 
 // PollRound runs exactly one poll round against eps — encode, fan-out,

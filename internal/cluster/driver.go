@@ -34,16 +34,10 @@ type ExperimentConfig struct {
 
 	// Accesses is the number of accesses to issue (default 20000).
 	Accesses int
-	// WarmupFrac excludes the first fraction of accesses from the
-	// statistics (default 0.1).
-	WarmupFrac float64
 
-	// Node knobs (see NodeConfig).
-	Workers  int
-	Spin     bool
+	// SlowProb is every node's §3.2 contention-model probability (see
+	// NodeConfig.SlowProb; negative disables the slow path).
 	SlowProb float64
-	SlowDist stats.Dist
-	DropProb float64
 
 	// TimeScale multiplies every arrival interval, service time, and
 	// contention-model delay, to shrink (<1) or stretch (>1) the
@@ -87,16 +81,22 @@ type ExperimentConfig struct {
 	// Either way ExperimentResult.Metrics carries the end-of-run
 	// snapshot, aggregated across every node and client of the run.
 	Metrics *obs.Registry
-	// Trace, when non-nil, receives structured access-lifecycle events
-	// from the driver (access.complete, access.overload, access.lost)
-	// and server fault injections. See obs.Event for the schema.
-	Trace *obs.Trace
 
-	ServiceName string // default "translate"
-	Seed        uint64
+	Seed uint64
 }
 
-// ExperimentResult aggregates the measurements of one run.
+const (
+	// warmupFrac is the leading fraction of a run's accesses excluded
+	// from the Response, PollTime and PollRTT summaries.
+	warmupFrac = 0.1
+	// serviceName is the service every node of a run publishes.
+	serviceName = "translate"
+)
+
+// ExperimentResult aggregates the measurements of one run. Counts —
+// accesses lost, retries, poll inquiries sent, answered, discarded and
+// late — live only in Metrics, which every node and client of the run
+// increments at the protocol points where they happen.
 type ExperimentResult struct {
 	Config ExperimentConfig
 
@@ -111,24 +111,7 @@ type ExperimentResult struct {
 	// PollRTT summarizes individual inquiry round trips (profile P1).
 	PollRTT *stats.Summary
 
-	Polled    int64
-	Answered  int64
-	Discarded int64
-	// LateAnswers counts poll answers that arrived after their inquiry
-	// was abandoned at the deadline: the subset of Discarded whose
-	// answer eventually showed up (§3.2's slow polls, as opposed to
-	// datagrams that never arrived at all).
-	LateAnswers int64
-	Retries     int64 // poll re-rounds plus access re-attempts
-	Errors      int64
-	Overloads   int64
-	// Lost counts accesses that never produced a response despite
-	// retries (same thing as Errors on the prototype, named to match
-	// the simulator's degraded-mode result).
-	Lost int64
-
 	PerServer []int64 // accesses served by each node (by index)
-	NodeStats []NodeStats
 	WallTime  time.Duration
 
 	// Elastic membership (zero churn on fixed-pool runs, where
@@ -144,14 +127,6 @@ type ExperimentResult struct {
 
 // MeanResponse returns the run's mean response time in seconds.
 func (r *ExperimentResult) MeanResponse() float64 { return r.Response.Mean() }
-
-// Describe summarizes the run in one line.
-func (r *ExperimentResult) Describe() string {
-	return fmt.Sprintf("%s %s n=%d: mean=%.3fms p95=%.3fms poll=%.3fms discard=%d err=%d",
-		r.Config.Workload.Name, r.Config.Policy, r.Config.Servers,
-		r.Response.Mean()*1e3, r.Response.Percentile(0.95)*1e3,
-		r.PollTime.Mean()*1e3, r.Discarded, r.Errors)
-}
 
 // Cluster is a running prototype cluster: directory, nodes, clients,
 // and (for Ideal) the centralized manager. Use StartCluster for
@@ -172,10 +147,9 @@ type Cluster struct {
 	// Elastic membership (elastic.go). newNode is the template Join
 	// starts mid-run nodes from; members decides every transition.
 	newNode func(id int) NodeConfig
-	//lint:guards members, applied
+	//lint:guards members
 	churnMu sync.Mutex
 	members *membership.Pool
-	applied []transition // transitions of the decision in progress
 }
 
 // StartCluster boots servers and clients per cfg and waits until every
@@ -217,12 +191,9 @@ func StartCluster(cfg ExperimentConfig) (*Cluster, error) {
 	// its delays live on the same clock as arrivals and service times:
 	// a time-compressed run shrinks them by the same factor, keeping the
 	// relative cost of polling unchanged.
-	slowDist := cfg.SlowDist
+	var slowDist stats.Dist // nil keeps the node default
 	if cfg.TimeScale != 1 {
-		if slowDist == nil {
-			slowDist = DefaultSlowDist()
-		}
-		slowDist = stats.Scaled{D: slowDist, Factor: cfg.TimeScale}
+		slowDist = stats.Scaled{D: DefaultSlowDist(), Factor: cfg.TimeScale}
 	}
 
 	// The same template serves initial nodes and mid-run joins, so an
@@ -230,15 +201,12 @@ func StartCluster(cfg ExperimentConfig) (*Cluster, error) {
 	cl.newNode = func(id int) NodeConfig {
 		return NodeConfig{
 			ID:              id,
-			Service:         cfg.ServiceName,
+			Service:         serviceName,
 			Transport:       cfg.Transport,
-			Workers:         cfg.Workers,
-			Spin:            cfg.Spin,
 			Directory:       cl.Dir,
 			PublishInterval: cfg.DirTTL / 4, // zero keeps the node default
 			SlowProb:        cfg.SlowProb,
 			SlowDist:        slowDist,
-			DropProb:        cfg.DropProb,
 			Metrics:         cl.Metrics,
 			Seed:            cfg.Seed + uint64(id)*7919,
 		}
@@ -268,7 +236,7 @@ func StartCluster(cfg ExperimentConfig) (*Cluster, error) {
 		ccfg := ClientConfig{
 			ID:              i,
 			Directory:       cl.Dir,
-			Service:         cfg.ServiceName,
+			Service:         serviceName,
 			Policy:          cfg.Policy,
 			Transport:       cfg.Transport,
 			ManagerAddr:     mgrAddr,
@@ -329,14 +297,8 @@ func (cfg ExperimentConfig) withDefaults() ExperimentConfig {
 	if cfg.Accesses == 0 {
 		cfg.Accesses = 20000
 	}
-	if cfg.WarmupFrac == 0 {
-		cfg.WarmupFrac = 0.1
-	}
 	if cfg.TimeScale == 0 {
 		cfg.TimeScale = 1
-	}
-	if cfg.ServiceName == "" {
-		cfg.ServiceName = "translate"
 	}
 	return cfg
 }
@@ -382,7 +344,7 @@ func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
 	// Pre-generate the access schedule so generation cost is off the
 	// timed path.
 	trace := cfg.Workload.Generate(cfg.Accesses, cfg.Seed^0xfeedface)
-	warmup := int(float64(cfg.Accesses) * cfg.WarmupFrac)
+	warmup := int(float64(cfg.Accesses) * warmupFrac)
 
 	// Collect garbage left over from setup (or from a preceding run in
 	// the same process) so GC pauses don't pollute the timed phase —
@@ -393,19 +355,6 @@ func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
 	var wg sync.WaitGroup
 	start := time.Now().Add(20 * time.Millisecond) // settle time before first arrival
 
-	// emit records one driver-level trace event on the run clock
-	// (seconds since the first scheduled arrival).
-	emit := func(name, actor string, a, b int64) {
-		if cfg.Trace != nil {
-			cfg.Trace.Emit(time.Since(start).Seconds(), name, actor, a, b)
-		}
-	}
-
-	// emitChurn traces one applied membership transition.
-	emitChurn := func(kind string, id, pool int) {
-		emit(kind, fmt.Sprintf("server:%d", id), int64(pool), 0)
-	}
-
 	if cfg.Faults != nil {
 		player := cfg.Faults.PlayAt(start, cfg.TimeScale, func(ev faults.NodeEvent) {
 			if ev.Node >= len(cl.Nodes) {
@@ -414,13 +363,10 @@ func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
 			switch n := cl.Nodes[ev.Node]; ev.Kind {
 			case faults.Crash:
 				n.Close()
-				emit("server.crash", fmt.Sprintf("server:%d", ev.Node), 0, 0)
 			case faults.Pause:
 				n.Pause()
-				emit("server.pause", fmt.Sprintf("server:%d", ev.Node), 0, 0)
 			case faults.Resume:
 				n.Resume()
-				emit("server.resume", fmt.Sprintf("server:%d", ev.Node), 0, 0)
 			}
 		})
 		defer player.Stop()
@@ -428,7 +374,7 @@ func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
 
 	if cfg.Membership.Active() {
 		mplayer := cfg.Membership.PlayAt(start, cfg.TimeScale, func(ev membership.Event) {
-			cl.churn(emitChurn, func(p *membership.Pool) bool { return p.Apply(ev) })
+			cl.churn(func(p *membership.Pool) bool { return p.Apply(ev) })
 		})
 		defer mplayer.Stop()
 	}
@@ -452,7 +398,7 @@ func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
 					return
 				case <-t.C:
 					now := time.Duration(float64(time.Since(start)) / cfg.TimeScale)
-					cl.Autoscale(as, now, emitChurn)
+					cl.Autoscale(as, now)
 				}
 			}
 		}()
@@ -475,15 +421,11 @@ func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
 			mu.Lock()
 			defer mu.Unlock()
 			if err != nil {
-				res.Errors++
 				cl.Metrics.Lost.Inc()
-				emit("access.lost", "driver", int64(i), 0)
 				return
 			}
 			if info.Resp.Status == StatusOverload {
-				res.Overloads++
-				emit("access.overload", "driver", int64(i), int64(info.Server))
-				return
+				return // counted by the refusing node's server_overloads_total
 			}
 			cl.Metrics.Completions.Inc()
 			cl.Metrics.ResponseSeconds.Observe(elapsed.Seconds())
@@ -494,10 +436,6 @@ func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
 				res.PerServer = append(res.PerServer, 0)
 			}
 			res.PerServer[info.Server]++
-			res.Polled += int64(info.Polled)
-			res.Answered += int64(info.Answered)
-			res.Discarded += int64(info.Discarded)
-			res.Retries += int64(info.Retries)
 			if i >= warmup {
 				res.Response.Add(elapsed.Seconds())
 				if cfg.Policy.Kind == core.Poll {
@@ -511,16 +449,10 @@ func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
 	}
 	wg.Wait()
 	res.WallTime = time.Since(start)
-	res.Lost = res.Errors
+	// Read the late answers still queued on idle round sockets, so
+	// poll_late_total counts every answer that has arrived.
 	for _, c := range cl.Clients {
-		res.LateAnswers += c.LateAnswers()
-	}
-	for _, n := range cl.Nodes {
-		if n == nil {
-			res.NodeStats = append(res.NodeStats, NodeStats{})
-			continue
-		}
-		res.NodeStats = append(res.NodeStats, n.Stats())
+		c.LateAnswers()
 	}
 	res.Joins, res.Drains, res.Leaves, res.FinalPool, res.PeakPool = cl.ChurnStats()
 	// Snapshot after the last access settles and before teardown, so

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"finelb/internal/core"
+	"finelb/internal/obs"
 	"finelb/internal/workload"
 )
 
@@ -38,8 +39,8 @@ func TestRunExperimentRandomSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Errors != 0 {
-		t.Fatalf("errors: %d", res.Errors)
+	if lost := res.Metrics.Value(obs.MetricLost); lost != 0 {
+		t.Fatalf("lost: %d", lost)
 	}
 	if res.Response.N() != 720 { // 10% warmup excluded
 		t.Fatalf("responses %d", res.Response.N())
@@ -70,11 +71,11 @@ func TestRunExperimentPollCollectsPollStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Polled != 2*600 {
-		t.Fatalf("polled %d, want 1200", res.Polled)
+	if polled := res.Metrics.Value(obs.MetricPollRequests); polled != 2*600 {
+		t.Fatalf("polled %d, want 1200", polled)
 	}
-	if res.Discarded != 0 {
-		t.Fatalf("discarded %d", res.Discarded)
+	if discarded := res.Metrics.Value(obs.MetricPollDiscards); discarded != 0 {
+		t.Fatalf("discarded %d", discarded)
 	}
 	if res.PollTime.N() == 0 || res.PollRTT.N() == 0 {
 		t.Fatal("poll statistics not collected")
@@ -82,8 +83,8 @@ func TestRunExperimentPollCollectsPollStats(t *testing.T) {
 	if res.PollTime.Mean() <= 0 || res.PollTime.Mean() > 0.01 {
 		t.Fatalf("poll time mean %.6f implausible on loopback", res.PollTime.Mean())
 	}
-	if res.Describe() == "" {
-		t.Fatal("empty description")
+	if done := res.Metrics.Value(obs.MetricCompletions); done != 600 {
+		t.Fatalf("completions %d, want 600", done)
 	}
 }
 
@@ -98,8 +99,8 @@ func TestRunExperimentIdeal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Errors != 0 {
-		t.Fatalf("errors: %d", res.Errors)
+	if lost := res.Metrics.Value(obs.MetricLost); lost != 0 {
+		t.Fatalf("lost: %d", lost)
 	}
 	// The manager must spread load evenly: no server more than twice
 	// the per-server mean.

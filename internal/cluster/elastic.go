@@ -17,13 +17,6 @@ import (
 	"finelb/internal/membership"
 )
 
-// transition is one applied membership change, for tracing.
-type transition struct {
-	kind string
-	id   int
-	pool int
-}
-
 // clusterNodes is the prototype's membership.Substrate. Its methods run
 // under churnMu, from inside the pool's decisions.
 type clusterNodes struct{ cl *Cluster }
@@ -48,7 +41,7 @@ func (s clusterNodes) Start(id int) bool {
 }
 
 // Changed tells the Ideal manager (and, on drain, the node) about a
-// transition, and records it for the caller's trace.
+// transition.
 func (s clusterNodes) Changed(kind membership.Kind, id int) {
 	cl := s.cl
 	switch kind {
@@ -63,32 +56,16 @@ func (s clusterNodes) Changed(kind membership.Kind, id int) {
 			cl.Manager.SetActive(id, false)
 		}
 	}
-	cl.noteLocked(kind, id)
-}
-
-// noteLocked records an applied transition for the caller's trace.
-func (cl *Cluster) noteLocked(kind membership.Kind, id int) {
-	cl.applied = append(cl.applied, transition{"server." + kind.String(), id, cl.members.Size()})
 }
 
 // Load returns node id's load index.
 func (s clusterNodes) Load(id int) int { return s.cl.Nodes[id].LoadIndex() }
 
-// churn runs one pool decision under churnMu and hands each transition
-// it applied to event, after unlocking, so event may call back into
-// the cluster. It returns the decision's result.
-func (cl *Cluster) churn(event func(kind string, id, pool int), decide func(*membership.Pool) bool) bool {
+// churn runs one pool decision under churnMu and returns its result.
+func (cl *Cluster) churn(decide func(*membership.Pool) bool) bool {
 	cl.churnMu.Lock()
-	cl.applied = cl.applied[:0]
-	ok := decide(cl.members)
-	applied := append([]transition(nil), cl.applied...)
-	cl.churnMu.Unlock()
-	if event != nil {
-		for _, t := range applied {
-			event(t.kind, t.id, t.pool)
-		}
-	}
-	return ok
+	defer cl.churnMu.Unlock()
+	return decide(cl.members)
 }
 
 // Pool returns the current routable pool size.
@@ -110,28 +87,27 @@ func (cl *Cluster) ChurnStats() (joins, drains, leaves int64, finalPool, peakPoo
 // fresh Node, a drained or retired one re-publishes with whatever queue
 // it still holds. Returns whether the pool changed.
 func (cl *Cluster) Join(id int) bool {
-	return cl.churn(nil, func(p *membership.Pool) bool { return p.Join(id) })
+	return cl.churn(func(p *membership.Pool) bool { return p.Join(id) })
 }
 
 // Drain withdraws node id from routing while it keeps serving. The last
 // routable node never drains. Returns whether the pool changed.
 func (cl *Cluster) Drain(id int) bool {
-	return cl.churn(nil, func(p *membership.Pool) bool { return p.Drain(id) })
+	return cl.churn(func(p *membership.Pool) bool { return p.Drain(id) })
 }
 
 // Leave retires node id (draining it first when still routable).
 // Returns whether anything changed.
 func (cl *Cluster) Leave(id int) bool {
-	return cl.churn(nil, func(p *membership.Pool) bool { return p.Leave(id) })
+	return cl.churn(func(p *membership.Pool) bool { return p.Leave(id) })
 }
 
 // Autoscale runs one autoscaler evaluation at elapsed run time now
 // (already unscaled back to spec time by the caller): retire idle
 // retiring nodes, then let the pool sample the routable load and apply
-// the policy's delta. event, when non-nil, receives one callback per
-// applied transition for tracing.
-func (cl *Cluster) Autoscale(as *membership.Autoscaler, now time.Duration, event func(kind string, id, pool int)) {
-	cl.churn(event, func(p *membership.Pool) bool {
+// the policy's delta.
+func (cl *Cluster) Autoscale(as *membership.Autoscaler, now time.Duration) {
+	cl.churn(func(p *membership.Pool) bool {
 		// The prototype learns of idleness only by sampling.
 		p.RetireIdle()
 		p.Autoscale(as, now)

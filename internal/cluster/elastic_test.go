@@ -8,6 +8,7 @@ import (
 	"finelb/internal/core"
 	"finelb/internal/faults"
 	"finelb/internal/membership"
+	"finelb/internal/obs"
 )
 
 func TestDirectoryWithdraw(t *testing.T) {
@@ -199,8 +200,8 @@ func TestRunExperimentMembershipJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Errors != 0 {
-		t.Fatalf("errors: %d", res.Errors)
+	if lost := res.Metrics.Value(obs.MetricLost); lost != 0 {
+		t.Fatalf("lost: %d", lost)
 	}
 	if res.Joins != 2 || res.FinalPool != 4 || res.PeakPool != 4 {
 		t.Fatalf("joins=%d final=%d peak=%d", res.Joins, res.FinalPool, res.PeakPool)
@@ -242,8 +243,8 @@ func TestRunExperimentMembershipDrain(t *testing.T) {
 	}
 	// Graceful drain: everything routed to the node before (or right
 	// around) the drain still completes.
-	if res.Errors != 0 {
-		t.Fatalf("errors: %d", res.Errors)
+	if lost := res.Metrics.Value(obs.MetricLost); lost != 0 {
+		t.Fatalf("lost: %d", lost)
 	}
 	if res.Drains != 1 || res.Leaves != 1 || res.FinalPool != 2 {
 		t.Fatalf("drains=%d leaves=%d final=%d", res.Drains, res.Leaves, res.FinalPool)
@@ -275,8 +276,8 @@ func TestRunExperimentIdealElastic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Errors != 0 {
-		t.Fatalf("errors: %d", res.Errors)
+	if lost := res.Metrics.Value(obs.MetricLost); lost != 0 {
+		t.Fatalf("lost: %d", lost)
 	}
 	if res.Joins != 1 || res.Drains != 1 || res.FinalPool != 2 {
 		t.Fatalf("joins=%d drains=%d final=%d", res.Joins, res.Drains, res.FinalPool)
@@ -310,8 +311,8 @@ func TestRunExperimentAutoscaler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Errors != 0 {
-		t.Fatalf("errors: %d", res.Errors)
+	if lost := res.Metrics.Value(obs.MetricLost); lost != 0 {
+		t.Fatalf("lost: %d", lost)
 	}
 	// At 90% load on two servers the mean load index sits well above the
 	// 1.5 threshold, so the pool must have grown (the exact trajectory

@@ -63,8 +63,6 @@ func (c *Client) getRound(d int) (*pollRound, error) {
 		if r, err = c.newRound(); err != nil {
 			return nil, err
 		}
-	} else {
-		c.pollPath.EncodeReuse.Inc()
 	}
 	if cap(r.epIdx) < d {
 		r.epIdx = make([]int, d)

@@ -57,35 +57,20 @@ func pollRounds(o Options, servers, d, prime, rounds int) (int64, float64, error
 	// a syscall-bound net cell would measure the kernel, not the codecs
 	// and fan-out this record gates.
 	tr := transport.NewMem(transport.MemConfig{Seed: o.Seed + 1})
-	dir := cluster.NewDirectory(time.Hour)
-	var nodes []*cluster.Node
-	for i := 0; i < servers; i++ {
-		n, err := cluster.StartNode(cluster.NodeConfig{
-			ID: i, Service: "svc", Directory: dir, SlowProb: -1,
-			Transport: tr, Seed: o.Seed + uint64(i) + 1,
-		})
-		if err != nil {
-			return 0, 0, err
-		}
-		nodes = append(nodes, n)
-	}
-	defer func() {
-		for _, n := range nodes {
-			n.Close()
-		}
-	}()
-	c, err := cluster.NewClient(cluster.ClientConfig{
-		Directory: dir, Service: "svc",
+	cl, err := cluster.StartCluster(cluster.ExperimentConfig{
+		Servers: servers, Clients: 1,
 		Policy:          core.NewPoll(d),
-		PollRetries:     -1,
-		QuarantineAfter: -1,
 		Transport:       tr,
-		Seed:            o.Seed + 42,
+		SlowProb:        -1,
+		DirTTL:          time.Hour,
+		QuarantineAfter: -1,
+		Seed:            o.Seed,
 	})
 	if err != nil {
 		return 0, 0, err
 	}
-	defer c.Close()
+	defer cl.Close()
+	c := cl.Clients[0]
 
 	eps := c.Endpoints()
 	info := &cluster.AccessInfo{PollRTTs: make([]time.Duration, 0, d)}

@@ -143,38 +143,23 @@ func Failover(o Options) (*Table, error) {
 		Title:  "Soft-state failover: accesses succeeding before/after killing one of 4 nodes",
 		Header: []string{"Phase", "Accesses", "Errors"},
 	}
-	dir := cluster.NewDirectory(300 * time.Millisecond)
-	// Every node and the client must share one fabric, or they could
-	// not reach each other's addresses.
 	tr, err := transport.ByName(o.Transport, o.Seed)
 	if err != nil {
 		return nil, err
 	}
-	var nodes []*cluster.Node
-	for i := 0; i < 4; i++ {
-		n, err := cluster.StartNode(cluster.NodeConfig{
-			ID: i, Service: "svc", Directory: dir, PublishInterval: 50 * time.Millisecond,
-			SlowProb: -1, Seed: o.Seed + uint64(i), Transport: tr,
-		})
-		if err != nil {
-			return nil, err
-		}
-		nodes = append(nodes, n)
-	}
-	defer func() {
-		for _, n := range nodes {
-			n.Close()
-		}
-	}()
-	c, err := cluster.NewClient(cluster.ClientConfig{
-		Directory: dir, Service: "svc", Transport: tr,
-		Policy:          core.NewPollDiscard(2, 50*time.Millisecond),
-		RefreshInterval: 50 * time.Millisecond, Seed: o.Seed,
+	cl, err := cluster.StartCluster(cluster.ExperimentConfig{
+		Servers: 4, Clients: 1,
+		Policy:    core.NewPollDiscard(2, 50*time.Millisecond),
+		Transport: tr,
+		SlowProb:  -1,
+		DirTTL:    300 * time.Millisecond,
+		Seed:      o.Seed,
 	})
 	if err != nil {
 		return nil, err
 	}
-	defer c.Close()
+	defer cl.Close()
+	c := cl.Clients[0]
 
 	phase := func(name string, n int) {
 		errs := 0
@@ -189,7 +174,7 @@ func Failover(o Options) (*Table, error) {
 	}
 	n := pick(o, 300, 80)
 	phase("all nodes up", n)
-	nodes[0].Close()
+	cl.Nodes[0].Close()
 	// Wait out the soft-state TTL plus a client refresh.
 	time.Sleep(500 * time.Millisecond)
 	phase("after crash + expiry", n)

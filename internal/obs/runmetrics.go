@@ -121,48 +121,6 @@ func NewMembershipMetrics(reg *Registry) *MembershipMetrics {
 	}
 }
 
-// Poll hot-path metric names: the client's batched poll round
-// machinery (internal/cluster pollRound). These are NOT part of the
-// per-run RunMetrics catalog: the client always resolves them against
-// a private registry, so run snapshots and golden metric digests are
-// untouched; export them by resolving the same names against your own
-// registry via NewPollPathMetrics. Documented in DESIGN.md §12.
-const (
-	MetricPollRounds      = "poll_rounds_total"
-	MetricPollBatchSize   = "poll_batch_size"
-	MetricPollEncodeReuse = "poll_encode_reuse_total"
-)
-
-// PollPathMetrics instruments the batched poll fan-out: rounds run,
-// inquiries actually sent per round, and how often a round's pooled
-// scratch (encode buffer, slot tables, timer) was reused rather than
-// freshly allocated — the observable face of the zero-alloc gate.
-type PollPathMetrics struct {
-	Rounds      *Counter   // poll rounds executed
-	BatchSize   *Histogram // inquiries sent per round (the effective d)
-	EncodeReuse *Counter   // rounds served from the scratch pool
-}
-
-// PollBatchBuckets is the BatchSize histogram shape: poll sizes are
-// small powers of two in every experiment sweep.
-func PollBatchBuckets() []float64 {
-	return []float64{1, 2, 4, 8, 16, 32, 64}
-}
-
-// NewPollPathMetrics resolves the poll hot-path catalog against reg. A
-// nil registry gets a fresh private one — the client's default, which
-// keeps these names out of run snapshots.
-func NewPollPathMetrics(reg *Registry) *PollPathMetrics {
-	if reg == nil {
-		reg = NewRegistry()
-	}
-	return &PollPathMetrics{
-		Rounds:      reg.Counter(MetricPollRounds),
-		BatchSize:   reg.Histogram(MetricPollBatchSize, PollBatchBuckets()),
-		EncodeReuse: reg.Counter(MetricPollEncodeReuse),
-	}
-}
-
 // Gateway metric names: the HTTP front door's request pipeline
 // (internal/gateway, served by cmd/lbgw). Admission and stickiness
 // counters are pure functions of the request stream and tenant

@@ -14,8 +14,7 @@ import (
 // The schema (documented in DESIGN.md §7) is:
 //
 //	Seq   monotonically increasing sequence number, first event = 1
-//	T     substrate timestamp in seconds (simulated time on the
-//	      simulator, wall-clock offset from run start on the prototype)
+//	T     simulated run time in seconds
 //	Name  event name, e.g. "poll.discard" or "client.quarantine"
 //	Actor who emitted it ("client:2", "server:0", "sim")
 //	A, B  two event-specific integer arguments (target server, queue
@@ -35,9 +34,9 @@ type Event struct {
 // method is nil-safe so instrumented code can call Emit unconditionally
 // whether or not the run asked for a trace.
 //
-// On the simulator and the in-memory transport under fully-pinned fault
-// scenarios, event sequences are a deterministic function of the run's
-// seed and spec, which lets tests assert on exact traces.
+// Only the simulator emits events, and its event sequences are a
+// deterministic function of the run's seed and spec, which lets tests
+// assert on exact traces.
 type Trace struct {
 	mu   sync.Mutex
 	buf  []Event

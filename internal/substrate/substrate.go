@@ -98,12 +98,15 @@ type RunResult struct {
 	PollsDiscarded int64
 	// PollsLate counts the subset of PollsDiscarded whose answer
 	// eventually arrived after the discard deadline (§3.2's slow polls,
-	// as opposed to datagrams lost outright). On the simulator it is
-	// derived from the run's poll_late_total metric.
+	// as opposed to datagrams lost outright).
 	PollsLate int64
 
 	// Lost counts accesses that never produced a response despite
 	// retries; Retries counts poll re-rounds plus access re-attempts.
+	// Every count above is the run's value of the matching metric
+	// (poll_requests_total, poll_responses_total, poll_discards_total,
+	// poll_late_total, lb_lost_total, lb_retries_total), warmup
+	// included.
 	Lost    int64
 	Retries int64
 
@@ -168,31 +171,14 @@ func (Sim) Run(spec RunSpec) (*RunResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("substrate sim: %w", err)
 	}
-	return &RunResult{
-		Substrate:      "sim",
-		MeanResponse:   res.Response.Mean(),
-		P50Response:    res.Response.Percentile(0.50),
-		P95Response:    res.Response.Percentile(0.95),
-		P99Response:    res.Response.Percentile(0.99),
-		Responses:      res.Response.N(),
-		MeanPollTime:   res.PollTime.Mean(),
-		PollRequests:   res.Messages.PollRequests,
-		PollResponses:  res.Messages.PollResponses,
-		PollsDiscarded: res.Messages.PollsDiscarded,
-		PollsLate:      res.Metrics.Value(obs.MetricPollLate),
-		Lost:           res.Lost,
-		Retries:        res.Retries,
-		EventsFired:    res.EventsFired,
-		QueueSeries:    res.QueueSeries,
-		SimDuration:    res.SimDuration,
-		LoadMessages:   res.Messages.Total(),
-		Joins:          res.Joins,
-		Drains:         res.Drains,
-		Leaves:         res.Leaves,
-		FinalPool:      res.FinalPool,
-		PeakPool:       res.PeakPool,
-		Metrics:        res.Metrics,
-	}, nil
+	r := result("sim", res.Response, res.PollTime, res.Metrics)
+	r.EventsFired = res.EventsFired
+	r.QueueSeries = res.QueueSeries
+	r.SimDuration = res.SimDuration
+	r.LoadMessages = res.Messages.Total()
+	r.Joins, r.Drains, r.Leaves = res.Joins, res.Drains, res.Leaves
+	r.FinalPool, r.PeakPool = res.FinalPool, res.PeakPool
+	return r, nil
 }
 
 // Proto is the real-message prototype substrate (cluster.RunExperiment):
@@ -249,26 +235,36 @@ func (p Proto) Run(spec RunSpec) (*RunResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("substrate %s: %w", p.Name(), err)
 	}
-	return &RunResult{
-		Substrate:      p.Name(),
-		MeanResponse:   res.Response.Mean(),
-		P50Response:    res.Response.Percentile(0.50),
-		P95Response:    res.Response.Percentile(0.95),
-		P99Response:    res.Response.Percentile(0.99),
-		Responses:      res.Response.N(),
-		MeanPollTime:   res.PollTime.Mean(),
-		PollRequests:   res.Polled,
-		PollResponses:  res.Answered,
-		PollsDiscarded: res.Discarded,
-		PollsLate:      res.LateAnswers,
-		PollRTT:        res.PollRTT,
-		Lost:           res.Lost,
-		Retries:        res.Retries,
-		Joins:          res.Joins,
-		Drains:         res.Drains,
-		Leaves:         res.Leaves,
-		FinalPool:      res.FinalPool,
-		PeakPool:       res.PeakPool,
-		Metrics:        res.Metrics,
-	}, nil
+	r := result(p.Name(), res.Response, res.PollTime, res.Metrics)
+	r.PollRTT = res.PollRTT
+	r.Joins, r.Drains, r.Leaves = res.Joins, res.Drains, res.Leaves
+	r.FinalPool, r.PeakPool = res.FinalPool, res.PeakPool
+	return r, nil
+}
+
+// result builds the part of a RunResult both substrates fill the same
+// way. Every count is read from the run's metric snapshot, so a count
+// means the same thing on either substrate. The response percentiles
+// stay zero when no response was measured (every post-warmup access
+// lost).
+func result(name string, response, pollTime *stats.Summary, m *obs.Snapshot) *RunResult {
+	r := &RunResult{
+		Substrate:      name,
+		MeanResponse:   response.Mean(),
+		Responses:      response.N(),
+		MeanPollTime:   pollTime.Mean(),
+		PollRequests:   m.Value(obs.MetricPollRequests),
+		PollResponses:  m.Value(obs.MetricPollResponses),
+		PollsDiscarded: m.Value(obs.MetricPollDiscards),
+		PollsLate:      m.Value(obs.MetricPollLate),
+		Lost:           m.Value(obs.MetricLost),
+		Retries:        m.Value(obs.MetricRetries),
+		Metrics:        m,
+	}
+	if r.Responses > 0 {
+		r.P50Response = response.Percentile(0.50)
+		r.P95Response = response.Percentile(0.95)
+		r.P99Response = response.Percentile(0.99)
+	}
+	return r
 }

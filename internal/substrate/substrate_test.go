@@ -7,6 +7,7 @@ import (
 
 	"finelb/internal/core"
 	"finelb/internal/faults"
+	"finelb/internal/obs"
 	"finelb/internal/stats"
 	"finelb/internal/workload"
 )
@@ -204,5 +205,91 @@ func TestProtoMemDeterministicUnderFaults(t *testing.T) {
 	}
 	if first.Retries < int64(spec.Accesses) {
 		t.Errorf("retries %d, want at least one dry-round retry per access", first.Retries)
+	}
+}
+
+// crashAll returns a fault schedule that crashes every one of n servers
+// at offset at.
+func crashAll(n int, at time.Duration) *faults.Schedule {
+	s := &faults.Schedule{}
+	for i := 0; i < n; i++ {
+		s.Events = append(s.Events, faults.NodeEvent{At: at, Node: i, Kind: faults.Crash})
+	}
+	return s
+}
+
+// substrates returns the three substrates a cross-substrate test runs
+// on; the loopback-socket prototype is left out in -short mode.
+func substrates() []Substrate {
+	subs := []Substrate{Sim{}, Proto{Transport: "mem"}}
+	if !testing.Short() {
+		subs = append(subs, Proto{})
+	}
+	return subs
+}
+
+func TestCountsMatchMetrics(t *testing.T) {
+	// Both servers crash two thirds of the way through, so the run mixes
+	// answered accesses with accesses that retry, poll, discard and are
+	// finally lost. Every RunResult count must be its run's metric,
+	// the lost accesses' retries and polls included, on every substrate.
+	spec := RunSpec{
+		Servers: 2, Workload: workload.PoissonExp(0.005).ScaledTo(2, 0.5),
+		Policy:   core.NewPollDiscard(2, 5*time.Millisecond),
+		Accesses: 400, Seed: 3,
+		Faults: crashAll(2, 1200*time.Millisecond),
+		DirTTL: 100 * time.Millisecond,
+	}
+	for _, sub := range substrates() {
+		t.Run(sub.Name(), func(t *testing.T) {
+			res, err := sub.Run(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range []struct {
+				metric string
+				got    int64
+			}{
+				{obs.MetricPollRequests, res.PollRequests},
+				{obs.MetricPollResponses, res.PollResponses},
+				{obs.MetricPollDiscards, res.PollsDiscarded},
+				{obs.MetricPollLate, res.PollsLate},
+				{obs.MetricLost, res.Lost},
+				{obs.MetricRetries, res.Retries},
+			} {
+				if want := res.Metrics.Value(c.metric); c.got != want {
+					t.Errorf("%s: RunResult %d, metric %d", c.metric, c.got, want)
+				}
+			}
+			if res.Lost == 0 || res.Retries == 0 {
+				t.Errorf("crashing every server lost %d accesses after %d retries; want both > 0", res.Lost, res.Retries)
+			}
+		})
+	}
+}
+
+func TestRunWithNoResponse(t *testing.T) {
+	// Every server is down from the start, so no access is answered and
+	// the response summary stays empty: the result reports zero
+	// percentiles rather than panicking on them.
+	spec := RunSpec{
+		Servers: 2, Workload: workload.PoissonExp(0.005).ScaledTo(2, 0.5),
+		Policy:   core.NewPoll(2),
+		Accesses: 50, Seed: 4,
+		Faults: crashAll(2, 0),
+	}
+	for _, sub := range substrates() {
+		t.Run(sub.Name(), func(t *testing.T) {
+			res, err := sub.Run(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Responses != 0 || res.P99Response != 0 {
+				t.Errorf("responses %d, p99 %v; want none", res.Responses, res.P99Response)
+			}
+			if res.Lost == 0 {
+				t.Error("no access lost with every server crashed")
+			}
+		})
 	}
 }
