@@ -16,7 +16,7 @@
 // it) with an annotated directive, which must name the analyzer and a
 // reason:
 //
-//	//lint:allow detclock replays schedules on the prototype's wall clock by design
+//	//lint:allow detclock read deadlines honor net-style wall-clock semantics callers set explicitly
 //
 // A bare or reasonless `//lint:allow` suppresses nothing and is itself
 // reported. The suppression policy is documented in DESIGN.md §8.

@@ -26,9 +26,12 @@
 // DeterministicPackages, if one of its files carries a
 // `//lint:deterministic` comment, or (file granularity) if the file is
 // listed in DeterministicFiles or carries `//lint:deterministic file`.
-// Intentional wall-clock escapes (the fault Player that replays
-// schedules on the prototype's clock, the mem fabric's latency timers)
-// are annotated in place with `//lint:allow detclock <reason>`.
+// Intentional wall-clock escapes (the mem fabric's latency and
+// deadline timers) are annotated in place with
+// `//lint:allow detclock <reason>`. The packages of
+// DeterministicPackages carry none: the prototype driver replays their
+// fault and membership schedules on its own clock, and CI fails on any
+// such directive there.
 package detclock
 
 import (

@@ -16,7 +16,6 @@ package membership
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 )
 
@@ -120,40 +119,6 @@ func (s *Schedule) MaxNode() int {
 		}
 	}
 	return max
-}
-
-// Player replays a schedule's events on the wall clock (the prototype
-// side; the simulator schedules events on its own clock).
-type Player struct {
-	mu     sync.Mutex
-	timers []*time.Timer
-}
-
-// PlayAt arms one timer per event, firing apply(ev) at
-// start + ev.At*scale. scale mirrors the driver's TimeScale so a
-// stretched run stretches its membership changes identically. Stop the
-// returned Player to cancel events that have not fired.
-func (s *Schedule) PlayAt(start time.Time, scale float64, apply func(Event)) *Player {
-	p := &Player{}
-	if s == nil {
-		return p
-	}
-	for _, ev := range s.Sorted() {
-		ev := ev
-		at := start.Add(time.Duration(float64(ev.At) * scale))
-		//lint:allow detclock Player exists to replay schedules on the prototype's wall clock; the simulator replays them on its event clock
-		p.timers = append(p.timers, time.AfterFunc(time.Until(at), func() { apply(ev) }))
-	}
-	return p
-}
-
-// Stop cancels all not-yet-fired events.
-func (p *Player) Stop() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, t := range p.timers {
-		t.Stop()
-	}
 }
 
 // ScaleCycle is a canned schedule for demos and tests: grow the pool

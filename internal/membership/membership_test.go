@@ -93,26 +93,6 @@ func TestScaleCycle(t *testing.T) {
 	}
 }
 
-func TestPlayerReplaysEvents(t *testing.T) {
-	s := &Schedule{Events: []Event{
-		{At: 5 * time.Millisecond, Node: 4, Kind: Join},
-		{At: 10 * time.Millisecond, Node: 4, Kind: Drain},
-	}}
-	got := make(chan Event, 2)
-	p := s.PlayAt(time.Now(), 1.0, func(ev Event) { got <- ev })
-	defer p.Stop()
-	for i := 0; i < 2; i++ {
-		select {
-		case ev := <-got:
-			if ev.Node != 4 {
-				t.Fatalf("event %d targets node %d", i, ev.Node)
-			}
-		case <-time.After(2 * time.Second):
-			t.Fatal("timed out waiting for replayed event")
-		}
-	}
-}
-
 func TestKindString(t *testing.T) {
 	if Join.String() != "join" || Drain.String() != "drain" || Leave.String() != "leave" {
 		t.Fatal("Kind.String mismatch")

@@ -42,7 +42,7 @@ type metricsGolden struct {
 // disabled makes every counter a pure function of the spec.
 func goldenMemSpec() (Substrate, RunSpec) {
 	w := workload.PoissonExp(0.005).ScaledTo(2, 0.5)
-	return Proto{Transport: "mem", TimeScale: 0.5}, RunSpec{
+	return Proto{Transport: "mem"}, RunSpec{
 		Servers: 2, Workload: w,
 		Policy:   core.NewPollDiscard(2, 5*time.Millisecond),
 		Accesses: 100, Seed: 7,

@@ -190,11 +190,6 @@ type Proto struct {
 	// loopback sockets, "mem" for the deterministic in-memory fabric
 	// (transport.Mem, seeded from each spec's Seed).
 	Transport string
-	// TimeScale shrinks (<1) or stretches (>1) every arrival interval
-	// and service time without changing the load level; zero means 1.
-	// In-memory runs typically compress time, since they pay no kernel
-	// scheduling cost.
-	TimeScale float64
 }
 
 // Name implements Substrate.
@@ -223,7 +218,6 @@ func (p Proto) Run(spec RunSpec) (*RunResult, error) {
 		Workload:        spec.Workload,
 		Policy:          spec.Policy,
 		Transport:       tr,
-		TimeScale:       p.TimeScale,
 		Accesses:        spec.Accesses,
 		Seed:            spec.Seed,
 		Faults:          spec.Faults,
