@@ -13,6 +13,9 @@ import (
 	"finelb/internal/transport"
 )
 
+// accessTimeout bounds one service round trip.
+const accessTimeout = 10 * time.Second
+
 // ClientConfig configures a client node.
 type ClientConfig struct {
 	ID        int
@@ -47,9 +50,6 @@ type ClientConfig struct {
 	// hang an access forever.
 	PollTimeout time.Duration
 
-	// AccessTimeout bounds one service round trip (default 10 s).
-	AccessTimeout time.Duration
-
 	// PollRetries is how many times a completely unanswered poll round
 	// is re-polled (after a jittered backoff) before the client falls
 	// back to random selection. Default faults.DefaultPollRetries;
@@ -62,11 +62,6 @@ type ClientConfig struct {
 	// zero for the Ideal policy, whose manager acquire/release protocol
 	// accounts each access exactly once.
 	AccessRetries int
-
-	// RetryBackoff is the base backoff between retries: actual waits
-	// are jittered uniformly over [0.5, 1.5)× and double per attempt.
-	// Default faults.DefaultRetryBackoff.
-	RetryBackoff time.Duration
 
 	// QuarantineAfter puts a server on this client's quarantine list
 	// after that many consecutive unanswered load inquiries; a broken
@@ -185,9 +180,6 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	if cfg.PollTimeout == 0 {
 		cfg.PollTimeout = time.Second
 	}
-	if cfg.AccessTimeout == 0 {
-		cfg.AccessTimeout = 10 * time.Second
-	}
 	if cfg.PollRetries == 0 {
 		cfg.PollRetries = faults.DefaultPollRetries
 	}
@@ -199,9 +191,6 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	}
 	if cfg.AccessRetries < 0 || cfg.Policy.Kind == core.Ideal {
 		cfg.AccessRetries = 0
-	}
-	if cfg.RetryBackoff == 0 {
-		cfg.RetryBackoff = faults.DefaultRetryBackoff
 	}
 	if cfg.QuarantineAfter == 0 {
 		cfg.QuarantineAfter = faults.DefaultQuarantineAfter
@@ -482,7 +471,7 @@ func (c *Client) noteAccessFailure(nodeID int) {
 // backoff sleeps the jittered backoff before retry attempt (0-based).
 // It returns false if the client closed while waiting.
 func (c *Client) backoff(attempt int) bool {
-	d := faults.Backoff(c.cfg.RetryBackoff, attempt)
+	d := faults.Backoff(attempt)
 	c.mu.Lock()
 	jitter := 0.5 + c.rng.Float64()
 	c.mu.Unlock()
@@ -627,7 +616,7 @@ func (c *Client) accessOnce(serviceUs uint32, payload []byte, info *AccessInfo) 
 		Payload:   payload,
 	}
 	c.cfg.Metrics.Dispatches.Inc()
-	resp, tripErr := c.pool(target.AccessAddr).roundTrip(req, c.cfg.AccessTimeout)
+	resp, tripErr := c.pool(target.AccessAddr).roundTrip(req, accessTimeout)
 	var err error = tripErr
 	if release {
 		// Report completion (or failure) back to the manager so the
@@ -691,7 +680,7 @@ func (c *Client) AccessNode(nodeID int, serviceUs uint32, payload []byte) (*Acce
 		Payload:   payload,
 	}
 	c.cfg.Metrics.Dispatches.Inc()
-	resp, err := c.pool(target.AccessAddr).roundTrip(req, c.cfg.AccessTimeout)
+	resp, err := c.pool(target.AccessAddr).roundTrip(req, accessTimeout)
 	if err != nil {
 		c.noteAccessFailure(nodeID)
 		return nil, err

@@ -114,11 +114,11 @@ type Config struct {
 	// budgets, sticky TTLs, and latency measurement (default time.Now).
 	// Tests pin it to drive token-bucket boundaries without sleeping.
 	Now func() time.Time
-
-	// MaxBody bounds request payloads in bytes (default 1 MiB, the
-	// cluster protocol's own payload cap).
-	MaxBody int64
 }
+
+// maxBody bounds request payloads in bytes: 1 MiB, the cluster
+// protocol's own payload cap.
+const maxBody = 1 << 20
 
 // Gateway is a running front door. Construct with New, serve with
 // Start (any transport.Listener), stop with Close.
@@ -150,9 +150,6 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
-	}
-	if cfg.MaxBody <= 0 {
-		cfg.MaxBody = 1 << 20
 	}
 	reg := cfg.Registry
 	if reg == nil {
@@ -385,7 +382,7 @@ func (g *Gateway) handleAccess(w http.ResponseWriter, r *http.Request) {
 	var payload []byte
 	if r.Body != nil {
 		var err error
-		payload, err = io.ReadAll(http.MaxBytesReader(w, r.Body, g.cfg.MaxBody))
+		payload, err = io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
 		if err != nil {
 			http.Error(w, "gateway: reading body: "+err.Error(), http.StatusBadRequest)
 			return

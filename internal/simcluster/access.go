@@ -236,7 +236,7 @@ func (r *runner) pollRound(a *access, round int, cands []int) {
 			decideAt = c.deadline
 			continue
 		}
-		rtt := cfg.PollRTT + extra
+		rtt := DefaultPollRTT + extra
 		if cfg.PollJitter != nil {
 			rtt += sim.FromSeconds(cfg.PollJitter.Sample(r.jitterRNG))
 		}
@@ -365,7 +365,7 @@ func (r *runner) dispatch(a *access) {
 	if r.local != nil {
 		r.local[a.client].Add(a.srv, 1)
 	}
-	r.eng.After(r.cfg.ServiceNetDelay, a.onArrive)
+	r.eng.After(DefaultServiceNetDelay, a.onArrive)
 }
 
 // settle reverses dispatch's load-index commitments when the round trip

@@ -120,7 +120,7 @@ func (f *clientFaults) pollFault(client, srv int) (drop bool, delay sim.Duration
 //
 //lint:noalloc
 func (f *clientFaults) backoff(attempt int) sim.Duration {
-	base := faults.Backoff(faults.DefaultRetryBackoff, attempt)
+	base := faults.Backoff(attempt)
 	jitter := 0.5 + f.rng.Float64()
 	return sim.FromSeconds(base.Seconds() * jitter)
 }

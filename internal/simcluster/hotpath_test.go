@@ -102,7 +102,7 @@ func TestDispatchPathZeroAllocs(t *testing.T) {
 // same either way, so a drifted delay would only move events back to the
 // heap and lose the speed-up without any other test noticing. Per
 // access, the arrival and the service completion are heap events; the
-// request and response ride the ServiceNetDelay lane, and a Poll(d)
+// request and response ride the DefaultServiceNetDelay lane, and a Poll(d)
 // round's d observations and its decision ride the poll lanes.
 func TestFixedDelaysRideLanes(t *testing.T) {
 	w := workload.PoissonExp(0.05).ScaledTo(64, 0.8)

@@ -101,10 +101,10 @@ func newRunner(cfg Config) (*runner, error) {
 	// heap: requests and responses, and for poll runs the decisions and
 	// observations. Firing order is unchanged (Engine.AddLane);
 	// TestFixedDelaysRideLanes checks these are the delays scheduled.
-	eng.AddLane(cfg.ServiceNetDelay)
+	eng.AddLane(DefaultServiceNetDelay)
 	if cfg.Policy.Kind == core.Poll {
-		eng.AddLane(cfg.PollRTT)
-		eng.AddLane(obsDelay(cfg.PollRTT))
+		eng.AddLane(DefaultPollRTT)
+		eng.AddLane(obsDelay(DefaultPollRTT))
 	}
 	master := stats.NewRNG(cfg.Seed)
 	arrivalRNG := master.Split()
@@ -243,7 +243,7 @@ func newRunner(cfg Config) (*runner, error) {
 				r.res.Messages.Broadcasts++
 				b := r.newBroadcast()
 				b.id, b.load = id, r.srv[id].active
-				eng.After(cfg.BroadcastDelay, b.deliverFn)
+				eng.After(DefaultBroadcastDelay, b.deliverFn)
 			})
 		}
 	}

@@ -86,7 +86,7 @@ func (r *runner) record(id int) {
 func (r *runner) serverArrive(a *access) {
 	s := &r.srv[a.srv]
 	if s.down {
-		r.eng.After(r.cfg.ServiceNetDelay, a.onFail)
+		r.eng.After(DefaultServiceNetDelay, a.onFail)
 		return
 	}
 	s.active++
@@ -133,7 +133,7 @@ func (r *runner) serviceDone(a *access) {
 	} else if s.active == 0 && r.pool.Retiring(a.srv) {
 		r.pool.Leave(a.srv)
 	}
-	r.eng.After(r.cfg.ServiceNetDelay, a.onDone)
+	r.eng.After(DefaultServiceNetDelay, a.onDone)
 }
 
 // crash kills server id permanently: the in-service access and every
@@ -148,7 +148,7 @@ func (r *runner) crash(id int) {
 	s.paused = false
 	if s.hasCur {
 		s.curHandle.Cancel()
-		r.eng.After(r.cfg.ServiceNetDelay, s.cur.onFail)
+		r.eng.After(DefaultServiceNetDelay, s.cur.onFail)
 		s.cur = nil
 		s.hasCur = false
 	}
@@ -157,7 +157,7 @@ func (r *runner) crash(id int) {
 	}
 	s.busy = false
 	for a := s.pop(); a != nil; a = s.pop() {
-		r.eng.After(r.cfg.ServiceNetDelay, a.onFail)
+		r.eng.After(DefaultServiceNetDelay, a.onFail)
 	}
 	r.rm.ServerActive.Add(-int64(s.active))
 	s.active = 0

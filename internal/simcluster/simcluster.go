@@ -65,11 +65,6 @@ type Config struct {
 	// Servers; nil means a homogeneous cluster, as in the paper.
 	SpeedFactors []float64
 
-	// Network model; zero values take the paper-measured defaults.
-	ServiceNetDelay sim.Duration
-	PollRTT         sim.Duration
-	BroadcastDelay  sim.Duration
-
 	// PollJitter, when non-nil, adds a sampled extra delay (seconds) to
 	// each poll's round trip. The paper's simulation uses constant poll
 	// cost (nil); the jitter exists to exercise the discard logic in
@@ -132,15 +127,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if err := c.Policy.Validate(); err != nil {
 		return c, err
-	}
-	if c.ServiceNetDelay == 0 {
-		c.ServiceNetDelay = DefaultServiceNetDelay
-	}
-	if c.PollRTT == 0 {
-		c.PollRTT = DefaultPollRTT
-	}
-	if c.BroadcastDelay == 0 {
-		c.BroadcastDelay = DefaultBroadcastDelay
 	}
 	if c.Accesses == 0 {
 		c.Accesses = 100000

@@ -21,14 +21,12 @@ import (
 // per-link faults are a separate mechanism, replayed by the cluster
 // client's poll fan-out, and work identically on both transports.
 type MemConfig struct {
-	// Seed drives the loss and jitter draws; the same seed and the
-	// same send sequence replay the same deliveries.
+	// Seed drives the loss draws; the same seed and the same send
+	// sequence replay the same deliveries.
 	Seed uint64
 	// Latency is the base one-way datagram delay (default 0: delivery
 	// on the sender's goroutine).
 	Latency time.Duration
-	// Jitter adds a uniform extra delay in [0, Jitter) per datagram.
-	Jitter time.Duration
 	// Loss is the probability a datagram silently disappears.
 	Loss float64
 }
@@ -172,20 +170,15 @@ func (m *Mem) newEndpoint(peer string) *memEndpoint {
 // deliver routes one datagram through the fabric's loss/latency model
 // toward the endpoint registered at to.
 func (m *Mem) deliver(from, to string, p []byte) {
-	var delay time.Duration
-	if m.cfg.Loss > 0 || m.cfg.Jitter > 0 {
+	if m.cfg.Loss > 0 {
 		m.mu.Lock()
-		if m.cfg.Loss > 0 && m.rng.Float64() < m.cfg.Loss {
-			m.mu.Unlock()
+		lost := m.rng.Float64() < m.cfg.Loss
+		m.mu.Unlock()
+		if lost {
 			return
 		}
-		if m.cfg.Jitter > 0 {
-			delay = time.Duration(m.rng.Float64() * float64(m.cfg.Jitter))
-		}
-		m.mu.Unlock()
 	}
-	delay += m.cfg.Latency
-	if delay <= 0 {
+	if m.cfg.Latency <= 0 {
 		// Undelayed delivery stays on the sender's goroutine. A receiver
 		// with a handler gets the payload by reference — no copy, no
 		// queue, no wakeup; a reader gets a pooled copy in its inbox.
@@ -204,8 +197,8 @@ func (m *Mem) deliver(from, to string, p []byte) {
 	}
 	bp := dgPool.Get().(*[]byte)
 	*bp = append((*bp)[:0], p...)
-	//lint:allow detclock the latency model maps seeded delays onto the wall clock; drop/served fates are decided above by the seeded rng
-	time.AfterFunc(delay, func() { m.inject(from, to, bp) })
+	//lint:allow detclock the latency model maps the configured delay onto the wall clock; drop/served fates are decided above by the seeded rng
+	time.AfterFunc(m.cfg.Latency, func() { m.inject(from, to, bp) })
 }
 
 // resolve looks the destination endpoint up; nil means no such
