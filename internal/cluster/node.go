@@ -59,11 +59,6 @@ type NodeConfig struct {
 	SlowProb float64    // default DefaultSlowProb; negative disables
 	SlowDist stats.Dist // seconds; default lognormal mean/σ 18 ms
 
-	// DropProb silently drops incoming load inquiries with this
-	// probability (failure injection; UDP loses datagrams in real
-	// clusters).
-	DropProb float64
-
 	// Metrics is the run's shared obs.RunMetrics catalog (queue depth,
 	// worker occupancy, inquiry counters). Nil gets a private catalog so
 	// the hot paths stay branch-free; pass the run's to aggregate
@@ -100,7 +95,7 @@ type NodeStats struct {
 	Served    int64 // requests completed
 	Overloads int64 // requests refused with StatusOverload
 	Inquiries int64 // load inquiries answered
-	Dropped   int64 // load inquiries dropped (injection)
+	Dropped   int64 // load inquiries dropped while paused
 	SlowPaths int64 // inquiries answered through the delayed path
 }
 
@@ -620,12 +615,6 @@ func (n *Node) handleInquiry(p []byte, from string) {
 		return
 	}
 	n.inqMu.Lock()
-	if n.cfg.DropProb > 0 && n.inqRNG.Float64() < n.cfg.DropProb {
-		n.inqMu.Unlock()
-		n.dropped.Add(1)
-		n.cfg.Metrics.InquiriesDropped.Inc()
-		return
-	}
 	n.inquiries.Add(1)
 	n.cfg.Metrics.InquiriesServed.Inc()
 	if n.load.load() > 0 && n.cfg.SlowProb > 0 && n.inqRNG.Float64() < n.cfg.SlowProb {

@@ -233,22 +233,6 @@ func TestNodeLoadInquiryReflectsQueue(t *testing.T) {
 	}
 }
 
-func TestNodeDropInjection(t *testing.T) {
-	n := startTestNode(t, NodeConfig{ID: 1, Service: "svc", DropProb: 1.0})
-	conn := dialLoad(t, n)
-	if _, err := conn.Write(EncodeInquiry(nil, 5)); err != nil {
-		t.Fatal(err)
-	}
-	conn.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
-	buf := make([]byte, 64)
-	if _, err := conn.Read(buf); err == nil {
-		t.Fatal("dropped inquiry was answered")
-	}
-	if s := n.Stats(); s.Dropped == 0 {
-		t.Fatal("drop not counted")
-	}
-}
-
 func TestNodeSlowPathDelaysAnswer(t *testing.T) {
 	n := startTestNode(t, NodeConfig{
 		ID: 1, Service: "svc",

@@ -14,16 +14,22 @@ import (
 	"finelb/internal/transport"
 )
 
-// deafCluster boots n nodes that drop every load inquiry (DropProb 1)
-// but serve TCP accesses normally — silent on the poll path, alive on
-// the service path.
+// deafTo loses every load inquiry a client sends to node server (-1
+// for every node): a Loss 1 link rule. The nodes stay alive on the
+// service path, so a client built with it finds them silent only on
+// the poll path.
+func deafTo(server int) *faults.Schedule {
+	return &faults.Schedule{Links: []faults.LinkRule{{Client: -1, Server: server, Loss: 1}}}
+}
+
+// deafCluster boots n healthy nodes for clients built with deafTo(-1).
 func deafCluster(t *testing.T, n int) *Directory {
 	t.Helper()
 	d := NewDirectory(time.Minute)
 	for i := 0; i < n; i++ {
 		node, err := StartNode(NodeConfig{
 			ID: i, Service: "svc", Directory: d, Seed: uint64(i),
-			SlowProb: -1, DropProb: 1,
+			SlowProb:  -1,
 			Transport: testTransport(t),
 		})
 		if err != nil {
@@ -99,6 +105,7 @@ func TestPollTimeoutCountsDiscards(t *testing.T) {
 		Directory: d, Service: "svc",
 		Policy:      core.NewPollDiscard(2, 40*time.Millisecond),
 		PollRetries: -1, // a single round, so the accounting is exact
+		Faults:      deafTo(-1),
 		Transport:   testTransport(t),
 		Seed:        5,
 	})
@@ -129,6 +136,7 @@ func TestPollRetryAfterDryRound(t *testing.T) {
 		Directory: d, Service: "svc",
 		Policy:          core.NewPollDiscard(2, 30*time.Millisecond),
 		QuarantineAfter: -1, // keep both rounds polling both servers
+		Faults:          deafTo(-1),
 		Transport:       testTransport(t),
 		Seed:            6,
 	})
@@ -156,12 +164,12 @@ func TestPollRetryAfterDryRound(t *testing.T) {
 }
 
 func TestQuarantineAfterConsecutiveTimeouts(t *testing.T) {
-	// Node 0 never answers inquiries; node 1 is healthy. After
-	// QuarantineAfter consecutive silences, node 0 must drop out of the
-	// poll set entirely.
+	// Node 0 never answers inquiries (its link loses them all); node 1
+	// is healthy. After QuarantineAfter consecutive silences, node 0
+	// must drop out of the poll set entirely.
 	dir := NewDirectory(time.Minute)
 	deaf, err := StartNode(NodeConfig{
-		ID: 0, Service: "svc", Directory: dir, SlowProb: -1, DropProb: 1,
+		ID: 0, Service: "svc", Directory: dir, SlowProb: -1,
 		Transport: testTransport(t),
 	})
 	if err != nil {
@@ -183,6 +191,7 @@ func TestQuarantineAfterConsecutiveTimeouts(t *testing.T) {
 		PollRetries:     -1,
 		QuarantineAfter: 2,
 		QuarantineFor:   time.Minute,
+		Faults:          deafTo(0),
 		Transport:       testTransport(t),
 		Seed:            7,
 	})
@@ -298,18 +307,20 @@ func TestNodePauseResume(t *testing.T) {
 // TestStaleAnswerOnReusedRoundSocket delivers an answer to an earlier
 // round's inquiry to the idle round socket the next round reuses. The
 // next round must count it late and keep it out of its slots: here the
-// stale seq is the deaf node's discarded inquiry, and letting it fill
-// that node's new slot would report two answers instead of one.
+// stale seq is the deaf node's discarded inquiry (its link lost it,
+// but it still took a seq), and letting it fill that node's new slot
+// would report two answers instead of one.
 func TestStaleAnswerOnReusedRoundSocket(t *testing.T) {
 	tr := testTransport(t)
 	alive := startTestNode(t, NodeConfig{ID: 0, Service: "svc", SlowProb: -1, Transport: tr})
-	deaf := startTestNode(t, NodeConfig{ID: 1, Service: "svc", SlowProb: -1, DropProb: 1, Transport: tr})
+	deaf := startTestNode(t, NodeConfig{ID: 1, Service: "svc", SlowProb: -1, Transport: tr})
 	c, err := NewClient(ClientConfig{
 		StaticEndpoints: []Endpoint{alive.Endpoint(), deaf.Endpoint()},
 		Service:         "svc",
 		Policy:          core.NewPollDiscard(2, 50*time.Millisecond),
 		PollRetries:     -1,
 		QuarantineAfter: -1,
+		Faults:          deafTo(1),
 		Transport:       tr,
 		Seed:            3,
 	})
