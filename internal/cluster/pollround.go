@@ -120,14 +120,17 @@ func (c *Client) putRound(r *pollRound) {
 // socket, replaying the client→server link's injected faults first
 // (faults.LinkRule). A dropped inquiry is never written but still
 // counts as sent: the client learns of the loss only through silence,
-// as on a lossy network. A delayed inquiry is written from a timer,
-// which reaches the round's clock the way a slow link would.
+// as on a lossy network. It is counted in
+// server_inquiries_dropped_total, as the simulator counts a lost
+// inquiry. A delayed inquiry is written from a timer, which reaches the
+// round's clock the way a slow link would.
 //
 //lint:noalloc
 func (c *Client) inquire(r *pollRound, seq uint32, target *Endpoint) error {
 	msg := EncodeInquiry(r.sendBuf[:0], seq)
 	drop, delay := c.links.PollFault(target.NodeID)
 	if drop {
+		c.cfg.Metrics.InquiriesDropped.Inc()
 		return nil
 	}
 	if delay > 0 {
