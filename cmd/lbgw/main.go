@@ -9,7 +9,7 @@
 //	lbgw [-addr :8080] [-transport net] [-tenants SPEC] [-policy poll -d 2]
 //	     [-servers 4] [-clients 2] [-http :0] [-pprof] [-seed 1]
 //
-// The gateway itself serves /access, /healthz, /metrics, and /trace;
+// The gateway itself serves /access, /healthz and /metrics;
 // -http additionally exposes the same obs registry on a plain TCP
 // mux (useful when the gateway listens on the mem fabric), and -pprof
 // mounts /debug/pprof/ on both.
@@ -145,7 +145,7 @@ func run() int {
 			return fail("metrics listener: %v", err)
 		}
 		defer func() { _ = hln.Close() }()
-		go func() { _ = http.Serve(hln, obs.NewMux(reg, nil, *pprofOn)) }()
+		go func() { _ = http.Serve(hln, obs.NewMux(reg, *pprofOn)) }()
 		fmt.Fprintf(os.Stderr, "lbgw: metrics at http://%s/metrics\n", hln.Addr())
 	}
 

@@ -49,7 +49,7 @@ func main() {
 		acquires := reg.Gauge(obs.MetricManagerAcquires)
 		releases := reg.Gauge(obs.MetricManagerReleases)
 		outstanding := reg.Gauge(obs.MetricManagerOutstanding)
-		mux := obs.NewMux(reg, nil, *pprofOn)
+		mux := obs.NewMux(reg, *pprofOn)
 		ln, err := net.Listen("tcp", *httpAddr)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "lbmanager:", err)

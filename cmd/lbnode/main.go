@@ -75,7 +75,7 @@ func main() {
 			os.Exit(1)
 		}
 		defer ln.Close()
-		go http.Serve(ln, obs.NewMux(reg, nil, *pprofOn))
+		go http.Serve(ln, obs.NewMux(reg, *pprofOn))
 		fmt.Fprintf(os.Stderr, "lbnode: metrics at http://%s/metrics\n", ln.Addr())
 	} else if *pprofOn {
 		fmt.Fprintln(os.Stderr, "lbnode: -pprof requires -http")

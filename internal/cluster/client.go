@@ -118,20 +118,18 @@ type Client struct {
 	tr    transport.Transport
 	links *faults.LinkState // this client's link-fault stream; nil when none
 
-	//lint:guards rng, rr, endpoints, ident, pools, outstanding, health, absentSince
+	//lint:guards rng, rr, endpoints, ident, outstanding, health
 	mu          sync.Mutex
 	rng         *stats.RNG
 	rr          core.RoundRobinState
 	endpoints   []Endpoint
 	ident       []int                 // identity permutation scratch for poll-set selection
-	pools       map[string]*connPool  // by access address
 	outstanding map[int]int           // this client's in-flight accesses by NodeID (LocalLeast)
 	health      map[int]*serverHealth // quarantine state by NodeID
-	// absentSince records when a pooled access address was first
-	// missing from the mapping table; pruning waits out a soft-state TTL
-	// so a starved republish (one missed heartbeat under load) doesn't
-	// tear down live connections.
-	absentSince map[string]time.Time
+
+	// calls carries every service access; Refresh prunes its pools to
+	// the mapping table.
+	calls *Caller
 
 	// Poll rounds, each owning one datagram socket (pollround.go). idle
 	// is the free list; rounds is every round the client has minted,
@@ -149,7 +147,6 @@ type Client struct {
 	mgr *managerClient
 
 	seq    atomic.Uint32
-	reqID  atomic.Uint64
 	done   chan struct{}
 	wg     sync.WaitGroup
 	once   sync.Once
@@ -212,8 +209,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		cfg:         cfg,
 		tr:          tr,
 		rng:         stats.NewRNG(cfg.Seed ^ 0xc1e9a7b3d5f01234),
-		pools:       make(map[string]*connPool),
-		absentSince: make(map[string]time.Time),
+		calls:       NewCaller(tr, accessTimeout),
 		outstanding: make(map[int]int),
 		health:      make(map[int]*serverHealth),
 		done:        make(chan struct{}),
@@ -252,56 +248,8 @@ func (c *Client) Refresh() {
 	}
 	c.mu.Lock()
 	c.endpoints = eps
-	c.pruneLocked()
+	c.calls.prune(eps)
 	c.mu.Unlock()
-}
-
-// pruneGrace is how long an access address must stay missing from the
-// mapping table before Refresh closes its connections. One soft-state TTL
-// distinguishes a genuinely departed server from a republish that
-// arrived late under load: a single starved heartbeat expires an entry
-// for at most one publish interval, well inside the grace, while a
-// drained server stays absent and is pruned one TTL after its entry
-// expires.
-const pruneGrace = DefaultTTL
-
-// pruneLocked closes the connection pools of servers that left the
-// mapping table at least pruneGrace ago, so an elastic pool's
-// membership churn cannot accumulate connections toward departed nodes
-// (the FD audit in DESIGN.md §12: one bounded TCP pool per live access
-// address, nothing for the long dead). Caller holds c.mu.
-func (c *Client) pruneLocked() {
-	now := time.Now()
-	for addr, p := range c.pools {
-		if c.keepLocked(addr, now) {
-			continue
-		}
-		delete(c.pools, addr)
-		p.closeAll()
-	}
-}
-
-// keepLocked reports whether the pool held for access address addr
-// should survive this refresh, updating the absence bookkeeping:
-// present addresses clear their absence mark, missing ones are pruned
-// only once they have been missing for pruneGrace. Caller holds c.mu.
-func (c *Client) keepLocked(addr string, now time.Time) bool {
-	for i := range c.endpoints {
-		if c.endpoints[i].AccessAddr == addr {
-			delete(c.absentSince, addr)
-			return true
-		}
-	}
-	first, ok := c.absentSince[addr]
-	if !ok {
-		c.absentSince[addr] = now
-		return true
-	}
-	if now.Sub(first) < pruneGrace {
-		return true
-	}
-	delete(c.absentSince, addr)
-	return false
 }
 
 func (c *Client) refreshLoop() {
@@ -344,11 +292,7 @@ func (c *Client) Close() error {
 			_ = r.conn.Close()
 		}
 		c.roundMu.Unlock()
-		c.mu.Lock()
-		for _, p := range c.pools {
-			p.closeAll()
-		}
-		c.mu.Unlock()
+		c.calls.Close()
 		if c.mgr != nil {
 			c.mgr.close()
 		}
@@ -368,19 +312,6 @@ func (c *Client) LateAnswers() int64 {
 	}
 	c.roundMu.Unlock()
 	return c.late.Load()
-}
-
-// pool returns (creating if needed) the connection pool for an access
-// address.
-func (c *Client) pool(accessAddr string) *connPool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if p, ok := c.pools[accessAddr]; ok {
-		return p
-	}
-	p := newConnPool(c.tr, accessAddr)
-	c.pools[accessAddr] = p
-	return p
 }
 
 // liveEndpoints filters eps down to servers not currently quarantined.
@@ -557,21 +488,13 @@ func (c *Client) accessOnce(serviceUs uint32, payload []byte, info *AccessInfo) 
 		if err != nil {
 			return fmt.Errorf("cluster: manager acquire: %w", err)
 		}
-		found := false
-		lookup := func(eps []Endpoint) {
-			for _, ep := range eps {
-				if ep.NodeID == int(idx) {
-					target, found = ep, true
-					return
-				}
-			}
-		}
-		lookup(eps)
+		var found bool
+		target, found = c.endpoint(int(idx))
 		if !found {
 			// A just-joined server can be assigned before this client's
 			// periodic refresh has seen it; refresh once before giving up.
 			c.Refresh()
-			lookup(c.table())
+			target, found = c.endpoint(int(idx))
 		}
 		if !found {
 			// Mapping table behind the manager's view; release and fail.
@@ -608,25 +531,13 @@ func (c *Client) accessOnce(serviceUs uint32, payload []byte, info *AccessInfo) 
 		return fmt.Errorf("cluster: policy %v unsupported in prototype", c.cfg.Policy)
 	}
 
-	req := &Request{
-		ID:        c.reqID.Add(1),
-		Service:   c.cfg.Service,
-		Partition: c.cfg.Partition,
-		ServiceUs: serviceUs,
-		Payload:   payload,
-	}
-	c.cfg.Metrics.Dispatches.Inc()
-	resp, tripErr := c.pool(target.AccessAddr).roundTrip(req, accessTimeout)
-	var err error = tripErr
+	resp, err := c.dispatch(target, serviceUs, payload)
 	if release {
 		// Report completion (or failure) back to the manager so the
 		// queue count is decremented, as in §4.
 		if rerr := c.mgr.release(releaseIdx); rerr != nil && err == nil {
 			err = rerr
 		}
-	}
-	if tripErr != nil {
-		c.noteAccessFailure(target.NodeID)
 	}
 	if err != nil {
 		return err
@@ -636,18 +547,34 @@ func (c *Client) accessOnce(serviceUs uint32, payload []byte, info *AccessInfo) 
 	return nil
 }
 
+// dispatch sends one service request to target: the one round trip
+// behind Access and AccessNode. Each call counts one dispatch, and a
+// broken round trip quarantines target.
+func (c *Client) dispatch(target Endpoint, serviceUs uint32, payload []byte) (*Response, error) {
+	c.cfg.Metrics.Dispatches.Inc()
+	resp, err := c.calls.Call(target, c.cfg.Service, c.cfg.Partition, serviceUs, payload)
+	if err != nil {
+		c.noteAccessFailure(target.NodeID)
+	}
+	return resp, err
+}
+
+// endpoint looks nodeID up in the current mapping table.
+func (c *Client) endpoint(nodeID int) (Endpoint, bool) {
+	for _, ep := range c.table() {
+		if ep.NodeID == nodeID {
+			return ep, true
+		}
+	}
+	return Endpoint{}, false
+}
+
 // HasEndpoint reports whether nodeID is currently in the mapping
 // table. The gateway's sticky router checks this before committing a
 // session-bound dispatch to a node the soft state may have expired.
 func (c *Client) HasEndpoint(nodeID int) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, ep := range c.endpoints {
-		if ep.NodeID == nodeID {
-			return true
-		}
-	}
-	return false
+	_, ok := c.endpoint(nodeID)
+	return ok
 }
 
 // AccessNode performs one service access against a specific server
@@ -661,28 +588,12 @@ func (c *Client) AccessNode(nodeID int, serviceUs uint32, payload []byte) (*Acce
 	if c.closed.Load() {
 		return nil, fmt.Errorf("cluster: client closed")
 	}
-	var target Endpoint
-	found := false
-	for _, ep := range c.table() {
-		if ep.NodeID == nodeID {
-			target, found = ep, true
-			break
-		}
-	}
-	if !found {
+	target, ok := c.endpoint(nodeID)
+	if !ok {
 		return nil, fmt.Errorf("cluster: node %d not in mapping table for %q", nodeID, c.cfg.Service)
 	}
-	req := &Request{
-		ID:        c.reqID.Add(1),
-		Service:   c.cfg.Service,
-		Partition: c.cfg.Partition,
-		ServiceUs: serviceUs,
-		Payload:   payload,
-	}
-	c.cfg.Metrics.Dispatches.Inc()
-	resp, err := c.pool(target.AccessAddr).roundTrip(req, accessTimeout)
+	resp, err := c.dispatch(target, serviceUs, payload)
 	if err != nil {
-		c.noteAccessFailure(nodeID)
 		return nil, err
 	}
 	return &AccessInfo{Server: nodeID, Resp: resp}, nil

@@ -1,11 +1,13 @@
 package cluster
 
 import (
+	"net"
 	"sync"
 	"testing"
 	"time"
 
 	"finelb/internal/core"
+	"finelb/internal/obs"
 	"finelb/internal/stats"
 )
 
@@ -255,6 +257,125 @@ func TestClientIdealViaManager(t *testing.T) {
 		if v != 0 {
 			t.Fatalf("manager count %d = %d after completion", i, v)
 		}
+	}
+}
+
+// TestClientIdealStalledManager checks that a manager which accepts
+// the connection and never answers fails the access once the access
+// timeout passes, instead of blocking it forever.
+func TestClientIdealStalledManager(t *testing.T) {
+	if testing.Short() {
+		t.Skip("waits out the 10 s access timeout")
+	}
+	tr := testTransport(t)
+	ln, err := tr.Listen()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var conns []net.Conn
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			conns = append(conns, conn)
+			mu.Unlock()
+		}
+	}()
+	t.Cleanup(func() {
+		_ = ln.Close()
+		mu.Lock()
+		defer mu.Unlock()
+		for _, conn := range conns {
+			_ = conn.Close()
+		}
+	})
+	c, err := NewClient(ClientConfig{
+		Service: "svc", Policy: core.NewIdeal(), ManagerAddr: ln.Addr(),
+		StaticEndpoints: []Endpoint{{NodeID: 0, Service: "svc", AccessAddr: ln.Addr()}},
+		Transport:       tr,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+
+	errc := make(chan error, 1)
+	go func() {
+		_, err := c.Access(0, nil)
+		errc <- err
+	}()
+	select {
+	case err := <-errc:
+		if err == nil {
+			t.Fatal("access through a silent manager succeeded")
+		}
+	case <-time.After(accessTimeout + 5*time.Second):
+		t.Fatalf("access still blocked on a silent manager after %v", accessTimeout+5*time.Second)
+	}
+}
+
+// TestClientDispatchesCountedOnce checks the dispatch accounting that
+// Access and AccessNode share: each adds exactly one dispatch, and a
+// failed AccessNode quarantines its node just as a failed Access does,
+// so following policy accesses avoid it.
+func TestClientDispatchesCountedOnce(t *testing.T) {
+	d, nodes := testCluster(t, 3, false)
+	metrics := obs.NewRunMetrics(nil)
+	c, err := NewClient(ClientConfig{
+		Directory: d, Service: "svc", Policy: core.NewRandom(),
+		Metrics: metrics, Seed: 5, Transport: testTransport(t),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+
+	want := int64(0)
+	for i := 0; i < 6; i++ {
+		if _, err := c.Access(0, nil); err != nil {
+			t.Fatal(err)
+		}
+		want++
+		if got := metrics.Dispatches.Value(); got != want {
+			t.Fatalf("after Access: %d dispatches, want %d", got, want)
+		}
+		if _, err := c.AccessNode(i%len(nodes), 0, nil); err != nil {
+			t.Fatal(err)
+		}
+		want++
+		if got := metrics.Dispatches.Value(); got != want {
+			t.Fatalf("after AccessNode: %d dispatches, want %d", got, want)
+		}
+	}
+
+	// Node 1 dies but its directory entry lives on (one-minute TTL).
+	nodes[1].Close()
+	quarantines := metrics.Quarantines.Value()
+	if _, err := c.AccessNode(1, 0, nil); err == nil {
+		t.Fatal("AccessNode to a closed node succeeded")
+	}
+	want++
+	if got := metrics.Dispatches.Value(); got != want {
+		t.Fatalf("after a failed AccessNode: %d dispatches, want %d", got, want)
+	}
+	if got := metrics.Quarantines.Value(); got != quarantines+1 {
+		t.Fatalf("failed AccessNode quarantined %d servers, want 1", got-quarantines)
+	}
+	for i := 0; i < 30; i++ {
+		info, err := c.Access(0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Server == 1 {
+			t.Fatalf("access %d routed to the quarantined node", i)
+		}
+	}
+	if got := metrics.Dispatches.Value(); got != want+30 {
+		t.Fatalf("30 accesses after the quarantine: %d dispatches, want %d", got-want, 30)
 	}
 }
 

@@ -1,12 +1,8 @@
 package cluster
 
 import (
-	"bufio"
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"io"
-	"net"
 	"sync"
 
 	"finelb/internal/stats"
@@ -18,28 +14,27 @@ import (
 // server's queue length; a client asks it for the shortest-queue server
 // before each access (which increments that queue) and reports back
 // after the access completes (which decrements it).
+//
+// To the cluster the manager is one more service: it runs on a Node
+// whose Handler serves managerService, and its clients call it through
+// a Caller on the node protocol. An acquire is a request with no
+// payload, answered with the assigned server index as a 4-byte
+// payload; a release carries the index as its 4-byte payload and is
+// answered StatusOK, or StatusAppError when the index is unknown.
 type IdealManager struct {
-	ln transport.Listener
+	node *Node
 
+	//lint:guards counts, active, rng, acquires, releases
 	mu       sync.Mutex
 	counts   []int64
 	active   []bool // acquire only assigns active (routable) servers
 	rng      *stats.RNG
 	acquires int64
 	releases int64
-
-	wg     sync.WaitGroup
-	done   chan struct{}
-	once   sync.Once
-	connMu sync.Mutex
-	conns  map[net.Conn]struct{}
 }
 
-// Manager protocol opcodes.
-const (
-	mgrOpAcquire = 1
-	mgrOpRelease = 2
-)
+// managerService is the service name the manager's node serves.
+const managerService = "ideal-manager"
 
 // StartIdealManager starts a manager for n servers on a stream
 // listener of tr (the default real-socket transport when nil).
@@ -47,31 +42,32 @@ func StartIdealManager(tr transport.Transport, n int, seed uint64) (*IdealManage
 	if n <= 0 {
 		return nil, fmt.Errorf("cluster: IdealManager with n = %d", n)
 	}
-	if tr == nil {
-		tr = transport.Default()
+	active := make([]bool, n)
+	for i := range active {
+		active[i] = true
 	}
-	ln, err := tr.Listen()
+	m := &IdealManager{
+		counts: make([]int64, n),
+		active: active,
+		rng:    stats.NewRNG(seed ^ 0xdeadbeefcafef00d),
+	}
+	// No contention model, and a private metrics catalog (nil Metrics):
+	// manager traffic is bookkeeping, not service accesses of the run.
+	node, err := StartNode(NodeConfig{
+		Service:   managerService,
+		Transport: tr,
+		Handler:   HandlerFunc(m.serve),
+		SlowProb:  -1,
+	})
 	if err != nil {
 		return nil, err
 	}
-	m := &IdealManager{
-		ln:     ln,
-		counts: make([]int64, n),
-		active: make([]bool, n),
-		rng:    stats.NewRNG(seed ^ 0xdeadbeefcafef00d),
-		done:   make(chan struct{}),
-		conns:  make(map[net.Conn]struct{}),
-	}
-	for i := range m.active {
-		m.active[i] = true
-	}
-	m.wg.Add(1)
-	go m.acceptLoop()
+	m.node = node
 	return m, nil
 }
 
 // Addr returns the manager's stream address.
-func (m *IdealManager) Addr() string { return m.ln.Addr() }
+func (m *IdealManager) Addr() string { return m.node.AccessAddr() }
 
 // Counts snapshots the per-server assigned counts.
 func (m *IdealManager) Counts() []int64 {
@@ -97,51 +93,7 @@ func (m *IdealManager) Stats() ManagerStats {
 }
 
 // Close stops the manager and waits for its goroutines.
-func (m *IdealManager) Close() error {
-	m.once.Do(func() {
-		close(m.done)
-		_ = m.ln.Close()
-		m.connMu.Lock()
-		for c := range m.conns {
-			c.Close()
-		}
-		m.connMu.Unlock()
-	})
-	m.wg.Wait()
-	return nil
-}
-
-func (m *IdealManager) acceptLoop() {
-	defer m.wg.Done()
-	for {
-		c, err := m.ln.Accept()
-		if err != nil {
-			select {
-			case <-m.done:
-				return
-			default:
-			}
-			if errors.Is(err, net.ErrClosed) {
-				return
-			}
-			continue
-		}
-		m.connMu.Lock()
-		m.conns[c] = struct{}{}
-		m.connMu.Unlock()
-		// A connection accepted while Close is sweeping m.conns would be
-		// missed by the sweep; Close closes done before sweeping, so
-		// re-checking here closes the gap.
-		select {
-		case <-m.done:
-			c.Close()
-			continue
-		default:
-		}
-		m.wg.Add(1)
-		go m.serve(c)
-	}
-}
+func (m *IdealManager) Close() error { return m.node.Close() }
 
 // EnsureServers grows the manager's view to hold servers [0, n). New
 // slots start inactive — a joining server re-registers through
@@ -224,104 +176,51 @@ func (m *IdealManager) release(idx uint32) bool {
 	return true
 }
 
-func (m *IdealManager) serve(c net.Conn) {
-	defer m.wg.Done()
-	defer func() {
-		m.connMu.Lock()
-		delete(m.conns, c)
-		m.connMu.Unlock()
-		c.Close()
-	}()
-	r := bufio.NewReader(c)
-	w := bufio.NewWriter(c)
-	var buf [4]byte
-	for {
-		op, err := r.ReadByte()
-		if err != nil {
-			return
-		}
-		switch op {
-		case mgrOpAcquire:
-			binary.LittleEndian.PutUint32(buf[:], m.acquire())
-			if _, err := w.Write(buf[:]); err != nil {
-				return
-			}
-		case mgrOpRelease:
-			if _, err := io.ReadFull(r, buf[:]); err != nil {
-				return
-			}
-			ok := m.release(binary.LittleEndian.Uint32(buf[:]))
-			ack := byte(0)
-			if !ok {
-				ack = 1
-			}
-			if err := w.WriteByte(ack); err != nil {
-				return
-			}
-		default:
-			return // protocol error: drop the connection
-		}
-		if err := w.Flush(); err != nil {
-			return
+// serve is the manager node's Handler: an empty payload acquires, a
+// 4-byte index releases.
+func (m *IdealManager) serve(req *Request) ([]byte, uint8) {
+	switch len(req.Payload) {
+	case 0:
+		return binary.LittleEndian.AppendUint32(nil, m.acquire()), StatusOK
+	case 4:
+		if m.release(binary.LittleEndian.Uint32(req.Payload)) {
+			return nil, StatusOK
 		}
 	}
+	return nil, StatusAppError
 }
 
-// managerClient wraps a connection pool with the manager protocol.
-type managerClient struct{ pool *connPool }
+// managerClient reaches an IdealManager through a Caller of its own,
+// which no mapping-table refresh ever prunes.
+type managerClient struct {
+	calls *Caller
+	ep    Endpoint
+}
 
 func newManagerClient(tr transport.Transport, addr string) *managerClient {
-	return &managerClient{pool: newConnPool(tr, addr)}
+	return &managerClient{calls: NewCaller(tr, accessTimeout), ep: Endpoint{AccessAddr: addr}}
 }
 
 func (mc *managerClient) acquire() (uint32, error) {
-	pc, err := mc.pool.get()
+	resp, err := mc.calls.Call(mc.ep, managerService, 0, 0, nil)
 	if err != nil {
 		return 0, err
 	}
-	if err := pc.w.WriteByte(mgrOpAcquire); err != nil {
-		mc.pool.discard(pc)
-		return 0, err
+	if resp.Status != StatusOK || len(resp.Payload) != 4 {
+		return 0, fmt.Errorf("cluster: manager acquire answered status %d with %d payload bytes", resp.Status, len(resp.Payload))
 	}
-	if err := pc.w.Flush(); err != nil {
-		mc.pool.discard(pc)
-		return 0, err
-	}
-	var buf [4]byte
-	if _, err := io.ReadFull(pc.r, buf[:]); err != nil {
-		mc.pool.discard(pc)
-		return 0, err
-	}
-	mc.pool.put(pc)
-	return binary.LittleEndian.Uint32(buf[:]), nil
+	return binary.LittleEndian.Uint32(resp.Payload), nil
 }
 
 func (mc *managerClient) release(idx uint32) error {
-	pc, err := mc.pool.get()
+	resp, err := mc.calls.Call(mc.ep, managerService, 0, 0, binary.LittleEndian.AppendUint32(nil, idx))
 	if err != nil {
 		return err
 	}
-	var buf [5]byte
-	buf[0] = mgrOpRelease
-	binary.LittleEndian.PutUint32(buf[1:], idx)
-	if _, err := pc.w.Write(buf[:]); err != nil {
-		mc.pool.discard(pc)
-		return err
-	}
-	if err := pc.w.Flush(); err != nil {
-		mc.pool.discard(pc)
-		return err
-	}
-	ack, err := pc.r.ReadByte()
-	if err != nil {
-		mc.pool.discard(pc)
-		return err
-	}
-	mc.pool.put(pc)
-	if ack != 0 {
-		return fmt.Errorf("cluster: manager rejected release of %d", idx)
+	if resp.Status != StatusOK {
+		return fmt.Errorf("cluster: manager rejected release of %d (status %d)", idx, resp.Status)
 	}
 	return nil
 }
 
-func (mc *managerClient) close() { mc.pool.closeAll() }
+func (mc *managerClient) close() { mc.calls.Close() }

@@ -201,18 +201,18 @@ func TestRefreshPruneGrace(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c.mu.Lock()
-	pools := len(c.pools)
-	c.mu.Unlock()
+	c.calls.mu.Lock()
+	pools := len(c.calls.pools)
+	c.calls.mu.Unlock()
 	if pools != 2 {
 		t.Fatalf("pools after accessing both servers: %d, want 2", pools)
 	}
 
 	dir.Withdraw(0, "svc")
 	c.Refresh() // first miss: marked absent, connections survive
-	c.mu.Lock()
-	pools, marks := len(c.pools), len(c.absentSince)
-	c.mu.Unlock()
+	c.calls.mu.Lock()
+	pools, marks := len(c.calls.pools), len(c.calls.absentSince)
+	c.calls.mu.Unlock()
 	if pools != 2 {
 		t.Fatalf("pools pruned on first missed refresh: %d, want 2", pools)
 	}
@@ -224,9 +224,9 @@ func TestRefreshPruneGrace(t *testing.T) {
 	dir.Publish(Endpoint{NodeID: 0, Service: "svc",
 		AccessAddr: nodes[0].AccessAddr(), LoadAddr: nodes[0].LoadAddr()})
 	c.Refresh()
-	c.mu.Lock()
-	marks = len(c.absentSince)
-	c.mu.Unlock()
+	c.calls.mu.Lock()
+	marks = len(c.calls.absentSince)
+	c.calls.mu.Unlock()
 	if marks != 0 {
 		t.Fatalf("absence marks survived a republish: %d, want 0", marks)
 	}
@@ -234,16 +234,16 @@ func TestRefreshPruneGrace(t *testing.T) {
 	// Gone for good: backdate the mark past the grace and refresh.
 	dir.Withdraw(0, "svc")
 	c.Refresh()
-	c.mu.Lock()
-	for addr, first := range c.absentSince {
-		c.absentSince[addr] = first.Add(-pruneGrace - time.Second)
+	c.calls.mu.Lock()
+	for addr, first := range c.calls.absentSince {
+		c.calls.absentSince[addr] = first.Add(-pruneGrace - time.Second)
 	}
-	c.mu.Unlock()
+	c.calls.mu.Unlock()
 	c.Refresh()
-	c.mu.Lock()
-	pools = len(c.pools)
-	_, pool0 := c.pools[nodes[0].AccessAddr()]
-	c.mu.Unlock()
+	c.calls.mu.Lock()
+	pools = len(c.calls.pools)
+	_, pool0 := c.calls.pools[nodes[0].AccessAddr()]
+	c.calls.mu.Unlock()
 	if pools != 1 || pool0 {
 		t.Fatalf("after grace expiry: %d pools (node0 pool held: %v), want only node 1's", pools, pool0)
 	}

@@ -15,8 +15,11 @@
 //     server selection, and poll rounds (each sends its inquiries
 //     from, and reads the answers on, one pooled UDP socket, with a
 //     discard deadline).
+//   - Caller: the one stream caller — pooled connections to explicit
+//     endpoints — behind every service access.
 //   - IdealManager: the centralized load-index manager used to emulate
-//     the IDEAL policy in §4.
+//     the IDEAL policy in §4, run as a Node service on the node
+//     protocol.
 //
 // All components bind loopback addresses by default so a 16-server,
 // 6-client "cluster" runs inside one process while still paying real

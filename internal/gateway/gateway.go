@@ -105,8 +105,6 @@ type Config struct {
 	// Registry receives the gateway catalog and per-tenant series; nil
 	// gets a private registry. The gateway serves it at /metrics.
 	Registry *obs.Registry
-	// Trace, when non-nil, is served at /trace.
-	Trace *obs.Trace
 	// Pprof additionally mounts /debug/pprof/ (opt-in, as everywhere).
 	Pprof bool
 
@@ -178,8 +176,8 @@ func New(cfg Config) (*Gateway, error) {
 		}
 	}
 	// The gateway's mux is the binaries' standard obs mux (/metrics,
-	// /trace, optional /debug/pprof/) with the service routes on top.
-	g.mux = obs.NewMux(reg, cfg.Trace, cfg.Pprof)
+	// optional /debug/pprof/) with the service routes on top.
+	g.mux = obs.NewMux(reg, cfg.Pprof)
 	g.mux.HandleFunc("/access", g.handleAccess)
 	g.mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")

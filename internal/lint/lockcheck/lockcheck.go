@@ -32,7 +32,7 @@
 //
 // Conventions the walk understands: a function whose name ends in
 // "Locked" is called with its receiver's and parameters' annotated
-// mutexes already held (the pruneLocked/keepLocked idiom); branches
+// mutexes already held (the keepLocked/lookupLocked idiom); branches
 // that end in return do not merge back (the early-unlock-return
 // shape); function literals start in the unknown state, because the
 // analyzer cannot know when they run — they are checked only for

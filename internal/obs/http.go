@@ -20,31 +20,15 @@ func Handler(reg *Registry) http.Handler {
 	})
 }
 
-// TraceHandler serves the trace's retained events as JSON, oldest
-// first. A nil trace serves an empty list.
-func TraceHandler(tr *Trace) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		out, err := tr.WriteJSON()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		w.Write(out)
-		w.Write([]byte("\n"))
-	})
-}
-
 // NewMux builds the observability mux served by lbnode/lbmanager:
-// /metrics (JSON snapshot), /trace (retained events), and — only when
-// enablePprof is set — the net/http/pprof handlers under /debug/pprof/.
+// /metrics (JSON snapshot) and — only when enablePprof is set — the
+// net/http/pprof handlers under /debug/pprof/.
 // pprof is opt-in because it exposes goroutine stacks and heap contents;
 // an always-on profiling surface is not something a service should grow
 // by accident.
-func NewMux(reg *Registry, tr *Trace, enablePprof bool) *http.ServeMux {
+func NewMux(reg *Registry, enablePprof bool) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", Handler(reg))
-	mux.Handle("/trace", TraceHandler(tr))
 	if enablePprof {
 		// Registered explicitly: importing net/http/pprof for its
 		// DefaultServeMux side effect would force profiling onto every

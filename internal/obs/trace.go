@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"encoding/json"
-	"sync"
-)
+import "sync"
 
 // Event is one structured trace record. Events describe protocol-level
 // decisions (a poll sent, an answer discarded, a server quarantined) so
@@ -113,14 +110,4 @@ func (t *Trace) Dropped() uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.seq - uint64(len(t.buf))
-}
-
-// WriteJSON emits the retained events as indented JSON, oldest first.
-// Always a JSON array: a nil trace serves an empty list, not null.
-func (t *Trace) WriteJSON() ([]byte, error) {
-	evs := t.Events()
-	if evs == nil {
-		evs = []Event{}
-	}
-	return json.MarshalIndent(evs, "", "  ")
 }

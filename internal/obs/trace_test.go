@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -100,10 +99,8 @@ func TestTraceConcurrentEmit(t *testing.T) {
 func TestHTTPEndpoints(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("hits_total").Add(7)
-	tr := NewTrace(4)
-	tr.Emit(1.5, "poll.sent", "client:0", 3, 0)
 
-	mux := NewMux(reg, tr, true)
+	mux := NewMux(reg, true)
 
 	w := httptest.NewRecorder()
 	mux.ServeHTTP(w, httptest.NewRequest("GET", "/metrics", nil))
@@ -119,39 +116,16 @@ func TestHTTPEndpoints(t *testing.T) {
 	}
 
 	w = httptest.NewRecorder()
-	mux.ServeHTTP(w, httptest.NewRequest("GET", "/trace", nil))
-	if w.Code != 200 {
-		t.Fatalf("/trace status = %d", w.Code)
-	}
-	var events []Event
-	if err := json.Unmarshal(w.Body.Bytes(), &events); err != nil {
-		t.Fatalf("/trace not JSON: %v", err)
-	}
-	if len(events) != 1 || events[0].Name != "poll.sent" {
-		t.Fatalf("/trace = %+v, want one poll.sent event", events)
-	}
-
-	w = httptest.NewRecorder()
 	mux.ServeHTTP(w, httptest.NewRequest("GET", "/debug/pprof/cmdline", nil))
 	if w.Code != 200 {
 		t.Fatalf("/debug/pprof/cmdline status = %d with pprof enabled", w.Code)
 	}
 
 	// Without the flag, pprof must not be mounted.
-	plain := NewMux(reg, nil, false)
+	plain := NewMux(reg, false)
 	w = httptest.NewRecorder()
 	plain.ServeHTTP(w, httptest.NewRequest("GET", "/debug/pprof/cmdline", nil))
 	if w.Code == 200 {
 		t.Fatal("pprof reachable without enablePprof")
-	}
-
-	// Nil trace serves an empty list — a JSON array, never null.
-	w = httptest.NewRecorder()
-	plain.ServeHTTP(w, httptest.NewRequest("GET", "/trace", nil))
-	if w.Code != 200 {
-		t.Fatalf("/trace with nil trace status = %d", w.Code)
-	}
-	if body := strings.TrimSpace(w.Body.String()); body != "[]" {
-		t.Fatalf("/trace with nil trace = %q, want []", body)
 	}
 }
