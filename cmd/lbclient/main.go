@@ -72,19 +72,17 @@ func main() {
 		fmt.Fprintln(os.Stderr, "lbclient: one of -nodes or -dir is required")
 		os.Exit(2)
 	}
-	var eps []cluster.Endpoint
-	var remote *cluster.RemoteDirectory
+	var dir cluster.ServiceDirectory
 	if *dirAddr != "" {
-		var err error
-		remote, err = cluster.DialDirectory(nil, *dirAddr)
+		remote, err := cluster.DialDirectory(nil, *dirAddr)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "lbclient:", err)
 			os.Exit(1)
 		}
 		defer remote.Close()
+		dir = remote
 	} else {
-		var err error
-		eps, err = parseNodes(*nodesPath)
+		eps, err := parseNodes(*nodesPath)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "lbclient:", err)
 			os.Exit(1)
@@ -93,6 +91,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "lbclient: no nodes")
 			os.Exit(1)
 		}
+		dir = cluster.FixedDirectory(eps)
 	}
 
 	p, err := core.ParsePolicy(*pname, *d, *discard, 0)
@@ -103,7 +102,7 @@ func main() {
 
 	c, err := cluster.NewClient(cluster.ClientConfig{
 		Service: "translate", Policy: p,
-		StaticEndpoints: eps, RemoteDir: remote, ManagerAddr: *mgr, Seed: *seed,
+		Directory: dir, ManagerAddr: *mgr, Seed: *seed,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "lbclient:", err)

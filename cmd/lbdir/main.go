@@ -1,8 +1,8 @@
 // Command lbdir runs a standalone service-availability directory
 // server — the paper's "well-known central directory" (§3.1) — so that
 // lbnode and lbclient processes can discover each other without static
-// address files. It prints its UDP address on stdout and serves until
-// interrupted.
+// address files. The directory runs as a prototype Node service; lbdir
+// prints its stream address on stdout and serves until interrupted.
 //
 // Usage:
 //

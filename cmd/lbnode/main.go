@@ -53,15 +53,17 @@ func main() {
 		os.Exit(2)
 	}
 
-	var remote *cluster.RemoteDirectory
+	// The directory field stays a nil interface without -dir: a nil
+	// *RemoteDirectory inside it would count as a directory.
+	var dir cluster.ServiceDirectory
 	if *dirAddr != "" {
-		var err error
-		remote, err = cluster.DialDirectory(nil, *dirAddr)
+		remote, err := cluster.DialDirectory(nil, *dirAddr)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "lbnode:", err)
 			os.Exit(1)
 		}
 		defer remote.Close()
+		dir = remote
 	}
 
 	// All nodes in this process share one registry, so /metrics shows
@@ -90,7 +92,7 @@ func main() {
 			Workers:   *workers,
 			Spin:      *spin,
 			SlowProb:  *slowProb,
-			RemoteDir: remote,
+			Directory: dir,
 			Metrics:   rm,
 			Seed:      *seed + uint64(i)*7919,
 		})
@@ -107,10 +109,9 @@ func main() {
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	// First signal: graceful drain. Heartbeats stop and directory
-	// entries are withdrawn (remote soft state expires on its TTL), but
-	// every node keeps serving through the grace window so in-flight and
-	// freshly routed work completes. A second signal cuts the window
-	// short.
+	// entries are withdrawn from lbdir at once, but every node keeps
+	// serving through the grace window so in-flight and freshly routed
+	// work completes. A second signal cuts the window short.
 	for _, node := range nodes {
 		node.Drain()
 	}

@@ -13,8 +13,9 @@ import (
 // stream connections, one bounded pool per access address. It is the
 // one stream caller of the prototype: a Client dispatches its chosen
 // server's access through one, the IDEAL manager's clients reach the
-// manager through one, and the Neptune replication layer uses one for
-// write fan-out, primary forwarding, and recovery pulls.
+// manager through one, a RemoteDirectory reaches its directory server
+// through one, and the Neptune replication layer uses one for write
+// fan-out, primary forwarding, and recovery pulls.
 //
 // Caller is safe for concurrent use; each in-flight call holds its own
 // pooled connection.
@@ -82,6 +83,20 @@ func (c *Caller) Call(ep Endpoint, service string, partition uint32, serviceUs u
 		Payload:   payload,
 	}
 	return p.roundTrip(req, c.timeout)
+}
+
+// callOK makes one call to a bookkeeping service (the IDEAL manager,
+// the directory) and returns the reply payload. A reply whose status is
+// not StatusOK is an error.
+func (c *Caller) callOK(ep Endpoint, service string, partition uint32, payload []byte) ([]byte, error) {
+	resp, err := c.Call(ep, service, partition, 0, payload)
+	if err != nil {
+		return nil, err
+	}
+	if resp.Status != StatusOK {
+		return nil, fmt.Errorf("cluster: %s answered status %d", service, resp.Status)
+	}
+	return resp.Payload, nil
 }
 
 // pruneGrace is how long an access address must stay missing from the

@@ -18,8 +18,11 @@ const accessTimeout = 10 * time.Second
 
 // ClientConfig configures a client node.
 type ClientConfig struct {
-	ID        int
-	Directory *Directory
+	ID int
+	// Directory is where the service mapping table comes from
+	// (required). A FixedDirectory fixes the table: no refresh loop,
+	// no soft-state expiry.
+	Directory ServiceDirectory
 	Service   string
 	Partition uint32
 	Policy    core.Policy
@@ -27,15 +30,6 @@ type ClientConfig struct {
 	// Transport is the messaging substrate the client dials through
 	// (default transport.Net, real loopback sockets).
 	Transport transport.Transport
-
-	// RemoteDir, when non-nil, refreshes the mapping table from a
-	// DirServer in another process instead of an in-process Directory.
-	RemoteDir *RemoteDirectory
-
-	// StaticEndpoints, when no directory of either kind is set, fixes
-	// the mapping table (no refresh, no soft-state expiry). Used by the
-	// standalone CLI tools when run without a directory server.
-	StaticEndpoints []Endpoint
 
 	// ManagerAddr is the IdealManager address (required for the Ideal
 	// policy, ignored otherwise).
@@ -156,8 +150,8 @@ type Client struct {
 // NewClient builds a client node and performs an initial mapping-table
 // refresh.
 func NewClient(cfg ClientConfig) (*Client, error) {
-	if cfg.Directory == nil && cfg.RemoteDir == nil && len(cfg.StaticEndpoints) == 0 {
-		return nil, fmt.Errorf("cluster: client needs a directory, a remote directory, or static endpoints")
+	if cfg.Directory == nil {
+		return nil, fmt.Errorf("cluster: client needs a directory")
 	}
 	if cfg.Policy.Kind == core.Broadcast {
 		return nil, fmt.Errorf("cluster: the prototype does not implement the broadcast policy (the paper's didn't either, §3)")
@@ -222,29 +216,19 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		c.mgr = newManagerClient(tr, cfg.ManagerAddr)
 	}
 	c.Refresh()
-	if cfg.Directory != nil || cfg.RemoteDir != nil {
+	if _, fixed := cfg.Directory.(FixedDirectory); !fixed {
 		c.wg.Add(1)
 		go c.refreshLoop()
 	}
 	return c, nil
 }
 
-// Refresh re-reads the service mapping table from the directory (or
-// re-installs the static endpoint list). A failed remote lookup keeps
-// the previous table rather than wiping it.
+// Refresh re-reads the service mapping table from the directory. A
+// failed lookup keeps the previous table rather than wiping it.
 func (c *Client) Refresh() {
-	var eps []Endpoint
-	switch {
-	case c.cfg.Directory != nil:
-		eps = c.cfg.Directory.Lookup(c.cfg.Service, c.cfg.Partition)
-	case c.cfg.RemoteDir != nil:
-		got, err := c.cfg.RemoteDir.Lookup(c.cfg.Service, c.cfg.Partition)
-		if err != nil {
-			return // transient: keep the stale table
-		}
-		eps = got
-	default:
-		eps = append(eps, c.cfg.StaticEndpoints...)
+	eps, err := c.cfg.Directory.Lookup(c.cfg.Service, c.cfg.Partition)
+	if err != nil {
+		return // transient: keep the stale table
 	}
 	c.mu.Lock()
 	c.endpoints = eps

@@ -295,8 +295,8 @@ func TestClientIdealStalledManager(t *testing.T) {
 	})
 	c, err := NewClient(ClientConfig{
 		Service: "svc", Policy: core.NewIdeal(), ManagerAddr: ln.Addr(),
-		StaticEndpoints: []Endpoint{{NodeID: 0, Service: "svc", AccessAddr: ln.Addr()}},
-		Transport:       tr,
+		Directory: FixedDirectory{{NodeID: 0, Service: "svc", AccessAddr: ln.Addr()}},
+		Transport: tr,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -32,6 +32,38 @@ func (e Endpoint) HasPartition(p uint32) bool {
 	return false
 }
 
+// ServiceDirectory is what nodes and clients need of the service
+// availability subsystem (§3.1): nodes publish and withdraw their
+// endpoints, clients look up the live ones. The in-process Directory,
+// the RemoteDirectory stub of a DirServer, and a FixedDirectory all
+// satisfy it.
+//
+// Publish and Withdraw report nothing: directory entries are soft
+// state, so a lost publish is repaired by the next heartbeat and a lost
+// withdraw by the entry's expiry.
+type ServiceDirectory interface {
+	Publish(ep Endpoint)
+	Withdraw(nodeID int, service string)
+	Lookup(service string, partition uint32) ([]Endpoint, error)
+}
+
+// FixedDirectory is a fixed mapping table: every lookup returns all of
+// its endpoints, and publishes and withdrawals are ignored. The
+// standalone CLI tools use one when run from a nodes file instead of a
+// directory server; a client on a FixedDirectory runs no refresh loop.
+type FixedDirectory []Endpoint
+
+// Publish is a no-op: the list is fixed.
+func (FixedDirectory) Publish(Endpoint) {}
+
+// Withdraw is a no-op: the list is fixed.
+func (FixedDirectory) Withdraw(int, string) {}
+
+// Lookup returns a copy of the whole list.
+func (f FixedDirectory) Lookup(string, uint32) ([]Endpoint, error) {
+	return append([]Endpoint(nil), f...), nil
+}
+
 // Directory is the service availability subsystem (§3.1): a well-known
 // publish/subscribe channel holding soft state. Each server node
 // repeatedly publishes its service type, data partitions, and access
@@ -100,14 +132,9 @@ func (d *Directory) Withdraw(nodeID int, service string) {
 
 // Lookup returns the live endpoints offering the service and partition,
 // sorted by node id for stable ordering. Expired entries are pruned.
-func (d *Directory) Lookup(service string, partition uint32) []Endpoint {
-	return d.LookupAppend(nil, service, partition)
-}
-
-// LookupAppend is Lookup appending into out, so a caller serving a
-// query stream (DirServer) can reuse one backing array across queries.
-func (d *Directory) LookupAppend(out []Endpoint, service string, partition uint32) []Endpoint {
-	base := len(out)
+// The error is always nil; it is there to satisfy ServiceDirectory.
+func (d *Directory) Lookup(service string, partition uint32) ([]Endpoint, error) {
+	var out []Endpoint
 	now := d.now()
 	d.mu.Lock()
 	for k, e := range d.entries {
@@ -120,9 +147,8 @@ func (d *Directory) LookupAppend(out []Endpoint, service string, partition uint3
 		}
 	}
 	d.mu.Unlock()
-	added := out[base:]
-	sort.Slice(added, func(i, j int) bool { return added[i].NodeID < added[j].NodeID })
-	return out
+	sort.Slice(out, func(i, j int) bool { return out[i].NodeID < out[j].NodeID })
+	return out, nil
 }
 
 // Services returns the names of all live services, sorted.

@@ -20,7 +20,7 @@ func TestDirectoryPublishLookup(t *testing.T) {
 	d.Publish(ep(2, "img"))
 	d.Publish(ep(0, "img"))
 	d.Publish(ep(1, "other"))
-	got := d.Lookup("img", 0)
+	got, _ := d.Lookup("img", 0)
 	if len(got) != 2 {
 		t.Fatalf("lookup returned %d endpoints", len(got))
 	}
@@ -34,10 +34,10 @@ func TestDirectoryPartitionFilter(t *testing.T) {
 	d.Publish(ep(0, "img", 0, 9))   // partitions 0-9 style
 	d.Publish(ep(1, "img", 10, 19)) // partitions 10-19
 	d.Publish(ep(2, "img"))         // hosts everything
-	if got := d.Lookup("img", 9); len(got) != 2 || got[0].NodeID != 0 || got[1].NodeID != 2 {
+	if got, _ := d.Lookup("img", 9); len(got) != 2 || got[0].NodeID != 0 || got[1].NodeID != 2 {
 		t.Fatalf("partition 9 lookup: %+v", got)
 	}
-	if got := d.Lookup("img", 10); len(got) != 2 || got[0].NodeID != 1 {
+	if got, _ := d.Lookup("img", 10); len(got) != 2 || got[0].NodeID != 1 {
 		t.Fatalf("partition 10 lookup: %+v", got)
 	}
 }
@@ -51,18 +51,18 @@ func TestDirectorySoftStateExpiry(t *testing.T) {
 		t.Fatalf("len = %d", d.Len())
 	}
 	now = now.Add(50 * time.Millisecond)
-	if got := d.Lookup("img", 0); len(got) != 1 {
+	if got, _ := d.Lookup("img", 0); len(got) != 1 {
 		t.Fatalf("entry expired early: %+v", got)
 	}
 	// Refresh extends the lease.
 	d.Publish(ep(0, "img"))
 	now = now.Add(90 * time.Millisecond)
-	if got := d.Lookup("img", 0); len(got) != 1 {
+	if got, _ := d.Lookup("img", 0); len(got) != 1 {
 		t.Fatal("refreshed entry expired")
 	}
 	// Without refresh, it dies.
 	now = now.Add(101 * time.Millisecond)
-	if got := d.Lookup("img", 0); len(got) != 0 {
+	if got, _ := d.Lookup("img", 0); len(got) != 0 {
 		t.Fatalf("stale entry survived: %+v", got)
 	}
 	if d.Len() != 0 {
@@ -76,7 +76,7 @@ func TestDirectoryRepublishOverwrites(t *testing.T) {
 	updated := ep(0, "img")
 	updated.AccessAddr = "127.0.0.1:99"
 	d.Publish(updated)
-	got := d.Lookup("img", 0)
+	got, _ := d.Lookup("img", 0)
 	if len(got) != 1 || got[0].AccessAddr != "127.0.0.1:99" {
 		t.Fatalf("republish did not overwrite: %+v", got)
 	}

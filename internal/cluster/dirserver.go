@@ -1,11 +1,8 @@
 package cluster
 
 import (
-	"bytes"
+	"encoding/json"
 	"fmt"
-	"strconv"
-	"strings"
-	"sync"
 	"time"
 
 	"finelb/internal/transport"
@@ -13,249 +10,139 @@ import (
 
 // DirServer is the cross-process form of the service availability
 // subsystem: the paper's "highly available well-known central
-// directory" alternative to IP multicast (§3.1). Nodes publish their
-// soft state to it over UDP; clients query it over UDP. In-process
-// components keep using Directory directly; DirServer wraps one behind
-// a wire protocol so lbnode/lbclient in separate processes can share a
-// cluster view.
+// directory" alternative to IP multicast (§3.1). To the cluster it is
+// one more service: it runs on a Node whose Handler serves
+// directoryService on the node protocol, in front of an in-process
+// Directory, and RemoteDirectory reaches it through a Caller.
 //
-// Wire protocol (one datagram per message, UTF-8 text):
-//
-//	PUB <nodeID> <service> <accessAddr> <loadAddr> <p1,p2,...|->
-//	GET <service> <partition>
-//
-// A GET is answered with one datagram:
-//
-//	EP <nodeID> <accessAddr> <loadAddr>\n ... (one line per endpoint)
-//
-// An empty result is an empty datagram payload "END".
+// Every request payload is one op byte followed by a JSON Endpoint. A
+// publish carries the whole endpoint, a withdraw its NodeID and
+// Service, and a lookup its Service, with the partition in the
+// request's Partition field; a lookup is answered with the live
+// endpoints as a JSON array. A malformed request is answered
+// StatusAppError and changes nothing.
 type DirServer struct {
 	dir  *Directory
-	tr   transport.Transport
-	conn transport.PacketConn
-	wg   sync.WaitGroup
-	once sync.Once
+	node *Node
 }
 
-// StartDirServer binds a datagram endpoint on tr (the default
+// directoryService is the service name a DirServer's node serves.
+const directoryService = "directory"
+
+// dirTimeout bounds one directory call. Client.Refresh runs inline on
+// access retries and on the IDEAL miss path, so a hung directory must
+// not hold them for a whole accessTimeout.
+const dirTimeout = time.Second
+
+// Directory request ops, the first payload byte.
+const (
+	dirPublish  = 'P'
+	dirWithdraw = 'W'
+	dirLookup   = 'L'
+)
+
+// StartDirServer starts a directory node on tr (the default
 // real-socket transport when nil) in front of the given directory (a
 // fresh one when dir is nil).
 func StartDirServer(tr transport.Transport, dir *Directory, ttl time.Duration) (*DirServer, error) {
-	if tr == nil {
-		tr = transport.Default()
-	}
 	if dir == nil {
 		dir = NewDirectory(ttl)
 	}
-	conn, err := tr.ListenPacket()
+	s := &DirServer{dir: dir}
+	// No contention model, and a private metrics catalog (nil Metrics):
+	// directory traffic is bookkeeping, not service accesses of a run.
+	node, err := StartNode(NodeConfig{
+		Service:   directoryService,
+		Transport: tr,
+		Handler:   HandlerFunc(s.serve),
+		SlowProb:  -1,
+	})
 	if err != nil {
 		return nil, err
 	}
-	s := &DirServer{dir: dir, tr: tr, conn: conn}
-	s.wg.Add(1)
-	go s.serve()
+	s.node = node
 	return s, nil
 }
 
-// Addr returns the server's datagram address.
-func (s *DirServer) Addr() string { return s.conn.LocalAddr() }
+// Addr returns the server's stream address.
+func (s *DirServer) Addr() string { return s.node.AccessAddr() }
 
 // Directory returns the backing directory (for inspection in tests).
 func (s *DirServer) Directory() *Directory { return s.dir }
 
 // Close stops the server.
-func (s *DirServer) Close() error {
-	s.once.Do(func() { _ = s.conn.Close() })
-	s.wg.Wait()
-	return nil
-}
+func (s *DirServer) Close() error { return s.node.Close() }
 
-var (
-	verbPub  = []byte("PUB")
-	verbGet  = []byte("GET")
-	replyEnd = []byte("END")
-)
-
-func (s *DirServer) serve() {
-	defer s.wg.Done()
-	// One read buffer and one reply buffer for the server's lifetime:
-	// directory datagrams are parsed in place and replies appended into
-	// out, so steady-state serving allocates only what the directory
-	// itself stores (DESIGN.md §12).
-	buf := make([]byte, 64*1024)
-	out := make([]byte, 0, 4096)
-	var eps []Endpoint
-	for {
-		m, from, err := s.conn.ReadFrom(buf)
-		if err != nil {
-			return
-		}
-		out, eps = s.handle(buf[:m], out[:0], eps[:0])
-		if len(out) > 0 {
-			_, _ = s.conn.WriteTo(out, from)
-		}
+// serve is the directory node's Handler.
+func (s *DirServer) serve(req *Request) ([]byte, uint8) {
+	if len(req.Payload) == 0 {
+		return nil, StatusAppError
 	}
-}
-
-// handle parses one request from msg and appends the reply payload to
-// out (empty = no reply). eps is lookup scratch; both are returned so
-// the caller can reuse their backing arrays.
-func (s *DirServer) handle(msg, out []byte, eps []Endpoint) ([]byte, []Endpoint) {
-	fields := bytes.Fields(msg)
-	if len(fields) == 0 {
-		return out, eps
+	var ep Endpoint
+	if err := json.Unmarshal(req.Payload[1:], &ep); err != nil || ep.Service == "" {
+		return nil, StatusAppError
 	}
-	switch {
-	case bytes.Equal(fields[0], verbPub):
-		if len(fields) != 6 {
-			return out, eps
-		}
-		id, err := strconv.Atoi(string(fields[1]))
-		if err != nil {
-			return out, eps
-		}
-		ep := Endpoint{
-			NodeID: id, Service: string(fields[2]),
-			AccessAddr: string(fields[3]), LoadAddr: string(fields[4]),
-		}
-		if !bytes.Equal(fields[5], []byte("-")) {
-			for _, p := range strings.Split(string(fields[5]), ",") {
-				v, err := strconv.ParseUint(p, 10, 32)
-				if err != nil {
-					return out, eps
-				}
-				ep.Partitions = append(ep.Partitions, uint32(v))
-			}
-		}
+	switch req.Payload[0] {
+	case dirPublish:
 		s.dir.Publish(ep)
-		return out, eps
-	case bytes.Equal(fields[0], verbGet):
-		if len(fields) != 3 {
-			return out, eps
-		}
-		part, err := strconv.ParseUint(string(fields[2]), 10, 32)
-		if err != nil {
-			return out, eps
-		}
-		eps = s.dir.LookupAppend(eps, string(fields[1]), uint32(part))
-		if len(eps) == 0 {
-			return append(out, replyEnd...), eps
-		}
-		for _, ep := range eps {
-			out = append(out, "EP "...)
-			out = strconv.AppendInt(out, int64(ep.NodeID), 10)
-			out = append(out, ' ')
-			out = append(out, ep.AccessAddr...)
-			out = append(out, ' ')
-			out = append(out, ep.LoadAddr...)
-			out = append(out, '\n')
-		}
-		return out, eps
-	default:
-		return out, eps
+		return nil, StatusOK
+	case dirWithdraw:
+		s.dir.Withdraw(ep.NodeID, ep.Service)
+		return nil, StatusOK
+	case dirLookup:
+		eps, _ := s.dir.Lookup(ep.Service, req.Partition) // an in-process lookup never fails
+		out, _ := json.Marshal(eps)                       // plain structs always encode
+		return out, StatusOK
 	}
+	return nil, StatusAppError
 }
 
 // RemoteDirectory is the client stub for a DirServer: it satisfies the
 // publish/lookup needs of nodes and clients in other processes.
 type RemoteDirectory struct {
-	addr    string
-	timeout time.Duration
-
-	mu   sync.Mutex
-	conn transport.PacketConn
-	out  []byte // request encode scratch, reused under mu
-	buf  []byte // reply read buffer, reused under mu
+	calls *Caller
+	ep    Endpoint
 }
 
-// DialDirectory connects (in the datagram sense) to a DirServer over
-// tr (the default real-socket transport when nil). Directory traffic
-// has no per-link fault semantics, so the dial carries NoLink.
+// DialDirectory returns a stub for the DirServer at addr, reached over
+// tr (the default real-socket transport when nil). Connections are
+// made on first use.
 func DialDirectory(tr transport.Transport, addr string) (*RemoteDirectory, error) {
-	if tr == nil {
-		tr = transport.Default()
-	}
-	conn, err := tr.DialPacket(addr, transport.NoLink)
-	if err != nil {
-		return nil, err
-	}
-	return &RemoteDirectory{addr: addr, timeout: time.Second, conn: conn}, nil
+	return &RemoteDirectory{calls: NewCaller(tr, dirTimeout), ep: Endpoint{AccessAddr: addr}}, nil
 }
 
-// Close releases the socket.
-func (r *RemoteDirectory) Close() error { return r.conn.Close() }
+// Close releases the stub's connections.
+func (r *RemoteDirectory) Close() error {
+	r.calls.Close()
+	return nil
+}
 
-// Publish sends one soft-state announcement. The request is encoded
-// into the stub's reusable scratch buffer, so a node's periodic
-// republish loop allocates nothing per announcement.
-func (r *RemoteDirectory) Publish(ep Endpoint) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := append(r.out[:0], "PUB "...)
-	out = strconv.AppendInt(out, int64(ep.NodeID), 10)
-	out = append(out, ' ')
-	out = append(out, ep.Service...)
-	out = append(out, ' ')
-	out = append(out, ep.AccessAddr...)
-	out = append(out, ' ')
-	out = append(out, ep.LoadAddr...)
-	out = append(out, ' ')
-	if len(ep.Partitions) == 0 {
-		out = append(out, '-')
-	} else {
-		for i, p := range ep.Partitions {
-			if i > 0 {
-				out = append(out, ',')
-			}
-			out = strconv.AppendUint(out, uint64(p), 10)
-		}
-	}
-	r.out = out
-	_, err := r.conn.Write(out)
-	return err
+// call sends one op with ep as its argument and returns the reply
+// payload.
+func (r *RemoteDirectory) call(op byte, ep Endpoint, partition uint32) ([]byte, error) {
+	arg, _ := json.Marshal(ep) // a plain struct always encodes
+	return r.calls.callOK(r.ep, directoryService, partition, append([]byte{op}, arg...))
+}
+
+// Publish announces ep. A failed call is dropped: the next heartbeat
+// republishes.
+func (r *RemoteDirectory) Publish(ep Endpoint) { _, _ = r.call(dirPublish, ep, 0) }
+
+// Withdraw removes a node's entry for a service. A failed call is
+// dropped: the entry then expires at its TTL.
+func (r *RemoteDirectory) Withdraw(nodeID int, service string) {
+	_, _ = r.call(dirWithdraw, Endpoint{NodeID: nodeID, Service: service}, 0)
 }
 
 // Lookup queries the live endpoints for (service, partition).
 func (r *RemoteDirectory) Lookup(service string, partition uint32) ([]Endpoint, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := append(r.out[:0], "GET "...)
-	out = append(out, service...)
-	out = append(out, ' ')
-	out = strconv.AppendUint(out, uint64(partition), 10)
-	r.out = out
-	if _, err := r.conn.Write(out); err != nil {
-		return nil, err
-	}
-	if err := r.conn.SetReadDeadline(time.Now().Add(r.timeout)); err != nil {
-		return nil, err
-	}
-	if r.buf == nil {
-		r.buf = make([]byte, 64*1024)
-	}
-	buf := r.buf
-	m, err := r.conn.Read(buf)
+	out, err := r.call(dirLookup, Endpoint{Service: service}, partition)
 	if err != nil {
 		return nil, err
 	}
-	payload := strings.TrimSpace(string(buf[:m]))
-	if payload == "END" {
-		return nil, nil
-	}
 	var eps []Endpoint
-	for _, line := range strings.Split(payload, "\n") {
-		fields := strings.Fields(line)
-		if len(fields) != 4 || fields[0] != "EP" {
-			return nil, fmt.Errorf("cluster: bad directory reply line %q", line)
-		}
-		id, err := strconv.Atoi(fields[1])
-		if err != nil {
-			return nil, fmt.Errorf("cluster: bad node id in %q", line)
-		}
-		eps = append(eps, Endpoint{
-			NodeID: id, Service: service,
-			AccessAddr: fields[2], LoadAddr: fields[3],
-		})
+	if err := json.Unmarshal(out, &eps); err != nil {
+		return nil, fmt.Errorf("cluster: bad directory reply: %w", err)
 	}
 	return eps, nil
 }

@@ -16,7 +16,7 @@ func TestDirectoryWithdraw(t *testing.T) {
 	d.Publish(Endpoint{NodeID: 1, Service: "svc", AccessAddr: "a", LoadAddr: "l"})
 	d.Publish(Endpoint{NodeID: 2, Service: "svc", AccessAddr: "b", LoadAddr: "m"})
 	d.Withdraw(1, "svc")
-	eps := d.Lookup("svc", 0)
+	eps, _ := d.Lookup("svc", 0)
 	if len(eps) != 1 || eps[0].NodeID != 2 {
 		t.Fatalf("after withdraw: %v", eps)
 	}
@@ -42,14 +42,14 @@ func TestNodeDrainRejoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer n.Close()
-	if len(dir.Lookup("svc", 0)) != 1 {
+	if len(lookup(t, dir, "svc", 0)) != 1 {
 		t.Fatal("node did not publish")
 	}
 	n.Drain()
 	if !n.Draining() {
 		t.Fatal("Draining() false after Drain")
 	}
-	if len(dir.Lookup("svc", 0)) != 0 {
+	if len(lookup(t, dir, "svc", 0)) != 0 {
 		t.Fatal("drain did not withdraw the directory entry")
 	}
 	n.Drain() // idempotent
@@ -64,7 +64,7 @@ func TestNodeDrainRejoin(t *testing.T) {
 	if n.Draining() {
 		t.Fatal("Draining() true after Rejoin")
 	}
-	if len(dir.Lookup("svc", 0)) != 1 {
+	if len(lookup(t, dir, "svc", 0)) != 1 {
 		t.Fatal("rejoin did not re-publish")
 	}
 }

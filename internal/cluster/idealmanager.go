@@ -202,23 +202,19 @@ func newManagerClient(tr transport.Transport, addr string) *managerClient {
 }
 
 func (mc *managerClient) acquire() (uint32, error) {
-	resp, err := mc.calls.Call(mc.ep, managerService, 0, 0, nil)
+	out, err := mc.calls.callOK(mc.ep, managerService, 0, nil)
 	if err != nil {
 		return 0, err
 	}
-	if resp.Status != StatusOK || len(resp.Payload) != 4 {
-		return 0, fmt.Errorf("cluster: manager acquire answered status %d with %d payload bytes", resp.Status, len(resp.Payload))
+	if len(out) != 4 {
+		return 0, fmt.Errorf("cluster: manager acquire answered %d payload bytes", len(out))
 	}
-	return binary.LittleEndian.Uint32(resp.Payload), nil
+	return binary.LittleEndian.Uint32(out), nil
 }
 
 func (mc *managerClient) release(idx uint32) error {
-	resp, err := mc.calls.Call(mc.ep, managerService, 0, 0, binary.LittleEndian.AppendUint32(nil, idx))
-	if err != nil {
-		return err
-	}
-	if resp.Status != StatusOK {
-		return fmt.Errorf("cluster: manager rejected release of %d (status %d)", idx, resp.Status)
+	if _, err := mc.calls.callOK(mc.ep, managerService, 0, binary.LittleEndian.AppendUint32(nil, idx)); err != nil {
+		return fmt.Errorf("cluster: manager release of %d: %w", idx, err)
 	}
 	return nil
 }

@@ -46,11 +46,9 @@ type NodeConfig struct {
 	// model.
 	Handler Handler
 
-	// Directory, when non-nil, receives periodic soft-state publishes.
-	Directory *Directory
-	// RemoteDir, when non-nil, additionally receives the same publishes
-	// over UDP (a DirServer in another process).
-	RemoteDir       *RemoteDirectory
+	// Directory, when non-nil, receives periodic soft-state publishes
+	// and the node's withdrawal when it drains.
+	Directory       ServiceDirectory
 	PublishInterval time.Duration // default DefaultTTL / 4
 
 	// Load-inquiry contention model (DESIGN.md "Prototype contention
@@ -132,6 +130,9 @@ type Node struct {
 	// and everything still routed to it by stale mapping tables — the
 	// graceful half of a scale-down, as opposed to Pause's stall.
 	draining atomic.Bool
+	// pubMu orders publishes against Drain's withdrawal, so a heartbeat
+	// already under way cannot list a drained node again.
+	pubMu sync.Mutex
 
 	//lint:guards conns
 	connMu sync.Mutex
@@ -243,7 +244,7 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		go n.loadIndexLoop()
 	}
 
-	if cfg.Directory != nil || cfg.RemoteDir != nil {
+	if cfg.Directory != nil {
 		n.publish()
 		n.wg.Add(1)
 		go n.publishLoop()
@@ -321,36 +322,30 @@ func (n *Node) Resume() {
 	n.paused.Store(false)
 	close(n.unpause)
 	n.pauseMu.Unlock()
-	if (n.cfg.Directory != nil || n.cfg.RemoteDir != nil) && !n.draining.Load() {
-		n.publish()
-	}
+	n.publish()
 }
 
 // Paused reports whether the node is currently paused.
 func (n *Node) Paused() bool { return n.paused.Load() }
 
 // Drain withdraws the node from routing (elastic membership): it stops
-// publishing heartbeats and deletes its in-process directory entry so
-// clients drop it at their next refresh, yet keeps accepting and
-// serving requests — queued work and stragglers from stale mapping
-// tables complete normally. Remote directories expire the entry at the
-// soft-state TTL once heartbeats stop. Rejoin reverses a drain.
+// publishing heartbeats and withdraws its directory entry, local or
+// remote, so clients drop it at their next refresh, yet keeps accepting
+// and serving requests — queued work and stragglers from stale mapping
+// tables complete normally. Rejoin reverses a drain.
 func (n *Node) Drain() {
-	if n.draining.Swap(true) {
+	if n.draining.Swap(true) || n.cfg.Directory == nil {
 		return
 	}
-	if n.cfg.Directory != nil {
-		n.cfg.Directory.Withdraw(n.cfg.ID, n.cfg.Service)
-	}
+	n.pubMu.Lock()
+	defer n.pubMu.Unlock()
+	n.cfg.Directory.Withdraw(n.cfg.ID, n.cfg.Service)
 }
 
 // Rejoin lifts a Drain: the node immediately re-publishes its endpoint
 // so clients rediscover it without waiting a full publish period.
 func (n *Node) Rejoin() {
-	if !n.draining.Swap(false) {
-		return
-	}
-	if n.cfg.Directory != nil || n.cfg.RemoteDir != nil {
+	if n.draining.Swap(false) {
 		n.publish()
 	}
 }
@@ -394,13 +389,16 @@ func (n *Node) Close() error {
 	return nil
 }
 
+// publish announces the node's endpoint unless it is draining or has
+// no directory.
 func (n *Node) publish() {
-	ep := n.Endpoint()
-	if n.cfg.Directory != nil {
-		n.cfg.Directory.Publish(ep)
+	if n.cfg.Directory == nil {
+		return
 	}
-	if n.cfg.RemoteDir != nil {
-		_ = n.cfg.RemoteDir.Publish(ep) // soft state: a lost datagram is refreshed next period
+	n.pubMu.Lock()
+	defer n.pubMu.Unlock()
+	if !n.draining.Load() {
+		n.cfg.Directory.Publish(n.Endpoint())
 	}
 }
 
@@ -413,7 +411,7 @@ func (n *Node) publishLoop() {
 		case <-n.done:
 			return
 		case <-t.C:
-			if !n.paused.Load() && !n.draining.Load() {
+			if !n.paused.Load() {
 				n.publish()
 			}
 		}

@@ -272,7 +272,7 @@ func TestNodePublishesSoftState(t *testing.T) {
 	n := startTestNode(t, NodeConfig{
 		ID: 3, Service: "svc", Directory: d, PublishInterval: 20 * time.Millisecond,
 	})
-	eps := d.Lookup("svc", 0)
+	eps, _ := d.Lookup("svc", 0)
 	if len(eps) != 1 || eps[0].NodeID != 3 {
 		t.Fatalf("initial publish missing: %+v", eps)
 	}

@@ -265,8 +265,8 @@ func TestNodePauseResume(t *testing.T) {
 		// Static-endpoint client so the expired directory doesn't block
 		// the access from reaching the paused node's open socket.
 		pc, err := NewClient(ClientConfig{
-			StaticEndpoints: []Endpoint{node.Endpoint()},
-			Service:         "svc", Policy: core.NewRandom(),
+			Directory: FixedDirectory{node.Endpoint()},
+			Service:   "svc", Policy: core.NewRandom(),
 			Transport:     node.Transport(),
 			AccessRetries: -1, Seed: 9,
 		})
@@ -315,7 +315,7 @@ func TestStaleAnswerOnReusedRoundSocket(t *testing.T) {
 	alive := startTestNode(t, NodeConfig{ID: 0, Service: "svc", SlowProb: -1, Transport: tr})
 	deaf := startTestNode(t, NodeConfig{ID: 1, Service: "svc", SlowProb: -1, Transport: tr})
 	c, err := NewClient(ClientConfig{
-		StaticEndpoints: []Endpoint{alive.Endpoint(), deaf.Endpoint()},
+		Directory:       FixedDirectory{alive.Endpoint(), deaf.Endpoint()},
 		Service:         "svc",
 		Policy:          core.NewPollDiscard(2, 50*time.Millisecond),
 		PollRetries:     -1,
@@ -388,7 +388,7 @@ func TestPollAgentCancelDropsLateAnswer(t *testing.T) {
 	_, nodes := testCluster(t, 1, false)
 	ep := nodes[0].Endpoint()
 	c, err := NewClient(ClientConfig{
-		StaticEndpoints: []Endpoint{ep},
+		Directory:       FixedDirectory{ep},
 		Service:         "svc",
 		Policy:          core.NewPoll(1),
 		PollRetries:     -1,
@@ -473,7 +473,7 @@ func TestPollAgentCountsLateAnswers(t *testing.T) {
 	waitUntil(t, func() bool { return n.LoadIndex() == 1 }, "the node to become busy")
 
 	c, err := NewClient(ClientConfig{
-		StaticEndpoints: []Endpoint{n.Endpoint()},
+		Directory:       FixedDirectory{n.Endpoint()},
 		Service:         "svc",
 		Policy:          core.NewPollDiscard(1, 5*time.Millisecond),
 		PollRetries:     -1,
@@ -518,13 +518,13 @@ func TestCloseUnblocksPollRound(t *testing.T) {
 	t.Cleanup(n.Resume)
 	const pollTimeout = 10 * time.Second
 	c, err := NewClient(ClientConfig{
-		StaticEndpoints: []Endpoint{n.Endpoint()},
-		Service:         "svc",
-		Policy:          core.NewPoll(1),
-		PollTimeout:     pollTimeout,
-		PollRetries:     -1,
-		Transport:       tr,
-		Seed:            4,
+		Directory:   FixedDirectory{n.Endpoint()},
+		Service:     "svc",
+		Policy:      core.NewPoll(1),
+		PollTimeout: pollTimeout,
+		PollRetries: -1,
+		Transport:   tr,
+		Seed:        4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -568,7 +568,7 @@ func TestLinkFaultsReplayInFanout(t *testing.T) {
 			slow := startTestNode(t, NodeConfig{ID: 1, Service: "svc", SlowProb: -1, Transport: tc.tr})
 			c, err := NewClient(ClientConfig{
 				ID:              0,
-				StaticEndpoints: []Endpoint{lossy.Endpoint(), slow.Endpoint()},
+				Directory:       FixedDirectory{lossy.Endpoint(), slow.Endpoint()},
 				Service:         "svc",
 				Policy:          core.NewPollDiscard(2, 4*latency),
 				PollRetries:     -1,
@@ -625,7 +625,7 @@ func TestRoundSocketsBoundedOnNet(t *testing.T) {
 	}
 	newClient := func() *Client {
 		c, err := NewClient(ClientConfig{
-			StaticEndpoints: eps, Service: "svc",
+			Directory: FixedDirectory(eps), Service: "svc",
 			Policy:          core.NewPoll(3),
 			QuarantineAfter: -1,
 			Transport:       tr,

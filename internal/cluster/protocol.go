@@ -7,7 +7,9 @@
 //
 //   - Directory: the service availability subsystem — a soft-state
 //     publish/subscribe channel. Servers republish their services
-//     periodically; entries expire when refreshes stop.
+//     periodically; entries expire when refreshes stop. Nodes and
+//     clients take any ServiceDirectory: the in-process Directory, a
+//     RemoteDirectory, or a FixedDirectory endpoint list.
 //   - Node: a server node — a TCP service access point feeding a
 //     request queue and worker pool, plus a UDP load-index server that
 //     answers load inquiries.
@@ -16,10 +18,13 @@
 //     from, and reads the answers on, one pooled UDP socket, with a
 //     discard deadline).
 //   - Caller: the one stream caller — pooled connections to explicit
-//     endpoints — behind every service access.
+//     endpoints — behind every service access, manager call and
+//     remote directory call.
 //   - IdealManager: the centralized load-index manager used to emulate
 //     the IDEAL policy in §4, run as a Node service on the node
 //     protocol.
+//   - DirServer: the directory served to other processes, one more
+//     Node service; a RemoteDirectory calls it through a Caller.
 //
 // All components bind loopback addresses by default so a 16-server,
 // 6-client "cluster" runs inside one process while still paying real

@@ -24,6 +24,17 @@ func waitUntil(t *testing.T, cond func() bool, desc string) {
 	}
 }
 
+// lookup queries dir for (service, partition), failing the test when
+// the lookup fails.
+func lookup(t *testing.T, dir ServiceDirectory, service string, partition uint32) []Endpoint {
+	t.Helper()
+	eps, err := dir.Lookup(service, partition)
+	if err != nil {
+		t.Fatalf("lookup %s/%d: %v", service, partition, err)
+	}
+	return eps
+}
+
 var (
 	memFabricOnce sync.Once
 	memFabric     *transport.Mem

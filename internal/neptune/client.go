@@ -112,7 +112,7 @@ func (c *Client) Query(partition uint32, method string, arg []byte, serviceUs ui
 // replication protocol and returns the primary's (or, for Commutative,
 // the first replica's) result.
 func (c *Client) Write(partition uint32, method string, arg []byte, serviceUs uint32) ([]byte, error) {
-	eps := c.cfg.Directory.Lookup(c.cfg.Service, partition)
+	eps, _ := c.cfg.Directory.Lookup(c.cfg.Service, partition) // an in-process lookup never fails
 	if len(eps) == 0 {
 		return nil, fmt.Errorf("neptune: no live replicas for %s partition %d", c.cfg.Service, partition)
 	}
@@ -171,7 +171,8 @@ func (c *Client) Write(partition uint32, method string, arg []byte, serviceUs ui
 
 // Replicas exposes the live replica set of a partition (diagnostics).
 func (c *Client) Replicas(partition uint32) []cluster.Endpoint {
-	return c.cfg.Directory.Lookup(c.cfg.Service, partition)
+	eps, _ := c.cfg.Directory.Lookup(c.cfg.Service, partition) // an in-process lookup never fails
+	return eps
 }
 
 // resultOf converts a wire response into (result, error).

@@ -189,7 +189,8 @@ func (s *Server) serve(req *cluster.Request) ([]byte, uint8) {
 // replicas returns the live replica set of a partition, sorted by node
 // id (the first entry is the primary).
 func (s *Server) replicas(partition uint32) []cluster.Endpoint {
-	return s.cfg.Directory.Lookup(s.cfg.Service, partition)
+	eps, _ := s.cfg.Directory.Lookup(s.cfg.Service, partition) // an in-process lookup never fails
+	return eps
 }
 
 // isPrimary reports whether this replica is the partition's primary:

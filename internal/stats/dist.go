@@ -58,22 +58,6 @@ func (d Exponential) Std() float64 { return d.MeanValue }
 
 func (d Exponential) String() string { return fmt.Sprintf("Exp(mean=%g)", d.MeanValue) }
 
-// Uniform is the continuous uniform distribution on [Lo, Hi].
-// The paper uses it for jittered broadcast intervals
-// (uniform on [0.5, 1.5] x mean).
-type Uniform struct{ Lo, Hi float64 }
-
-// Sample draws a uniform deviate on [Lo, Hi).
-func (d Uniform) Sample(r *RNG) float64 { return d.Lo + (d.Hi-d.Lo)*r.Float64() }
-
-// Mean returns (Lo+Hi)/2.
-func (d Uniform) Mean() float64 { return (d.Lo + d.Hi) / 2 }
-
-// Std returns (Hi-Lo)/sqrt(12).
-func (d Uniform) Std() float64 { return (d.Hi - d.Lo) / math.Sqrt(12) }
-
-func (d Uniform) String() string { return fmt.Sprintf("Uniform[%g,%g]", d.Lo, d.Hi) }
-
 // Lognormal is the lognormal distribution parameterized by the
 // underlying normal's Mu and Sigma: exp(Mu + Sigma*Z).
 //
@@ -146,83 +130,6 @@ func (d Pareto) Std() float64 {
 }
 
 func (d Pareto) String() string { return fmt.Sprintf("Pareto(xm=%g,alpha=%g)", d.Xm, d.Alpha) }
-
-// Weibull is the Weibull distribution with the given Scale (lambda) and
-// Shape (k).
-type Weibull struct {
-	Scale float64 // lambda > 0
-	Shape float64 // k > 0
-}
-
-// Sample draws a Weibull deviate by inversion.
-func (d Weibull) Sample(r *RNG) float64 {
-	return d.Scale * math.Pow(r.ExpFloat64(), 1/d.Shape)
-}
-
-// Mean returns Scale * Gamma(1 + 1/Shape).
-func (d Weibull) Mean() float64 { return d.Scale * math.Gamma(1+1/d.Shape) }
-
-// Std returns the analytic standard deviation.
-func (d Weibull) Std() float64 {
-	g1 := math.Gamma(1 + 1/d.Shape)
-	g2 := math.Gamma(1 + 2/d.Shape)
-	return d.Scale * math.Sqrt(g2-g1*g1)
-}
-
-func (d Weibull) String() string {
-	return fmt.Sprintf("Weibull(scale=%g,shape=%g)", d.Scale, d.Shape)
-}
-
-// Hyperexponential is a two-phase hyperexponential distribution: with
-// probability P1 the sample is Exp(Mean1), otherwise Exp(Mean2). It is
-// the standard way to construct a CV > 1 service process with
-// exponential phases.
-type Hyperexponential struct {
-	P1           float64
-	Mean1, Mean2 float64
-}
-
-// HyperexpFromMoments constructs a balanced-means two-phase
-// hyperexponential with the requested mean and coefficient of variation
-// cv (cv must be >= 1).
-func HyperexpFromMoments(mean, cv float64) Hyperexponential {
-	if cv < 1 {
-		panic("stats: hyperexponential requires cv >= 1")
-	}
-	// Balanced means construction: p1*mean1 = p2*mean2 = mean/2.
-	c2 := cv * cv
-	p1 := 0.5 * (1 + math.Sqrt((c2-1)/(c2+1)))
-	return Hyperexponential{
-		P1:    p1,
-		Mean1: mean / (2 * p1),
-		Mean2: mean / (2 * (1 - p1)),
-	}
-}
-
-// Sample draws a hyperexponential deviate.
-func (d Hyperexponential) Sample(r *RNG) float64 {
-	if r.Float64() < d.P1 {
-		return d.Mean1 * r.ExpFloat64()
-	}
-	return d.Mean2 * r.ExpFloat64()
-}
-
-// Mean returns the mixture mean.
-func (d Hyperexponential) Mean() float64 {
-	return d.P1*d.Mean1 + (1-d.P1)*d.Mean2
-}
-
-// Std returns the analytic standard deviation of the mixture.
-func (d Hyperexponential) Std() float64 {
-	m := d.Mean()
-	// E[X^2] of an exponential with mean m_i is 2 m_i^2.
-	m2 := d.P1*2*d.Mean1*d.Mean1 + (1-d.P1)*2*d.Mean2*d.Mean2
-	return math.Sqrt(m2 - m*m)
-}
-
-func (d Hyperexponential) String() string {
-	return fmt.Sprintf("H2(mean=%.4g,cv=%.3g)", d.Mean(), CV(d))
-}
 
 // Scaled wraps a distribution, multiplying every sample (and the
 // analytic moments) by Factor. Experiments use it to rescale trace

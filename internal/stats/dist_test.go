@@ -31,10 +31,6 @@ func TestExponentialMoments(t *testing.T) {
 	checkMoments(t, Exponential{MeanValue: 50e-3}, 200000, 0.02)
 }
 
-func TestUniformMoments(t *testing.T) {
-	checkMoments(t, Uniform{Lo: 0.5, Hi: 1.5}, 200000, 0.02)
-}
-
 func TestDeterministic(t *testing.T) {
 	d := Deterministic{Value: 3.25}
 	r := NewRNG(1)
@@ -89,37 +85,6 @@ func TestParetoInfiniteMoments(t *testing.T) {
 	}
 }
 
-func TestWeibullMoments(t *testing.T) {
-	checkMoments(t, Weibull{Scale: 2, Shape: 1.5}, 300000, 0.03)
-	// Shape 1 reduces to exponential.
-	d := Weibull{Scale: 3, Shape: 1}
-	if math.Abs(d.Mean()-3) > 1e-9 {
-		t.Fatalf("Weibull(k=1) mean %v, want 3", d.Mean())
-	}
-}
-
-func TestHyperexpFromMoments(t *testing.T) {
-	for _, cv := range []float64{1.0, 1.5, 2.0, 4.0} {
-		d := HyperexpFromMoments(10, cv)
-		if math.Abs(d.Mean()-10)/10 > 1e-9 {
-			t.Errorf("cv=%v: analytic mean %v, want 10", cv, d.Mean())
-		}
-		if gotCV := CV(d); math.Abs(gotCV-cv)/cv > 1e-9 {
-			t.Errorf("cv=%v: analytic CV %v", cv, gotCV)
-		}
-		checkMoments(t, d, 400000, 0.05)
-	}
-}
-
-func TestHyperexpPanicsBelowCV1(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for cv<1")
-		}
-	}()
-	HyperexpFromMoments(1, 0.5)
-}
-
 func TestScaled(t *testing.T) {
 	base := Exponential{MeanValue: 2}
 	d := Scaled{D: base, Factor: 0.25}
@@ -158,9 +123,6 @@ func TestQuickSamplesNonNegative(t *testing.T) {
 			Exponential{MeanValue: 1},
 			LognormalFromMoments(1, 2),
 			Pareto{Xm: 0.5, Alpha: 2.2},
-			Weibull{Scale: 1, Shape: 0.7},
-			HyperexpFromMoments(1, 3),
-			Uniform{Lo: 0, Hi: 1},
 		}
 		for _, d := range dists {
 			for i := 0; i < 20; i++ {

@@ -1,7 +1,8 @@
 // Package transport abstracts everything the prototype does with the
-// network — UDP load inquiries, TCP service accesses, UDP directory
-// traffic — behind a small set of interfaces so the same cluster code
-// runs over two substrates:
+// network — UDP load inquiries and TCP service accesses (the directory
+// and the IDEAL manager are node services, so their calls are service
+// accesses too) — behind a small set of interfaces so the same cluster
+// code runs over two substrates:
 //
 //   - Net: real loopback sockets, the paper's Figure 6 conditions.
 //   - Mem: an in-process channel fabric with a seedable latency/loss
@@ -27,7 +28,8 @@ import (
 
 // Link identifies the logical client→server edge a dialed packet
 // connection belongs to. Net and Mem carry every link alike; use
-// NoLink for traffic that belongs to no such edge (directory lookups).
+// NoLink for traffic that belongs to no such edge (a raw probe of a
+// node's load-index socket, say).
 type Link struct {
 	Client int
 	Server int
