@@ -1,5 +1,5 @@
 // Package sim implements a deterministic discrete-event simulation
-// engine: an indexed event heap ordered by simulated time with FIFO
+// engine: a binary heap of events ordered by simulated time with FIFO
 // tie-breaking, FIFO lanes beside it for declared fixed delays, an
 // integer-nanosecond clock, and cancellable timers.
 //
@@ -7,13 +7,17 @@
 // networks) live in higher-level packages and are expressed as
 // callbacks scheduled on the engine.
 //
+// A scheduled event is a value — its time, its sequence number, a
+// callback and one integer argument — stored in the heap or lane slot
+// it waits in, so firing it reads that slot and nothing else. A model
+// binds each of its callbacks once and passes the id of the record an
+// event concerns as the argument; steady-state scheduling then
+// allocates nothing, and a slot is zeroed when its event leaves, so a
+// fired or cancelled callback is not kept reachable by the schedule.
 // The hot path is built from three step primitives —
 // HasPendingEvents, PeekNextEventTime, and ProcessNextEvent — so
 // callers can drive the clock themselves (multi-engine loops, bounded
-// stepping) while Run and RunUntil remain thin wrappers. Event records
-// are recycled through a free-list: steady-state scheduling performs
-// no allocation, and a recycled event's callback is cleared so fired
-// or cancelled closures never pin their captures.
+// stepping) while Run and RunUntil remain thin wrappers.
 package sim
 
 import (
@@ -63,74 +67,69 @@ func FromSeconds(s float64) Duration {
 func (t Time) String() string     { return fmt.Sprintf("%.6fs", t.Seconds()) }
 func (d Duration) String() string { return fmt.Sprintf("%.6fs", d.Seconds()) }
 
-// event is a scheduled callback. Events with equal times fire in
-// sequence order (seq), making runs fully deterministic. Event records
-// are pooled: gen identifies the current incarnation so stale Handles
-// from earlier incarnations become no-ops instead of acting on a
-// recycled record.
-type event struct {
-	at    Time
-	seq   uint64
-	fn    func()
-	index int // position in the heap; inLane while on a lane; -1 while on the free-list
-
-	// gen is incremented every time the record is recycled (fire or
-	// cancel). A Handle is live only while its gen matches.
-	gen uint64
-	// cancelledGen records the incarnation that was last cancelled, so
-	// Handle.Cancelled stays answerable after the record is recycled.
-	cancelledGen uint64
+// entry is one scheduled event, held by value: fn(arg) runs at time at.
+// Events with equal times fire in sequence order (seq), making runs
+// fully deterministic; (at, seq) is the event's key. The engine's key
+// lists (dead, early, mark) reuse the type with fn unset.
+type entry struct {
+	at  Time
+	seq uint64
+	fn  func(int)
+	arg int
 }
 
-// inLane is event.index for a record queued on a fixed-delay lane.
-const inLane = -2
+// before orders entries by key: earlier times first, FIFO within a
+// time.
+//
+//lint:noalloc
+func (x *entry) before(y *entry) bool {
+	return x.at < y.at || x.at == y.at && x.seq < y.seq
+}
 
-// Handle identifies a scheduled event and allows cancelling it.
+// find returns the index of the entry keyed k in list, or -1.
+//
+//lint:noalloc
+func find(list []entry, k *entry) int {
+	for i := range list {
+		if list[i].at == k.at && list[i].seq == k.seq {
+			return i
+		}
+	}
+	return -1
+}
+
+// Handle names a scheduled event by its key and allows cancelling it.
 // The zero Handle is valid and inert.
 type Handle struct {
 	eng *Engine
-	ev  *event
-	gen uint64
-}
-
-// Cancel removes the event from the schedule and clears its callback
-// immediately, so a cancelled closure's captures are released at
-// cancel time rather than when the slot would have surfaced. A heap
-// event is removed in place (O(log n) via its heap index); a lane
-// event leaves a tombstone entry that the lane head skips by
-// generation check and Pending never counts. Cancelling an
-// already-fired or already-cancelled event is a no-op.
-func (h Handle) Cancel() {
-	ev := h.ev
-	if ev == nil || ev.gen != h.gen {
-		return // already fired or cancelled (record recycled)
-	}
-	ev.cancelledGen = h.gen
-	if ev.index == inLane {
-		h.eng.laneLive--
-	} else {
-		h.eng.removeAt(ev.index)
-	}
-	h.eng.recycle(ev)
-}
-
-// Cancelled reports whether the handle's event was cancelled before it
-// fired. (A handle whose event record has since been cancelled again in
-// a later incarnation reports false; distinct incarnations never share
-// a generation.)
-func (h Handle) Cancelled() bool {
-	return h.ev != nil && h.ev.gen != h.gen && h.ev.cancelledGen == h.gen
-}
-
-// laneEntry is one queued lane event. at and seq are copied out of the
-// record so comparing lane heads never touches it; gen is the record's
-// incarnation when queued, so a cancelled (recycled) record reads as a
-// tombstone.
-type laneEntry struct {
 	at  Time
 	seq uint64
-	ev  *event
-	gen uint64
+}
+
+// Cancel removes the event from the schedule: its key joins the
+// engine's dead set, and the entry is dropped, its slot zeroed, when it
+// comes up to fire. Pending stops counting it at once. Cancelling an
+// event that already fired or was already cancelled is a no-op.
+//
+//lint:noalloc
+func (h Handle) Cancel() {
+	e := h.eng
+	if e == nil {
+		return
+	}
+	k := entry{at: h.at, seq: h.seq}
+	if !e.queued(&k) || find(e.dead, &k) >= 0 {
+		return
+	}
+	heapPush(&e.dead, k)
+}
+
+// Cancelled reports whether the handle's event was cancelled and is
+// still held dead in the schedule. Once the clock passes the event's
+// place in the schedule its handle is inert, cancelled or fired, and
+// reports false.
+func (h Handle) Cancelled() bool {
+	return h.eng != nil && find(h.eng.dead, &entry{at: h.at, seq: h.seq}) >= 0
 }
 
 // lane is a FIFO ring of the events scheduled exactly delay after the
@@ -140,15 +139,15 @@ type laneEntry struct {
 // so the ring's size tracks the lane's in-flight high-water mark.
 type lane struct {
 	delay Duration
-	ring  []laneEntry
+	ring  []entry
 	head  int // ring index of the oldest entry
-	n     int // queued entries, tombstones included
+	n     int // queued entries, dead ones included
 }
 
 // push queues x behind every earlier entry.
 //
 //lint:noalloc
-func (l *lane) push(x laneEntry) {
+func (l *lane) push(x entry) {
 	if l.n == len(l.ring) {
 		l.grow()
 	}
@@ -165,50 +164,56 @@ func (l *lane) push(x laneEntry) {
 //lint:noalloc (the doubling below is the one sanctioned mint)
 func (l *lane) grow() {
 	//lint:allow noalloc the ring doubles once per doubling of the lane's in-flight high-water mark, then is reused forever
-	ring := make([]laneEntry, max(2*len(l.ring), 1))
+	ring := make([]entry, max(2*len(l.ring), 1))
 	k := copy(ring, l.ring[l.head:])
 	copy(ring[k:], l.ring[:l.head])
 	l.ring, l.head = ring, 0
 }
 
-// front returns the oldest live entry, first dropping tombstones, or
-// nil when the lane holds none.
+// pop removes and returns the oldest entry, zeroing its slot.
 //
 //lint:noalloc
-func (l *lane) front() *laneEntry {
-	for l.n > 0 {
-		x := &l.ring[l.head]
-		if x.ev.gen == x.gen {
-			return x
-		}
-		l.pop()
-	}
-	return nil
-}
-
-// pop drops the oldest entry.
-//
-//lint:noalloc
-func (l *lane) pop() {
+func (l *lane) pop() entry {
+	x := l.ring[l.head]
+	l.ring[l.head] = entry{}
 	l.head++
 	if l.head == len(l.ring) {
 		l.head = 0
 	}
 	l.n--
+	return x
 }
 
 // Engine is a discrete-event simulator. The zero value is ready to use.
 // Engine is not safe for concurrent use.
 type Engine struct {
-	now      Time
-	events   []*event // indexed binary min-heap ordered by (at, seq)
-	lanes    []lane   // one FIFO per declared fixed delay
-	laneLive int      // live (non-tombstone) lane entries across all lanes
-	seq      uint64
-	stopped  bool
-	nFired   uint64
-	nLane    uint64   // events fired from a lane
-	free     []*event // recycled event records
+	now   Time
+	heap  []entry // binary min-heap ordered by (at, seq)
+	lanes []lane  // one FIFO per declared fixed delay
+
+	// dead holds the keys of cancelled events still queued, as a
+	// min-heap. Dead keys are a subset of queued keys, so a dead event
+	// is the earliest dead key when it comes up to fire; next drops it
+	// there.
+	dead []entry
+
+	// mark is the largest key that has left the schedule, fired or
+	// dropped dead; marked is false until one has. Events leave in key
+	// order, so every queued key sorts after mark except the early ones,
+	// scheduled below it: an AtSeq key whose reserved sequence number
+	// sorts before an event that already fired at the current time, or
+	// any key short of a dead entry that was dropped ahead of the clock
+	// (by PeekNextEventTime, or by a step that found only dead entries
+	// left). early lists those still queued. Together they tell Cancel
+	// exactly which keys are queued.
+	mark   entry
+	marked bool
+	early  []entry
+
+	seq     uint64
+	stopped bool
+	nFired  uint64
+	nLane   uint64 // events fired from a lane
 }
 
 // New returns a fresh engine at time 0.
@@ -225,9 +230,15 @@ func (e *Engine) Fired() uint64 { return e.nFired }
 func (e *Engine) LaneFired() uint64 { return e.nLane }
 
 // Pending returns the number of scheduled events. Cancelled events are
-// never counted, whether removed from the heap or left as lane
-// tombstones.
-func (e *Engine) Pending() int { return len(e.events) + e.laneLive }
+// never counted, though their entries wait in the schedule until they
+// come up.
+func (e *Engine) Pending() int {
+	n := len(e.heap) - len(e.dead)
+	for i := range e.lanes {
+		n += e.lanes[i].n
+	}
+	return n
+}
 
 // AddLane declares a fixed delay d: from then on, every At or After
 // whose time is exactly d past now is queued on a FIFO lane instead of
@@ -257,65 +268,38 @@ func (e *Engine) laneFor(d Duration) *lane {
 	return nil
 }
 
-// alloc takes an event record from the free-list, or mints one.
-//
-//lint:noalloc (the free-list miss below is the one sanctioned mint)
-func (e *Engine) alloc() *event {
-	if n := len(e.free); n > 0 {
-		ev := e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-		return ev
-	}
-	//lint:allow noalloc the free-list miss mints one record per pool-depth high-water mark, then recycles forever
-	return &event{gen: 1, index: -1}
-}
-
-// recycle retires an event record to the free-list. The callback is
-// cleared here — this is the pool's memory guarantee: a fired or
-// cancelled closure (and everything it captures) is unreachable the
-// moment its event leaves the schedule.
+// admit validates and builds the entry for fn(arg) at t with sequence
+// number seq, listing its key as early when it sorts before the mark.
+// Scheduling in the past panics — that is always a model bug.
 //
 //lint:noalloc
-func (e *Engine) recycle(ev *event) {
-	ev.fn = nil
-	ev.gen++
-	ev.index = -1
-	e.free = append(e.free, ev)
-}
-
-// schedule validates and builds the record for fn at t with sequence
-// number seq. Scheduling in the past panics — that is always a model
-// bug.
-//
-//lint:noalloc
-func (e *Engine) schedule(t Time, seq uint64, fn func()) *event {
+func (e *Engine) admit(t Time, seq uint64, fn func(int), arg int) entry {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, e.now))
 	}
 	if fn == nil {
 		panic("sim: scheduling nil callback")
 	}
-	ev := e.alloc()
-	ev.at, ev.seq, ev.fn = t, seq, fn
-	return ev
+	x := entry{at: t, seq: seq, fn: fn, arg: arg}
+	if e.marked && x.before(&e.mark) {
+		e.early = append(e.early, entry{at: t, seq: seq})
+	}
+	return x
 }
 
-// At schedules fn to run at absolute time t. Scheduling in the past
-// panics — that is always a model bug.
+// At schedules fn(arg) to run at absolute time t. Scheduling in the
+// past panics — that is always a model bug.
 //
 //lint:noalloc
-func (e *Engine) At(t Time, fn func()) Handle {
-	ev := e.schedule(t, e.seq, fn)
+func (e *Engine) At(t Time, fn func(int), arg int) Handle {
+	x := e.admit(t, e.seq, fn, arg)
 	e.seq++
 	if l := e.laneFor(t.Sub(e.now)); l != nil {
-		ev.index = inLane
-		l.push(laneEntry{at: t, seq: ev.seq, ev: ev, gen: ev.gen})
-		e.laneLive++
+		l.push(x)
 	} else {
-		e.push(ev)
+		heapPush(&e.heap, x)
 	}
-	return Handle{eng: e, ev: ev, gen: ev.gen}
+	return Handle{eng: e, at: t, seq: x.seq}
 }
 
 // ReserveSeqs reserves n consecutive sequence numbers and returns the
@@ -330,26 +314,35 @@ func (e *Engine) ReserveSeqs(n uint64) uint64 {
 	return base
 }
 
-// AtSeq schedules fn at absolute time t with an explicit sequence
-// number previously obtained from ReserveSeqs. The same past- and
-// nil-callback panics as At apply. A reserved number may be older than
-// a lane's entries, so AtSeq events always go on the heap.
+// AtSeq schedules fn(arg) at absolute time t with an explicit sequence
+// number previously obtained from ReserveSeqs; each reserved number
+// names one event. The same past- and nil-callback panics as At apply.
+// A reserved number may be older than a lane's entries, so AtSeq events
+// always go on the heap.
 //
 //lint:noalloc
-func (e *Engine) AtSeq(t Time, seq uint64, fn func()) Handle {
-	ev := e.schedule(t, seq, fn)
-	e.push(ev)
-	return Handle{eng: e, ev: ev, gen: ev.gen}
+func (e *Engine) AtSeq(t Time, seq uint64, fn func(int), arg int) Handle {
+	x := e.admit(t, seq, fn, arg)
+	heapPush(&e.heap, x)
+	return Handle{eng: e, at: t, seq: seq}
 }
 
-// After schedules fn to run d from now. Negative d panics.
+// After schedules fn(arg) to run d from now. Negative d panics.
 //
 //lint:noalloc
-func (e *Engine) After(d Duration, fn func()) Handle {
+func (e *Engine) After(d Duration, fn func(int), arg int) Handle {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
-	return e.At(e.now.Add(d), fn)
+	return e.At(e.now.Add(d), fn, arg)
+}
+
+// queued reports whether the event keyed k has yet to leave the
+// schedule (it may be dead).
+//
+//lint:noalloc
+func (e *Engine) queued(k *entry) bool {
+	return !e.marked || e.mark.before(k) || find(e.early, k) >= 0
 }
 
 // Stop makes the currently running Run/RunUntil return after the
@@ -359,37 +352,68 @@ func (e *Engine) Stop() { e.stopped = true }
 // HasPendingEvents reports whether any event remains scheduled.
 func (e *Engine) HasPendingEvents() bool { return e.Pending() > 0 }
 
-// next locates the earliest pending event by (at, seq): the heap top
-// (src < 0) or lane src's head. ok is false when nothing is pending.
+// next locates the earliest live event by key: the heap top (src < 0)
+// or lane src's head. A dead event at or before limit that comes up
+// first is dropped on the way. x is nil when nothing is pending.
 //
 //lint:noalloc
-func (e *Engine) next() (src int, at Time, ok bool) {
-	src = -1
-	var seq uint64
-	if len(e.events) > 0 {
-		top := e.events[0]
-		at, seq, ok = top.at, top.seq, true
-	}
-	for i := range e.lanes {
-		x := e.lanes[i].front()
-		if x != nil && (!ok || x.at < at || x.at == at && x.seq < seq) {
-			src, at, seq, ok = i, x.at, x.seq, true
+func (e *Engine) next(limit Time) (src int, x *entry) {
+	for {
+		src, x = -1, nil
+		if len(e.heap) > 0 {
+			x = &e.heap[0]
 		}
+		for i := range e.lanes {
+			if l := &e.lanes[i]; l.n > 0 {
+				if y := &l.ring[l.head]; x == nil || y.before(x) {
+					src, x = i, y
+				}
+			}
+		}
+		if x == nil || x.at > limit || len(e.dead) == 0 || e.dead[0].at != x.at || e.dead[0].seq != x.seq {
+			return src, x
+		}
+		heapPop(&e.dead)
+		e.take(src)
 	}
-	return src, at, ok
+}
+
+// take removes and returns the earliest entry of source src (the heap
+// when src < 0). The mark moves up to its key, or, for an early key,
+// the key leaves the early list.
+//
+//lint:noalloc
+func (e *Engine) take(src int) entry {
+	var x entry
+	if src < 0 {
+		x = heapPop(&e.heap)
+	} else {
+		x = e.lanes[src].pop()
+	}
+	if !e.marked || e.mark.before(&x) {
+		e.mark, e.marked = entry{at: x.at, seq: x.seq}, true
+	} else if i := find(e.early, &x); i >= 0 {
+		last := len(e.early) - 1
+		e.early[i] = e.early[last]
+		e.early = e.early[:last]
+	}
+	return x
 }
 
 // PeekNextEventTime returns the time of the earliest scheduled event
 // without firing it. The boolean is false when nothing is pending.
 func (e *Engine) PeekNextEventTime() (Time, bool) {
-	_, at, ok := e.next()
-	return at, ok
+	_, x := e.next(math.MaxInt64)
+	if x == nil {
+		return 0, false
+	}
+	return x.at, true
 }
 
 // ProcessNextEvent pops the earliest event, advances the clock to its
 // time, and runs its callback. It returns false when nothing is
-// pending. The event record is recycled before the callback runs, so
-// steady-state scheduling inside callbacks reuses it immediately.
+// pending. The event's slot is freed before the callback runs, so
+// scheduling inside callbacks reuses it immediately.
 //
 //lint:noalloc
 func (e *Engine) ProcessNextEvent() bool {
@@ -400,26 +424,17 @@ func (e *Engine) ProcessNextEvent() bool {
 //
 //lint:noalloc
 func (e *Engine) step(limit Time) bool {
-	src, at, ok := e.next()
-	if !ok || at > limit {
+	src, x := e.next(limit)
+	if x == nil || x.at > limit {
 		return false
 	}
-	var ev *event
-	if src < 0 {
-		ev = e.events[0]
-		e.removeAt(0)
-	} else {
-		l := &e.lanes[src]
-		ev = l.ring[l.head].ev
-		l.pop()
-		e.laneLive--
+	if src >= 0 {
 		e.nLane++
 	}
-	e.now = at
+	ev := e.take(src)
+	e.now = ev.at
 	e.nFired++
-	fn := ev.fn
-	e.recycle(ev)
-	fn()
+	ev.fn(ev.arg)
 	return true
 }
 
@@ -452,100 +467,68 @@ func (e *Engine) RunUntil(t Time) {
 // running timer allocates nothing.
 func (e *Engine) Every(interval func() Duration, fn func()) (stop func()) {
 	stopped := false
-	var tick func()
-	tick = func() {
+	var tick func(int)
+	tick = func(int) {
 		if stopped {
 			return
 		}
 		fn()
 		if !stopped {
-			e.After(interval(), tick)
+			e.After(interval(), tick, 0)
 		}
 	}
-	e.After(interval(), tick)
+	e.After(interval(), tick, 0)
 	return func() { stopped = true }
 }
 
-// less orders events by (time, sequence): earlier times first, FIFO
-// within a time.
-func less(a, b *event) bool {
-	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
-}
-
-// push appends ev and restores the heap property upward.
+// heapPush adds x to the min-heap h.
 //
 //lint:noalloc
-func (e *Engine) push(ev *event) {
-	ev.index = len(e.events)
-	e.events = append(e.events, ev)
-	e.up(ev.index)
-}
-
-// removeAt deletes the event at heap position i in O(log n), keeping
-// every surviving event's index current.
-//
-//lint:noalloc
-func (e *Engine) removeAt(i int) {
-	h := e.events
-	n := len(h) - 1
-	if i != n {
-		h[i] = h[n]
-		h[i].index = i
-	}
-	h[n] = nil
-	e.events = h[:n]
-	if i < n {
-		if !e.down(i) {
-			e.up(i)
-		}
-	}
-}
-
-// up sifts the event at position i toward the root.
-//
-//lint:noalloc
-func (e *Engine) up(i int) {
-	h := e.events
-	ev := h[i]
+func heapPush(h *[]entry, x entry) {
+	*h = append(*h, x)
+	s := *h
+	i := len(s) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !less(ev, h[parent]) {
+		if !x.before(&s[parent]) {
 			break
 		}
-		h[i] = h[parent]
-		h[i].index = i
+		s[i] = s[parent]
 		i = parent
 	}
-	h[i] = ev
-	ev.index = i
+	s[i] = x
 }
 
-// down sifts the event at position i toward the leaves, reporting
-// whether it moved.
+// heapPop removes and returns the minimum of the non-empty min-heap h,
+// zeroing the slot it vacates.
 //
 //lint:noalloc
-func (e *Engine) down(i int) bool {
-	h := e.events
-	n := len(h)
-	ev := h[i]
-	start := i
+func heapPop(h *[]entry) entry {
+	s := *h
+	top := s[0]
+	n := len(s) - 1
+	x := s[n]
+	s[n] = entry{}
+	s = s[:n]
+	*h = s
+	if n == 0 {
+		return top
+	}
+	i := 0
 	for {
-		left := 2*i + 1
-		if left >= n {
+		child := 2*i + 1
+		if child >= n {
 			break
 		}
-		child := left
-		if right := left + 1; right < n && less(h[right], h[left]) {
+		if right := child + 1; right < n && s[right].before(&s[child]) {
 			child = right
 		}
-		if !less(h[child], ev) {
+		if !s[child].before(&x) {
 			break
 		}
-		h[i] = h[child]
-		h[i].index = i
+		s[i] = s[child]
 		i = child
 	}
-	h[i] = ev
-	ev.index = i
-	return i > start
+	s[i] = x
+	return top
 }

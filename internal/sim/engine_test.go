@@ -38,9 +38,9 @@ func TestFromSecondsPanicsOnNaN(t *testing.T) {
 func TestEngineOrdering(t *testing.T) {
 	e := New()
 	var order []int
-	e.At(30, func() { order = append(order, 3) })
-	e.At(10, func() { order = append(order, 1) })
-	e.At(20, func() { order = append(order, 2) })
+	e.At(30, func(int) { order = append(order, 3) }, 0)
+	e.At(10, func(int) { order = append(order, 1) }, 0)
+	e.At(20, func(int) { order = append(order, 2) }, 0)
 	e.Run()
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("order = %v", order)
@@ -58,7 +58,7 @@ func TestEngineFIFOTieBreak(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.At(5, func() { order = append(order, i) })
+		e.At(5, func(int) { order = append(order, i) }, 0)
 	}
 	e.Run()
 	for i, v := range order {
@@ -71,10 +71,10 @@ func TestEngineFIFOTieBreak(t *testing.T) {
 func TestEngineNestedScheduling(t *testing.T) {
 	e := New()
 	var hits []Time
-	e.At(10, func() {
+	e.At(10, func(int) {
 		hits = append(hits, e.Now())
-		e.After(5, func() { hits = append(hits, e.Now()) })
-	})
+		e.After(5, func(int) { hits = append(hits, e.Now()) }, 0)
+	}, 0)
 	e.Run()
 	if len(hits) != 2 || hits[0] != 10 || hits[1] != 15 {
 		t.Fatalf("hits = %v", hits)
@@ -83,14 +83,14 @@ func TestEngineNestedScheduling(t *testing.T) {
 
 func TestEngineSchedulePastPanics(t *testing.T) {
 	e := New()
-	e.At(10, func() {
+	e.At(10, func(int) {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		e.At(5, func() {})
-	})
+		e.At(5, func(int) {}, 0)
+	}, 0)
 	e.Run()
 }
 
@@ -100,7 +100,7 @@ func TestEngineNilCallbackPanics(t *testing.T) {
 			t.Fatal("nil callback did not panic")
 		}
 	}()
-	New().At(1, nil)
+	New().At(1, nil, 0)
 }
 
 func TestEngineNegativeAfterPanics(t *testing.T) {
@@ -109,13 +109,13 @@ func TestEngineNegativeAfterPanics(t *testing.T) {
 			t.Fatal("negative After did not panic")
 		}
 	}()
-	New().After(-1, func() {})
+	New().After(-1, func(int) {}, 0)
 }
 
 func TestEngineCancel(t *testing.T) {
 	e := New()
 	fired := false
-	h := e.At(10, func() { fired = true })
+	h := e.At(10, func(int) { fired = true }, 0)
 	h.Cancel()
 	if !h.Cancelled() {
 		t.Fatal("handle not marked cancelled")
@@ -133,7 +133,7 @@ func TestEngineCancel(t *testing.T) {
 
 func TestEngineCancelIdempotent(t *testing.T) {
 	e := New()
-	h := e.At(1, func() {})
+	h := e.At(1, func(int) {}, 0)
 	h.Cancel()
 	h.Cancel() // must not panic
 	e.Run()
@@ -144,7 +144,7 @@ func TestEngineRunUntil(t *testing.T) {
 	var fired []Time
 	for _, at := range []Time{5, 10, 15, 20} {
 		at := at
-		e.At(at, func() { fired = append(fired, at) })
+		e.At(at, func(int) { fired = append(fired, at) }, 0)
 	}
 	e.RunUntil(12)
 	if len(fired) != 2 {
@@ -167,7 +167,7 @@ func TestEngineRunUntil(t *testing.T) {
 
 func TestEngineRunUntilPastPanics(t *testing.T) {
 	e := New()
-	e.At(10, func() {})
+	e.At(10, func(int) {}, 0)
 	e.Run()
 	defer func() {
 		if recover() == nil {
@@ -180,8 +180,8 @@ func TestEngineRunUntilPastPanics(t *testing.T) {
 func TestEngineStop(t *testing.T) {
 	e := New()
 	count := 0
-	e.At(1, func() { count++; e.Stop() })
-	e.At(2, func() { count++ })
+	e.At(1, func(int) { count++; e.Stop() }, 0)
+	e.At(2, func(int) { count++ }, 0)
 	e.Run()
 	if count != 1 {
 		t.Fatalf("Stop did not halt run: count = %d", count)
@@ -241,11 +241,11 @@ func TestQuickEngineSortsEvents(t *testing.T) {
 		var fired []Time
 		for _, rt := range rawTimes {
 			at := Time(rt % 1000000)
-			e.At(at, func() { fired = append(fired, at) })
+			e.At(at, func(int) { fired = append(fired, at) }, 0)
 		}
 		last := Time(-1)
 		ok := true
-		e.At(1000001, func() {}) // sentinel to flush
+		e.At(1000001, func(int) {}, 0) // sentinel to flush
 		e.Run()
 		for _, ft := range fired {
 			if ft < last {
@@ -275,7 +275,7 @@ func TestQuickEngineCancelSubset(t *testing.T) {
 		firedCount := 0
 		wantCount := 0
 		for i, rt := range rawTimes {
-			h := e.At(Time(rt), func() { firedCount++ })
+			h := e.At(Time(rt), func(int) { firedCount++ }, 0)
 			if mask&(1<<(uint(i)%64)) != 0 {
 				h.Cancel()
 			} else {
@@ -294,7 +294,7 @@ func BenchmarkEngineScheduleFire(b *testing.B) {
 	e := New()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		e.After(Duration(i%64), func() {})
+		e.After(Duration(i%64), func(int) {}, 0)
 		if e.Pending() > 1024 {
 			e.RunUntil(e.Now() + 64)
 		}

@@ -56,42 +56,42 @@ func TestQuickLanesMatchReferenceOrder(t *testing.T) {
 		const maxEvents = 400
 
 		var schedule func()
-		fire := func(id int) func() {
-			return func() {
-				if len(pend) == 0 {
+		// One callback serves every event; the event id rides in its
+		// argument.
+		fire := func(id int) {
+			if len(pend) == 0 {
+				ok = false
+				return
+			}
+			i := refMin(pend)
+			if pend[i].id != id || pend[i].at != e.Now() {
+				ok = false
+			}
+			pend = append(pend[:i], pend[i+1:]...)
+			fired[id] = true
+			for k := rng.Intn(3); k > 0; k-- {
+				schedule()
+			}
+			if rng.Intn(3) == 0 && len(pend) > 0 {
+				victim := pend[rng.Intn(len(pend))].id
+				handles[victim].Cancel()
+				handles[victim].Cancel() // idempotent
+				if !handles[victim].Cancelled() {
 					ok = false
-					return
 				}
-				i := refMin(pend)
-				if pend[i].id != id || pend[i].at != e.Now() {
-					ok = false
-				}
-				pend = append(pend[:i], pend[i+1:]...)
-				fired[id] = true
-				for k := rng.Intn(3); k > 0; k-- {
-					schedule()
-				}
-				if rng.Intn(3) == 0 && len(pend) > 0 {
-					victim := pend[rng.Intn(len(pend))].id
-					handles[victim].Cancel()
-					handles[victim].Cancel() // idempotent
-					if !handles[victim].Cancelled() {
-						ok = false
+				cancelled[victim] = true
+				for j := range pend {
+					if pend[j].id == victim {
+						pend = append(pend[:j], pend[j+1:]...)
+						break
 					}
-					cancelled[victim] = true
-					for j := range pend {
-						if pend[j].id == victim {
-							pend = append(pend[:j], pend[j+1:]...)
-							break
-						}
-					}
 				}
-				if rng.Intn(8) == 0 {
-					handles[id].Cancel() // a fired event's handle is inert
-				}
-				if e.Pending() != len(pend) {
-					ok = false
-				}
+			}
+			if rng.Intn(8) == 0 {
+				handles[id].Cancel() // a fired event's handle is inert
+			}
+			if e.Pending() != len(pend) {
+				ok = false
 			}
 		}
 		schedule = func() {
@@ -106,14 +106,14 @@ func TestQuickLanesMatchReferenceOrder(t *testing.T) {
 				d := lanes[rng.Intn(len(lanes))]
 				ev = refEvent{at: e.Now().Add(d), seq: seq, id: id}
 				if rng.Intn(2) == 0 {
-					h = e.After(d, fire(id))
+					h = e.After(d, fire, id)
 				} else {
-					h = e.At(ev.at, fire(id))
+					h = e.At(ev.at, fire, id)
 				}
 				seq++
 			case 2, 3: // any delay, lane or not
 				ev = refEvent{at: e.Now().Add(Duration(rng.Intn(13))), seq: seq, id: id}
-				h = e.At(ev.at, fire(id))
+				h = e.At(ev.at, fire, id)
 				seq++
 			default: // an AtSeq event from a reserved band
 				if band.next == band.end {
@@ -126,7 +126,7 @@ func TestQuickLanesMatchReferenceOrder(t *testing.T) {
 					seq += n
 				}
 				ev = refEvent{at: e.Now().Add(Duration(rng.Intn(13))), seq: band.next, id: id}
-				h = e.AtSeq(ev.at, band.next, fire(id))
+				h = e.AtSeq(ev.at, band.next, fire, id)
 				band.next++
 			}
 			handles = append(handles, h)
@@ -164,8 +164,8 @@ func TestQuickLanesMatchReferenceOrder(t *testing.T) {
 		if len(pend) != 0 {
 			return false
 		}
-		// A cancelled handle reports true until its record is cancelled
-		// again in a later incarnation; a fired one never does.
+		// Every event fired or was cancelled, never both, and a fired
+		// handle never reports cancelled.
 		for id, h := range handles {
 			if fired[id] == cancelled[id] || fired[id] && h.Cancelled() {
 				return false
@@ -180,18 +180,15 @@ func TestQuickLanesMatchReferenceOrder(t *testing.T) {
 
 // TestLaneCancelledHeadIsSkipped: a cancelled lane event leaves a
 // tombstone, which neither PeekNextEventTime nor Pending sees, and
-// whose callback is cleared at once.
+// whose slot is zeroed as soon as it comes up at the lane head.
 func TestLaneCancelledHeadIsSkipped(t *testing.T) {
 	e := New()
 	e.AddLane(5)
-	h := e.After(5, func() { t.Error("cancelled lane event fired") })
+	h := e.After(5, func(int) { t.Error("cancelled lane event fired") }, 0)
 	fired := false
-	e.After(5, func() { fired = true })
-	e.At(7, func() {})
+	e.After(5, func(int) { fired = true }, 0)
+	e.At(7, func(int) {}, 0)
 	h.Cancel()
-	if h.ev.fn != nil {
-		t.Error("Cancel left the lane event's callback set")
-	}
 	if !h.Cancelled() {
 		t.Error("cancelled lane handle does not report cancelled")
 	}
@@ -200,6 +197,9 @@ func TestLaneCancelledHeadIsSkipped(t *testing.T) {
 	}
 	if at, ok := e.PeekNextEventTime(); !ok || at != 5 {
 		t.Errorf("PeekNextEventTime = %v, %v; want 5, true", at, ok)
+	}
+	if n := heldCallbacks(e); n != 2 {
+		t.Errorf("%d slots hold a callback after the tombstone came up, want the 2 live events", n)
 	}
 	e.Run()
 	if !fired {
@@ -227,16 +227,16 @@ func TestLaneCapacityBounded(t *testing.T) {
 	e := New()
 	e.AddLane(50)
 	e.AddLane(90)
-	fn := func() {}
+	fn := func(int) {}
 	peak := make([]int, len(e.lanes))
 	for i := 0; i < 1000000; i++ {
 		switch i % 4 {
 		case 0, 1:
-			e.After(50, fn)
+			e.After(50, fn, 0)
 		case 2:
-			e.After(90, fn).Cancel()
+			e.After(90, fn, 0).Cancel()
 		default:
-			e.After(Duration(i%37), fn)
+			e.After(Duration(i%37), fn, 0)
 		}
 		for j := range e.lanes {
 			peak[j] = max(peak[j], e.lanes[j].n)

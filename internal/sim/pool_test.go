@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -11,9 +12,9 @@ import (
 func TestStepPrimitives(t *testing.T) {
 	e := New()
 	var order []int
-	e.At(30, func() { order = append(order, 3) })
-	e.At(10, func() { order = append(order, 1) })
-	e.At(20, func() { order = append(order, 2) })
+	e.At(30, func(int) { order = append(order, 3) }, 0)
+	e.At(10, func(int) { order = append(order, 1) }, 0)
+	e.At(20, func(int) { order = append(order, 2) }, 0)
 
 	if !e.HasPendingEvents() {
 		t.Fatal("no pending events after scheduling")
@@ -46,72 +47,121 @@ func TestStepPrimitives(t *testing.T) {
 	}
 }
 
-// TestPoolReusesRecords pins the free-list: after an event fires or is
-// cancelled its record is reused by the next At, rather than a fresh
-// allocation per schedule.
+// heldCallbacks counts the slots of e's storage, spare capacity
+// included, that still hold a callback.
+func heldCallbacks(e *Engine) int {
+	n := 0
+	count := func(slots []entry) {
+		for _, x := range slots {
+			if x.fn != nil {
+				n++
+			}
+		}
+	}
+	count(e.heap[:cap(e.heap)])
+	count(e.dead[:cap(e.dead)])
+	count(e.early[:cap(e.early)])
+	for _, l := range e.lanes {
+		count(l.ring)
+	}
+	return n
+}
+
+// TestPoolReusesRecords pins slot reuse: the heap and lane slots an
+// event leaves, by firing or by its cancelled entry coming up, take the
+// next events scheduled, with no allocation.
 func TestPoolReusesRecords(t *testing.T) {
 	e := New()
-	h1 := e.At(1, func() {})
-	first := h1.ev
+	e.AddLane(1)
+	nop := func(int) {}
+	e.After(5, nop, 0) // heap
+	e.After(1, nop, 0) // lane
+	heapSlot, laneSlot := &e.heap[0], &e.lanes[0].ring[0]
 	e.Run()
-	h2 := e.At(2, func() {})
-	if h2.ev != first {
-		t.Error("fired event record was not recycled")
+	e.After(2, nop, 0)
+	e.After(1, nop, 0)
+	if &e.heap[0] != heapSlot || len(e.lanes[0].ring) != 1 || &e.lanes[0].ring[0] != laneSlot {
+		t.Error("fired events' slots were not reused")
 	}
+	e.Run()
+	h1, h2 := e.After(2, nop, 0), e.After(1, nop, 0)
+	h1.Cancel()
 	h2.Cancel()
-	h3 := e.At(3, func() {})
-	if h3.ev != first {
-		t.Error("cancelled event record was not recycled")
+	e.Run() // drops both dead entries
+	e.After(2, nop, 0)
+	e.After(1, nop, 0)
+	if &e.heap[0] != heapSlot || len(e.lanes[0].ring) != 1 || &e.lanes[0].ring[0] != laneSlot {
+		t.Error("cancelled events' slots were not reused")
+	}
+	e.Run()
+	if raceEnabled {
+		return // allocation accounting is not stable under -race
+	}
+	if avg := testing.AllocsPerRun(100, func() {
+		e.After(2, nop, 0)
+		e.After(1, nop, 0).Cancel()
+		e.Run()
+	}); avg != 0 {
+		t.Errorf("reusing slots allocates %.2f times per cycle, want 0", avg)
 	}
 }
 
 // TestRecycleClearsCallback is the closure-retention regression test:
-// both firing and cancelling must nil the stored callback so whatever
-// it captured is collectable immediately.
+// a slot is zeroed when its event fires and when its cancelled entry
+// comes up, on the heap and on a lane, so the schedule keeps no
+// callback (or anything it captured) reachable.
 func TestRecycleClearsCallback(t *testing.T) {
 	e := New()
+	e.AddLane(1)
 	big := make([]byte, 1)
-	h := e.At(5, func() { _ = big })
-	h.Cancel()
-	if h.ev.fn != nil {
-		t.Error("Cancel left the callback set; its captures stay pinned")
+	fn := func(int) { _ = big }
+	e.After(5, fn, 0).Cancel()
+	e.After(1, fn, 0).Cancel()
+	e.After(6, fn, 0)
+	e.After(1, fn, 0)
+	if n := heldCallbacks(e); n != 4 {
+		t.Fatalf("%d slots hold a callback before running, want 4", n)
 	}
-	h2 := e.At(6, func() { _ = big })
 	e.Run()
-	if h2.ev.fn != nil {
-		t.Error("firing left the callback set on the recycled record")
+	if n := heldCallbacks(e); n != 0 {
+		t.Errorf("%d slots still hold a callback after every event fired or was dropped", n)
 	}
 }
 
 // TestStaleHandleCannotCancelRecycledEvent: a handle to an event that
 // already fired must not cancel the unrelated event now occupying the
-// recycled record.
+// slot it left.
 func TestStaleHandleCannotCancelRecycledEvent(t *testing.T) {
 	e := New()
-	h1 := e.At(1, func() {})
+	h1 := e.At(1, func(int) {}, 0)
+	slot := &e.heap[0]
 	e.Run()
 	fired := false
-	h2 := e.At(2, func() { fired = true })
-	if h1.ev != h2.ev {
-		t.Fatal("test premise broken: record was not recycled")
+	h2 := e.At(2, func(int) { fired = true }, 0)
+	if &e.heap[0] != slot {
+		t.Fatal("test premise broken: slot was not reused")
 	}
 	h1.Cancel() // stale: must be a no-op
-	if h2.Cancelled() {
-		t.Fatal("stale Cancel marked the new incarnation cancelled")
+	if h2.Cancelled() || h1.Cancelled() {
+		t.Fatal("stale Cancel marked an event cancelled")
+	}
+	if e.Pending() != 1 {
+		t.Fatalf("Pending = %d after a stale Cancel, want 1", e.Pending())
 	}
 	e.Run()
 	if !fired {
-		t.Fatal("stale handle cancelled the recycled record's new event")
+		t.Fatal("stale handle cancelled the new event in its slot")
 	}
 }
 
 // TestCancelledSurvivesRecycling: Cancelled() keeps answering for the
-// incarnation the handle refers to even after the record is reused.
+// event the handle names even after another event, at the same time,
+// is scheduled beside it.
 func TestCancelledSurvivesRecycling(t *testing.T) {
 	e := New()
-	h := e.At(1, func() {})
+	h := e.At(1, func(int) {}, 0)
 	h.Cancel()
-	reused := e.At(2, func() {})
+	reused := e.At(1, func(int) {}, 0)
 	if !h.Cancelled() {
 		t.Error("cancelled handle lost its state after recycling")
 	}
@@ -124,8 +174,78 @@ func TestCancelledSurvivesRecycling(t *testing.T) {
 	}
 }
 
-// TestCancelMidHeap: in-place removal must keep the heap ordered when
-// the cancelled event sits in the middle of the schedule.
+// TestCancelAtSeqAndStaleKeys covers the keys Cancel must tell apart:
+// a reserved-sequence (AtSeq) event cancelled before it fires, and one
+// whose handle is cancelled after it fired; a lane event; and an early
+// key, an AtSeq event scheduled at the current time whose reserved
+// number sorts before an event that already fired. The early event is
+// still queued, so Cancel must take it; once it has fired, its handle is
+// inert like any other.
+func TestCancelAtSeqAndStaleKeys(t *testing.T) {
+	e := New()
+	e.AddLane(3)
+	var fired []string
+	note := func(name string) func(int) {
+		return func(int) { fired = append(fired, name) }
+	}
+	base := e.ReserveSeqs(4)
+
+	// Reserved events, one cancelled before it fires.
+	dropped := e.AtSeq(2, base, note("dropped"), 0)
+	kept := e.AtSeq(2, base+1, note("kept"), 0)
+	dropped.Cancel()
+	if !dropped.Cancelled() || e.Pending() != 1 {
+		t.Fatalf("Cancelled = %v, Pending = %d after cancelling a reserved event", dropped.Cancelled(), e.Pending())
+	}
+	// A lane event, cancelled.
+	lane := e.After(3, note("lane"), 0)
+	lane.Cancel()
+	if !lane.Cancelled() || e.Pending() != 1 {
+		t.Fatalf("Cancelled = %v, Pending = %d after cancelling a lane event", lane.Cancelled(), e.Pending())
+	}
+	e.RunUntil(5)
+	if len(fired) != 1 || fired[0] != "kept" {
+		t.Fatalf("fired %v, want [kept]", fired)
+	}
+	kept.Cancel() // fired: inert
+	dropped.Cancel()
+	lane.Cancel()
+	if kept.Cancelled() || dropped.Cancelled() || lane.Cancelled() || e.Pending() != 0 {
+		t.Fatalf("handles of events already past acted: Pending = %d", e.Pending())
+	}
+
+	// Early keys: "now" fires at 10 with a fresh sequence number, then
+	// schedules two events at 10 with the older reserved numbers.
+	var early, fires Handle
+	e.At(10, func(int) {
+		fired = append(fired, "now")
+		early = e.AtSeq(10, base+2, note("early"), 0)
+		fires = e.AtSeq(10, base+3, note("fires"), 0)
+		early.Cancel()
+		if !early.Cancelled() || e.Pending() != 1 {
+			t.Errorf("Cancelled = %v, Pending = %d after cancelling an early event", early.Cancelled(), e.Pending())
+		}
+	}, 0)
+	e.Run()
+	if got := fmt.Sprint(fired); got != "[kept now fires]" {
+		t.Fatalf("fired %s, want [kept now fires]", got)
+	}
+	fires.Cancel() // fired early event: inert
+	early.Cancel()
+	if fires.Cancelled() || early.Cancelled() || e.Pending() != 0 || len(e.early) != 0 || len(e.dead) != 0 {
+		t.Fatalf("stale early handles acted: Pending = %d, %d early and %d dead keys kept", e.Pending(), len(e.early), len(e.dead))
+	}
+	// A stale handle never reaches a later event.
+	later := e.After(1, note("later"), 0)
+	fires.Cancel()
+	kept.Cancel()
+	if later.Cancelled() || e.Pending() != 1 {
+		t.Fatal("a stale handle cancelled a later event")
+	}
+}
+
+// TestCancelMidHeap: cancelling events in the middle of the heap keeps
+// every other event in order.
 func TestCancelMidHeap(t *testing.T) {
 	e := New()
 	var order []Time
@@ -133,14 +253,14 @@ func TestCancelMidHeap(t *testing.T) {
 	times := []Time{50, 10, 40, 20, 30, 60, 15, 45, 25, 35}
 	for _, at := range times {
 		at := at
-		handles = append(handles, e.At(at, func() { order = append(order, at) }))
+		handles = append(handles, e.At(at, func(int) { order = append(order, at) }, 0))
 	}
 	// Cancel 40, 20, 60 — middle and leaf positions.
 	handles[2].Cancel()
 	handles[3].Cancel()
 	handles[5].Cancel()
 	if e.Pending() != len(times)-3 {
-		t.Fatalf("Pending = %d after 3 in-place cancels", e.Pending())
+		t.Fatalf("Pending = %d after 3 mid-heap cancels", e.Pending())
 	}
 	e.Run()
 	want := []Time{10, 15, 25, 30, 35, 45, 50}
@@ -162,12 +282,12 @@ func TestReserveSeqsOrdersLikeUpfrontScheduling(t *testing.T) {
 	base := e.ReserveSeqs(2)
 	var order []string
 	// Scheduled after reservation, so its seq is higher than base+1.
-	e.At(10, func() { order = append(order, "late") })
-	e.AtSeq(5, base, func() {
+	e.At(10, func(int) { order = append(order, "late") }, 0)
+	e.AtSeq(5, base, func(int) {
 		// Reserved slot 1 lands at the same time as "late" but must
 		// fire first: its sequence number predates "late"'s.
-		e.AtSeq(10, base+1, func() { order = append(order, "reserved") })
-	})
+		e.AtSeq(10, base+1, func(int) { order = append(order, "reserved") }, 0)
+	}, 0)
 	e.Run()
 	if len(order) != 2 || order[0] != "reserved" || order[1] != "late" {
 		t.Fatalf("order = %v, want [reserved late]", order)
@@ -184,7 +304,7 @@ func TestQuickPoolCancelSubset(t *testing.T) {
 		for round := 0; round < 2; round++ {
 			for i, rt := range rawTimes {
 				at := e.Now() + Time(rt)
-				h := e.At(at, func() { firedCount++ })
+				h := e.At(at, func(int) { firedCount++ }, 0)
 				if mask&(1<<(uint(i)%64)) != 0 {
 					h.Cancel()
 				} else {
@@ -200,8 +320,8 @@ func TestQuickPoolCancelSubset(t *testing.T) {
 	}
 }
 
-// TestScheduleFireZeroAllocs is the pool's allocation gate: once the
-// free-list (and any lane ring) is primed, scheduling and firing events
+// TestScheduleFireZeroAllocs is the engine's allocation gate: once the
+// heap and any lane ring have grown to the in-flight population, scheduling and firing events
 // allocates nothing, on the heap or on a fixed-delay lane.
 func TestScheduleFireZeroAllocs(t *testing.T) {
 	if raceEnabled {
@@ -220,16 +340,16 @@ func TestScheduleFireZeroAllocs(t *testing.T) {
 			for _, d := range tc.lanes {
 				e.AddLane(d)
 			}
-			fn := func() {}
+			fn := func(int) {}
 			// Prime the pool.
 			for i := 0; i < 64; i++ {
-				e.After(1, fn)
-				e.After(2, fn)
+				e.After(1, fn, 0)
+				e.After(2, fn, 0)
 			}
 			e.Run()
 			avg := testing.AllocsPerRun(1000, func() {
-				e.After(1, fn)
-				e.After(2, fn)
+				e.After(1, fn, 0)
+				e.After(2, fn, 0)
 				e.Run()
 			})
 			if avg != 0 {
@@ -239,8 +359,8 @@ func TestScheduleFireZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestCancelZeroAllocs: cancel is allocation-free too — in place on the
-// heap, and as a tombstone the lane head later skips.
+// TestCancelZeroAllocs: cancel is allocation-free too, on the heap and
+// on a lane: the dead key's entry is dropped when it comes up.
 func TestCancelZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is not stable under -race")
@@ -257,15 +377,15 @@ func TestCancelZeroAllocs(t *testing.T) {
 			for _, d := range tc.lanes {
 				e.AddLane(d)
 			}
-			fn := func() {}
+			fn := func(int) {}
 			for i := 0; i < 64; i++ {
-				e.After(1, fn)
+				e.After(1, fn, 0)
 			}
 			e.Run()
 			avg := testing.AllocsPerRun(1000, func() {
-				h := e.After(1, fn)
+				h := e.After(1, fn, 0)
 				h.Cancel()
-				e.Run() // drops a lane tombstone; fires nothing
+				e.Run() // drops the dead entry; fires nothing
 			})
 			if avg != 0 {
 				t.Errorf("schedule/cancel allocates %.2f allocs/op, want 0", avg)
@@ -279,10 +399,13 @@ func TestCancelZeroAllocs(t *testing.T) {
 
 func BenchmarkEngineCancel(b *testing.B) {
 	e := New()
-	fn := func() {}
+	fn := func(int) {}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		h := e.After(Duration(i%64), fn)
+		h := e.After(Duration(i%64), fn, 0)
 		h.Cancel()
+		if i%64 == 63 {
+			e.Run() // drops the dead entries, keeping the schedule small
+		}
 	}
 }

@@ -6,11 +6,9 @@ import (
 	"finelb/internal/sim"
 )
 
-// access is one in-flight service access. Records are pooled by the
-// runner: a record is minted with its callbacks bound once and then
-// recycled when the access completes or is lost, so the steady-state
-// dispatch path schedules pooled engine events with pooled callbacks —
-// no per-access closure allocation.
+// access is one in-flight service access. Records live in the
+// runner's slab and every event about one carries its id, so the
+// runner's callbacks are bound once for the whole run.
 type access struct {
 	idx     int
 	client  int
@@ -19,40 +17,51 @@ type access struct {
 	start   sim.Time     // arrival time; response time is measured from it
 	service sim.Duration // service demand
 	pollDur sim.Duration // polling duration of the deciding round
-
-	// Callbacks bound to this record for its lifetime (across recycles).
-	runArrival func() // the access's arrival event
-	onArrive   func() // service request reaches the server
-	onService  func() // the server finishes the access's service
-	onDone     func() // response lands back at the client
-	onFail     func() // broken round trip lands back at the client
-	onRetry    func() // backoff elapsed: re-run server selection
 }
 
-// newAccess takes an access record from the free-list, or mints one
-// with its callbacks bound.
-func (r *runner) newAccess() *access {
-	if n := len(r.freeAcc); n > 0 {
-		a := r.freeAcc[n-1]
-		r.freeAcc[n-1] = nil
-		r.freeAcc = r.freeAcc[:n-1]
-		return a
-	}
-	a := &access{}
-	a.runArrival = func() { r.arrival(a) }
-	a.onArrive = func() { r.serverArrive(a) }
-	a.onService = func() { r.serviceDone(a) }
-	a.onDone = func() { r.accessDone(a) }
-	a.onFail = func() { r.accessFailed(a) }
-	a.onRetry = func() { r.handle(a) }
-	return a
+// slabBits sizes a slab block: 1<<slabBits records.
+const slabBits = 8
+
+// slab holds records in fixed-size blocks addressed by id. A record's
+// address never changes, so a pointer taken from at stays valid while
+// other records are minted; a freed id is reused before a new one is
+// minted, so the slab grows only with the in-flight high-water mark.
+type slab[T any] struct {
+	blocks [][]T
+	free   []int
+	n      int // ids minted
 }
 
-// recycle retires a finished access record to the free-list.
+// at returns record id.
 //
 //lint:noalloc
-func (r *runner) recycle(a *access) {
-	r.freeAcc = append(r.freeAcc, a)
+func (s *slab[T]) at(id int) *T {
+	return &s.blocks[id>>slabBits][id&(1<<slabBits-1)]
+}
+
+// get takes a free id, or mints one. A reused record keeps its old
+// contents; the caller sets every field it reads.
+//
+//lint:noalloc (the block below is the one sanctioned mint)
+func (s *slab[T]) get() int {
+	if n := len(s.free); n > 0 {
+		id := s.free[n-1]
+		s.free = s.free[:n-1]
+		return id
+	}
+	if s.n == len(s.blocks)<<slabBits {
+		//lint:allow noalloc one block per 1<<slabBits records of in-flight high-water mark, then reused forever
+		s.blocks = append(s.blocks, make([]T, 1<<slabBits))
+	}
+	s.n++
+	return s.n - 1
+}
+
+// put frees id for reuse.
+//
+//lint:noalloc
+func (s *slab[T]) put(id int) {
+	s.free = append(s.free, id)
 }
 
 // scheduleArrival draws the next access from the workload stream and
@@ -63,26 +72,27 @@ func (r *runner) scheduleArrival() {
 	i := r.nextIdx
 	r.nextIdx++
 	acc := r.stream.Next()
-	a := r.newAccess()
+	id := r.accs.get()
+	a := r.accs.at(id)
 	a.idx = i
 	a.client = i % r.cfg.Clients
 	a.attempt = 0
 	a.pollDur = 0
 	a.service = sim.FromSeconds(acc.Service)
-	r.eng.AtSeq(sim.Time(sim.FromSeconds(acc.Arrival)), r.arrivalBase+uint64(i), a.runArrival)
+	r.eng.AtSeq(sim.Time(sim.FromSeconds(acc.Arrival)), r.arrivalBase+uint64(i), r.on.arrival, id)
 }
 
-// arrival is one access's arrival event: chain the next arrival (the
+// arrival is access id's arrival event: chain the next arrival (the
 // workload stream is monotone in arrival time), then run the policy
 // decision for this one.
 //
 //lint:noalloc
-func (r *runner) arrival(a *access) {
+func (r *runner) arrival(id int) {
 	if r.nextIdx < r.cfg.Accesses {
 		r.scheduleArrival()
 	}
-	a.start = r.eng.Now()
-	r.handle(a)
+	r.accs.at(id).start = r.eng.Now()
+	r.handle(id)
 }
 
 // candidates returns the client's current candidate set — the routable
@@ -105,13 +115,14 @@ func (r *runner) anyOf(cands []int) int {
 	return cands[r.policyRNG.Intn(len(cands))]
 }
 
-// handle runs the policy decision for one access (on arrival, and again
+// handle runs the policy decision for access id (on arrival, and again
 // after a broken round trip) over the client's current candidate set.
 // With no faults and a fixed pool the candidates are every server, so
 // each branch takes the paper model's draws exactly.
 //
 //lint:noalloc
-func (r *runner) handle(a *access) {
+func (r *runner) handle(id int) {
+	a := r.accs.at(id)
 	cands, fresh := r.candidates(a.client)
 	a.pollDur = 0
 	switch r.cfg.Policy.Kind {
@@ -134,13 +145,13 @@ func (r *runner) handle(a *access) {
 		}
 	case core.Poll:
 		if fresh {
-			r.pollRound(a, 0, cands)
+			r.pollRound(id, 0, cands)
 			return
 		}
 		// Every candidate quarantined: skip the pointless poll.
 		a.srv = r.anyOf(cands)
 	}
-	r.dispatch(a)
+	r.dispatch(id)
 }
 
 // indexPick returns the least-loaded server of a load index, or a
@@ -155,11 +166,11 @@ func (r *runner) indexPick(x *core.LoadIndex, cands []int) int {
 	return r.anyOf(cands)
 }
 
-// pollCtx is one poll round's state, pooled like access records: its
-// slices and per-slot observation callbacks are reused across rounds,
-// so polling schedules only pooled events with pooled callbacks.
+// pollCtx is one poll round's state, kept in the runner's slab like
+// access records; its slices are reused across the rounds that take
+// its id.
 type pollCtx struct {
-	a         *access
+	acc       int      // the access being decided
 	round     int      // 0, then one more per silent-round retry
 	start     sim.Time // when the inquiries went out
 	deadline  sim.Time // poll timeout, capped by the discard threshold
@@ -167,51 +178,23 @@ type pollCtx struct {
 	respAt    []sim.Time
 	answered  []bool
 	responses []core.PollResponse
-	obsFns    []func() // obsFns[i] observes polled[i] at the server
-	decideFn  func()
-	retryFn   func()
 }
 
-// newPollCtx takes a context from the free-list (or mints one) and
-// ensures it has observation callbacks for d poll slots.
-func (r *runner) newPollCtx(d int) *pollCtx {
-	var c *pollCtx
-	if n := len(r.freePoll); n > 0 {
-		c = r.freePoll[n-1]
-		r.freePoll[n-1] = nil
-		r.freePoll = r.freePoll[:n-1]
-	} else {
-		c = &pollCtx{}
-		c.decideFn = func() { r.decide(c) }
-		c.retryFn = func() { r.repoll(c) }
-	}
-	for i := len(c.obsFns); i < d; i++ {
-		i := i
-		c.obsFns = append(c.obsFns, func() { r.observe(c, i) })
-	}
-	return c
-}
-
-// releasePoll returns a finished round's context to the free-list.
+// pollRound sends one round of load inquiries for access id to a
+// random subset of the candidates. Each inquiry reads the server's load
+// index halfway through its round trip (one observation event per slot
+// that can answer in time, its argument packing the round and the
+// slot), and one decide event closes the round when the last answer is
+// due — or at the deadline, if some slot is dropped or late.
 //
 //lint:noalloc
-func (r *runner) releasePoll(c *pollCtx) {
-	c.a = nil
-	r.freePoll = append(r.freePoll, c)
-}
-
-// pollRound sends one round of load inquiries to a random subset of the
-// candidates. Each inquiry reads the server's load index halfway
-// through its round trip (one observation event per slot that can
-// answer in time), and one decide event closes the round when the last
-// answer is due — or at the deadline, if some slot is dropped or late.
-//
-//lint:noalloc
-func (r *runner) pollRound(a *access, round int, cands []int) {
+func (r *runner) pollRound(id, round int, cands []int) {
 	cfg := &r.cfg
+	client := r.accs.at(id).client
 	set := core.PollSet(r.policyRNG, len(cands), cfg.Policy.PollSize, r.pollDst, r.pollIdent, r.pollSwaps)
-	c := r.newPollCtx(len(set))
-	c.a, c.round, c.start = a, round, r.eng.Now()
+	cid := r.polls.get()
+	c := r.polls.at(cid)
+	c.acc, c.round, c.start = id, round, r.eng.Now()
 	c.polled = c.polled[:0]
 	for _, i := range set {
 		c.polled = append(c.polled, cands[i])
@@ -230,7 +213,7 @@ func (r *runner) pollRound(a *access, round int, cands []int) {
 	for i, srv := range c.polled {
 		c.respAt = append(c.respAt, 0)
 		c.answered = append(c.answered, false)
-		drop, extra := r.ft.pollFault(a.client, srv)
+		drop, extra := r.ft.pollFault(client, srv)
 		if drop {
 			r.rm.InquiriesDropped.Inc() // lost datagram: silence until the deadline
 			decideAt = c.deadline
@@ -253,9 +236,9 @@ func (r *runner) pollRound(a *access, round int, cands []int) {
 			continue
 		}
 		decideAt = max(decideAt, c.respAt[i])
-		r.eng.At(c.start.Add(obsDelay(rtt)), c.obsFns[i])
+		r.eng.At(c.start.Add(obsDelay(rtt)), r.on.observe, cid<<r.slotBits|i)
 	}
-	r.eng.At(decideAt, c.decideFn)
+	r.eng.At(decideAt, r.on.decide, cid)
 }
 
 // obsDelay is when a poll inquiry over a round trip rtt reaches its
@@ -265,13 +248,14 @@ func (r *runner) pollRound(a *access, round int, cands []int) {
 //lint:noalloc
 func obsDelay(rtt sim.Duration) sim.Duration { return rtt - rtt/2 }
 
-// observe is poll slot i's observation event: the inquiry reaches the
-// server and reads its load index; the answer lands back at the client
-// at respAt[i], within the deadline by construction. A crashed or
-// stalled server stays silent.
+// observe is one poll slot's observation event; arg packs the round's
+// id and the slot. The inquiry reaches the server and reads its load
+// index; the answer lands back at the client at respAt[i], within the
+// deadline by construction. A crashed or stalled server stays silent.
 //
 //lint:noalloc
-func (r *runner) observe(c *pollCtx, i int) {
+func (r *runner) observe(arg int) {
+	c, i := r.polls.at(arg>>r.slotBits), arg&(1<<r.slotBits-1)
 	srv := c.polled[i]
 	s := &r.srv[srv]
 	if s.down || s.paused {
@@ -286,18 +270,20 @@ func (r *runner) observe(c *pollCtx, i int) {
 	r.rm.PollRTTSeconds.Observe(c.respAt[i].Sub(c.start).Seconds())
 }
 
-// decide closes a poll round and dispatches. A slot that fell silent
+// decide closes poll round cid and dispatches. A slot that fell silent
 // at observation moves the decision to the deadline; a round nobody
 // answered retries after a backoff when fault handling is on, and after
 // faults.DefaultPollRetries silent rounds falls back to a random
 // candidate.
 //
 //lint:noalloc
-func (r *runner) decide(c *pollCtx) {
-	a := c.a
+func (r *runner) decide(cid int) {
+	c := r.polls.at(cid)
+	id := c.acc
+	a := r.accs.at(id)
 	now := r.eng.Now()
 	if len(c.responses) < len(c.polled) && now < c.deadline {
-		r.eng.At(c.deadline, c.decideFn)
+		r.eng.At(c.deadline, r.on.decide, cid)
 		return
 	}
 	missing := int64(len(c.polled) - len(c.responses))
@@ -321,7 +307,7 @@ func (r *runner) decide(c *pollCtx) {
 		r.res.Retries++
 		r.rm.Retries.Inc()
 		r.emit("poll.retry", r.clientActor, a.client, int64(c.round), int64(a.idx))
-		r.eng.After(r.ft.backoff(c.round), c.retryFn)
+		r.eng.After(r.ft.backoff(c.round), r.on.repoll, cid)
 		return
 	default:
 		// Every round was silence: random fallback among the servers
@@ -329,33 +315,36 @@ func (r *runner) decide(c *pollCtx) {
 		cands, _ := r.candidates(a.client)
 		a.srv = r.anyOf(cands)
 	}
-	r.releasePoll(c)
-	r.dispatch(a)
+	r.polls.put(cid)
+	r.dispatch(id)
 }
 
-// repoll is a silent round's retry, after its backoff: poll the fresh
+// repoll is silent round cid's retry, after its backoff: poll the fresh
 // candidates again, or go random if the client has quarantined them all.
 //
 //lint:noalloc
-func (r *runner) repoll(c *pollCtx) {
-	a, round := c.a, c.round+1
-	r.releasePoll(c)
+func (r *runner) repoll(cid int) {
+	c := r.polls.at(cid)
+	id, round := c.acc, c.round+1
+	r.polls.put(cid)
+	a := r.accs.at(id)
 	cands, fresh := r.candidates(a.client)
 	if fresh {
-		r.pollRound(a, round, cands)
+		r.pollRound(id, round, cands)
 		return
 	}
 	a.srv = r.anyOf(cands)
 	a.pollDur = r.eng.Now().Sub(a.start)
-	r.dispatch(a)
+	r.dispatch(id)
 }
 
-// dispatch sends the access to a.srv; the response lands back at the
-// client via onDone (or onFail when the round trip breaks under
-// faults).
+// dispatch sends access id to its chosen server; the response lands
+// back at the client via accessDone (or accessFailed when the round trip
+// breaks under faults).
 //
 //lint:noalloc
-func (r *runner) dispatch(a *access) {
+func (r *runner) dispatch(id int) {
+	a := r.accs.at(id)
 	r.res.Messages.Dispatches++
 	r.rm.Dispatches.Inc()
 	r.emit("access.dispatch", r.clientActor, a.client, int64(a.srv), int64(a.idx))
@@ -365,7 +354,7 @@ func (r *runner) dispatch(a *access) {
 	if r.local != nil {
 		r.local[a.client].Add(a.srv, 1)
 	}
-	r.eng.After(DefaultServiceNetDelay, a.onArrive)
+	r.eng.After(DefaultServiceNetDelay, r.on.arrive, id)
 }
 
 // settle reverses dispatch's load-index commitments when the round trip
@@ -381,10 +370,12 @@ func (r *runner) settle(a *access) {
 	}
 }
 
-// accessDone lands the response at the client and closes the access.
+// accessDone lands access id's response at the client and closes the
+// access.
 //
 //lint:noalloc
-func (r *runner) accessDone(a *access) {
+func (r *runner) accessDone(id int) {
+	a := r.accs.at(id)
 	r.settle(a)
 	r.completed++
 	r.rm.Completions.Inc()
@@ -399,22 +390,23 @@ func (r *runner) accessDone(a *access) {
 	if r.cfg.Policy.Kind == core.Poll {
 		r.rm.PollWaitSeconds.Observe(a.pollDur.Seconds())
 	}
-	r.recycle(a)
+	r.accs.put(id)
 	r.finish()
 }
 
-// accessFailed lands a broken round trip at the client: quarantine the
-// server and retry the whole server selection, up to
+// accessFailed lands access id's broken round trip at the client:
+// quarantine the server and retry the whole server selection, up to
 // faults.DefaultAccessRetries times.
 //
 //lint:noalloc
-func (r *runner) accessFailed(a *access) {
+func (r *runner) accessFailed(id int) {
+	a := r.accs.at(id)
 	r.settle(a)
 	r.ft.quarantine(a.client, a.srv)
 	if a.attempt >= faults.DefaultAccessRetries {
 		r.lost++
 		r.emit("access.lost", r.clientActor, a.client, int64(a.srv), int64(a.idx))
-		r.recycle(a)
+		r.accs.put(id)
 		r.finish()
 		return
 	}
@@ -423,7 +415,7 @@ func (r *runner) accessFailed(a *access) {
 	r.emit("access.retry", r.clientActor, a.client, int64(a.srv), int64(a.attempt))
 	attempt := a.attempt
 	a.attempt++
-	r.eng.After(r.ft.backoff(attempt), a.onRetry)
+	r.eng.After(r.ft.backoff(attempt), r.on.retry, id)
 }
 
 // finish stops the engine once every access is accounted for.

@@ -12,9 +12,9 @@ import (
 )
 
 // TestDispatchPathZeroAllocs is the hot path's allocation gate: once
-// the access, poll-context, broadcast, and engine-event pools and the
-// lane rings are primed, driving the simulation event by event
-// allocates nothing per event. The run is fully
+// the access and poll-round slabs, the event heap and the lane rings
+// have grown to the in-flight population, driving the simulation event
+// by event allocates nothing per event. The run is fully
 // deterministic (fixed seed, fixed event sequence), so the measured
 // window is reproducible. WarmupFrac keeps the measured accesses inside
 // the warmup region, so the window exercises dispatch alone; recording
@@ -73,7 +73,7 @@ func TestDispatchPathZeroAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Prime pools and reach the stochastic steady state.
+			// Grow the slabs and reach the stochastic steady state.
 			for i := 0; i < 60000; i++ {
 				if !r.eng.ProcessNextEvent() {
 					t.Fatal("run drained during priming")
@@ -81,8 +81,8 @@ func TestDispatchPathZeroAllocs(t *testing.T) {
 			}
 			// One measured window, so the count is exact (a per-event
 			// AllocsPerRun average truncates, hiding anything under one
-			// allocation per event). A pool may still mint a few records
-			// at a new in-flight high-water mark; a per-event allocation
+			// allocation per event). A slab or queue may still grow at a
+			// new in-flight high-water mark; a per-event allocation
 			// would show as thousands.
 			const events = 8000
 			allocs := testing.AllocsPerRun(1, func() {
@@ -94,6 +94,39 @@ func TestDispatchPathZeroAllocs(t *testing.T) {
 				t.Errorf("steady-state dispatch allocates %.0f times in %d events, want only rare pool-growth mints", allocs, events)
 			}
 		})
+	}
+}
+
+// TestRunAllocCeiling bounds what a whole run allocates per access at
+// scale: 10,000 servers under the Fine-Grain trace at 90% load, Poll(3),
+// 100,000 accesses. Set-up, the reserved samples, and the slab blocks,
+// lane rings and server queues that grow to the in-flight population
+// are all counted. Events carry record ids to callbacks bound once per
+// run, so nothing is allocated per access; a bound closure or record
+// minted per access would show as one allocation per access or more.
+func TestRunAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is not stable under -race")
+	}
+	const (
+		servers  = 10000
+		accesses = 100000
+		ceiling  = 0.5 // allocations per access
+	)
+	cfg := Config{
+		Servers:  servers,
+		Workload: workload.FineGrain().ScaledTo(servers, 0.9),
+		Policy:   core.NewPoll(3),
+		Accesses: accesses,
+		Seed:     1,
+	}
+	allocs := testing.AllocsPerRun(1, func() {
+		if _, err := Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if per := allocs / accesses; per > ceiling {
+		t.Errorf("a run allocates %.0f times, %.2f per access; want at most %.2f", allocs, per, ceiling)
 	}
 }
 
@@ -131,18 +164,23 @@ func TestFixedDelaysRideLanes(t *testing.T) {
 // events/sec figure here is what the simscale benchmark record tracks
 // across commits.
 func BenchmarkRunPolicy(b *testing.B) {
+	poisson := workload.PoissonExp(0.002)
 	for _, bench := range []struct {
 		name    string
 		servers int
 		pol     core.Policy
+		w       workload.Workload
+		load    float64
 	}{
-		{"random-1k", 1000, core.NewRandom()},
-		{"poll2-1k", 1000, core.NewPoll(2)},
-		{"poll8-1k", 1000, core.NewPoll(8)},
-		{"ideal-1k", 1000, core.NewIdeal()},
+		{"random-1k", 1000, core.NewRandom(), poisson, 0.8},
+		{"poll2-1k", 1000, core.NewPoll(2), poisson, 0.8},
+		{"poll8-1k", 1000, core.NewPoll(8), poisson, 0.8},
+		{"ideal-1k", 1000, core.NewIdeal(), poisson, 0.8},
+		// The simulator workload of the perfbench sim_fine_10k benchmark.
+		{"poll3-finegrain-10k", 10000, core.NewPoll(3), workload.FineGrain(), 0.9},
 	} {
 		b.Run(bench.name, func(b *testing.B) {
-			w := workload.PoissonExp(0.002).ScaledTo(bench.servers, 0.8)
+			w := bench.w.ScaledTo(bench.servers, bench.load)
 			b.ReportAllocs()
 			var events uint64
 			var secs float64

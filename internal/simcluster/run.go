@@ -1,6 +1,7 @@
 package simcluster
 
 import (
+	"math/bits"
 	"strconv"
 	"time"
 
@@ -68,9 +69,19 @@ type runner struct {
 
 	ft *clientFaults // nil unless the fault schedule is active
 
-	freeAcc   []*access    // recycled access records
-	freePoll  []*pollCtx   // recycled poll round contexts
-	freeBcast []*broadcast // recycled broadcast deliveries
+	accs  slab[access]  // in-flight accesses
+	polls slab[pollCtx] // in-flight poll rounds
+	// slotBits is the width of the slot in an observation event's
+	// argument, which packs the poll round's id above it.
+	slotBits int
+	// on holds the event callbacks, bound once per run; each event's
+	// argument names the record it concerns.
+	on struct {
+		arrival, arrive, service, done, fail, retry func(int) // access id
+		decide, repoll                              func(int) // poll round id
+		observe                                     func(int) // poll round id and slot
+		deliver                                     func(int) // packed broadcast
+	}
 
 	completed int
 	lost      int
@@ -176,7 +187,7 @@ func newRunner(cfg Config) (*runner, error) {
 		for _, ev := range cfg.Faults.Sorted() {
 			ev := ev
 			if ev.Node < maxPool {
-				eng.At(sim.Time(sim.FromSeconds(ev.At.Seconds())), func() { r.fault(ev) })
+				eng.At(sim.Time(sim.FromSeconds(ev.At.Seconds())), func(int) { r.fault(ev) }, 0)
 			}
 		}
 	}
@@ -201,6 +212,17 @@ func newRunner(cfg Config) (*runner, error) {
 	r.pollIdent = core.Identity(maxPool)
 	r.pollSwaps = make([]int, maxPool)
 	r.pollDst = make([]int, maxPool)
+	r.slotBits = bits.Len(uint(cfg.Policy.PollSize))
+	r.on.arrival = r.arrival
+	r.on.arrive = r.serverArrive
+	r.on.service = r.serviceDone
+	r.on.done = r.accessDone
+	r.on.fail = r.accessFailed
+	r.on.retry = r.handle
+	r.on.decide = r.decide
+	r.on.repoll = r.repoll
+	r.on.observe = r.observe
+	r.on.deliver = r.deliver
 
 	// Membership. Its metrics register only for elastic runs, so
 	// fixed-pool snapshots stay bit-identical; schedule events and the
@@ -212,18 +234,18 @@ func newRunner(cfg Config) (*runner, error) {
 	r.pool = membership.NewPool(cfg.Servers, maxPool, r, mm)
 	for _, ev := range cfg.Membership.Sorted() {
 		ev := ev
-		eng.At(sim.Time(sim.FromSeconds(ev.At.Seconds())), func() { r.pool.Apply(ev) })
+		eng.At(sim.Time(sim.FromSeconds(ev.At.Seconds())), func(int) { r.pool.Apply(ev) }, 0)
 	}
 	if as := membership.NewAutoscaler(cfg.Autoscaler); as != nil {
 		interval := sim.FromSeconds(as.Config().Interval.Seconds())
-		var tick func()
-		tick = func() {
+		var tick func(int)
+		tick = func(int) {
 			// sim.Time counts nanoseconds from the start of the run, so
 			// it converts directly to the autoscaler's elapsed time.
 			r.pool.Autoscale(as, time.Duration(r.eng.Now()))
-			r.eng.After(interval, tick)
+			r.eng.After(interval, tick, 0)
 		}
-		eng.After(interval, tick)
+		eng.After(interval, tick, 0)
 	}
 
 	// Broadcast agents.
@@ -241,9 +263,7 @@ func newRunner(cfg Config) (*runner, error) {
 			}
 			eng.Every(interval, func() {
 				r.res.Messages.Broadcasts++
-				b := r.newBroadcast()
-				b.id, b.load = id, r.srv[id].active
-				eng.After(DefaultBroadcastDelay, b.deliverFn)
+				eng.After(DefaultBroadcastDelay, r.on.deliver, r.srv[id].active*len(r.srv)+id)
 			})
 		}
 	}
@@ -258,38 +278,17 @@ func newRunner(cfg Config) (*runner, error) {
 	return r, nil
 }
 
-// broadcast is one load announcement in flight to every client's
-// table, pooled like access records so a broadcasting run allocates
-// nothing per period.
-type broadcast struct {
-	id, load  int
-	deliverFn func()
-}
-
-// newBroadcast takes a delivery record from the free-list, or mints one
-// with its callback bound.
-func (r *runner) newBroadcast() *broadcast {
-	if n := len(r.freeBcast); n > 0 {
-		b := r.freeBcast[n-1]
-		r.freeBcast[n-1] = nil
-		r.freeBcast = r.freeBcast[:n-1]
-		return b
-	}
-	b := &broadcast{}
-	b.deliverFn = func() { r.deliver(b) }
-	return b
-}
-
-// deliver lands a broadcast in every client's load table and recycles
-// its record.
+// deliver lands one load announcement in every client's load table.
+// The event carries the announcement itself, load*len(r.srv) + server
+// (broadcast runs have a fixed pool), so it needs no record.
 //
 //lint:noalloc
-func (r *runner) deliver(b *broadcast) {
+func (r *runner) deliver(arg int) {
+	id, load := arg%len(r.srv), arg/len(r.srv)
 	for _, tbl := range r.tables {
-		tbl.Update(b.id, b.load)
+		tbl.Update(id, load)
 		r.res.Messages.BroadcastDeliveries++
 	}
-	r.freeBcast = append(r.freeBcast, b)
 }
 
 // fault applies one node event of the fault schedule. An id past the

@@ -19,10 +19,10 @@ type serverState struct {
 	curEnd       sim.Time     // when the job in service would complete
 	curRemaining sim.Duration // remaining demand while paused
 	curHandle    sim.Handle   // scheduled completion (cancellable)
-	cur          *access      // the access in service
+	cur          int          // the id of the access in service
 	qavg         stats.TimeWeighted
 	series       *QSeries
-	queue        []*access // FIFO ring: valid entries are queue[qhead:]
+	queue        []int // access ids, FIFO: valid entries are queue[qhead:]
 	qhead        int
 	active       int // the load index
 	busy         bool
@@ -31,37 +31,34 @@ type serverState struct {
 	hasCur       bool
 }
 
-// push appends a to the service queue, compacting the consumed prefix
-// only when the backing array is full — amortized O(1), allocation-free
-// once the queue has reached its high-water capacity.
+// push appends access id to the service queue, compacting the consumed
+// prefix only when the backing array is full — amortized O(1),
+// allocation-free once the queue has reached its high-water capacity.
 //
 //lint:noalloc
-func (s *serverState) push(a *access) {
+func (s *serverState) push(id int) {
 	if s.qhead > 0 && len(s.queue) == cap(s.queue) {
 		n := copy(s.queue, s.queue[s.qhead:])
-		for i := n; i < len(s.queue); i++ {
-			s.queue[i] = nil
-		}
 		s.queue = s.queue[:n]
 		s.qhead = 0
 	}
-	s.queue = append(s.queue, a)
+	s.queue = append(s.queue, id)
 }
 
-// pop removes and returns the head of the service queue, or nil.
+// pop removes and returns the id at the head of the service queue, or
+// -1 when it is empty.
 //
 //lint:noalloc
-func (s *serverState) pop() *access {
+func (s *serverState) pop() int {
 	if s.qhead == len(s.queue) {
-		return nil
+		return -1
 	}
-	a := s.queue[s.qhead]
-	s.queue[s.qhead] = nil
+	id := s.queue[s.qhead]
 	s.qhead++
 	if s.qhead == len(s.queue) {
 		s.queue, s.qhead = s.queue[:0], 0
 	}
-	return a
+	return id
 }
 
 // record samples server id's load index into its time-weighted average
@@ -77,63 +74,65 @@ func (r *runner) record(id int) {
 	}
 }
 
-// serverArrive enqueues the access at its server; an access arriving at
+// serverArrive enqueues access id at its server; an access arriving at
 // a crashed server fails immediately (the connection is refused), one
 // arriving at a paused server queues behind the stalled processing
 // unit.
 //
 //lint:noalloc
-func (r *runner) serverArrive(a *access) {
-	s := &r.srv[a.srv]
+func (r *runner) serverArrive(id int) {
+	srv := r.accs.at(id).srv
+	s := &r.srv[srv]
 	if s.down {
-		r.eng.After(DefaultServiceNetDelay, a.onFail)
+		r.eng.After(DefaultServiceNetDelay, r.on.fail, id)
 		return
 	}
 	s.active++
 	r.rm.ServerActive.Add(1)
-	r.record(a.srv)
+	r.record(srv)
 	if s.busy || s.paused {
-		s.push(a)
+		s.push(id)
 		return
 	}
-	r.startService(a)
+	r.startService(id)
 }
 
-// startService begins a's service on its (idle) server.
+// startService begins access id's service on its (idle) server.
 //
 //lint:noalloc
-func (r *runner) startService(a *access) {
+func (r *runner) startService(id int) {
+	a := r.accs.at(id)
 	s := &r.srv[a.srv]
 	s.busy = true
 	r.rm.WorkersBusy.Add(1)
 	d := sim.Duration(float64(a.service) / s.speed)
 	s.busyTime += d
-	s.cur, s.hasCur = a, true
+	s.cur, s.hasCur = id, true
 	s.curEnd = r.eng.Now().Add(d)
-	s.curHandle = r.eng.After(d, a.onService)
+	s.curHandle = r.eng.After(d, r.on.service, id)
 }
 
-// serviceDone completes a's service: the next queued access starts, and
-// the response travels back to the client. A server the autoscaler
-// drained retires as soon as its queue empties.
+// serviceDone completes access id's service: the next queued access
+// starts, and the response travels back to the client. A server the
+// autoscaler drained retires as soon as its queue empties.
 //
 //lint:noalloc
-func (r *runner) serviceDone(a *access) {
-	s := &r.srv[a.srv]
+func (r *runner) serviceDone(id int) {
+	srv := r.accs.at(id).srv
+	s := &r.srv[srv]
 	s.hasCur = false
-	s.cur = nil
 	s.active--
 	r.rm.ServerActive.Add(-1)
 	r.rm.ServerServed.Inc()
-	r.record(a.srv)
+	r.record(srv)
 	s.busy = false
 	r.rm.WorkersBusy.Add(-1)
-	if next := s.pop(); next != nil {
+	if next := s.pop(); next >= 0 {
 		r.startService(next)
-	} else if s.active == 0 && r.pool.Retiring(a.srv) {
-		r.pool.Leave(a.srv)
+	} else if s.active == 0 && r.pool.Retiring(srv) {
+		r.pool.Leave(srv)
 	}
-	r.eng.After(DefaultServiceNetDelay, a.onDone)
+	r.eng.After(DefaultServiceNetDelay, r.on.done, id)
 }
 
 // crash kills server id permanently: the in-service access and every
@@ -148,16 +147,15 @@ func (r *runner) crash(id int) {
 	s.paused = false
 	if s.hasCur {
 		s.curHandle.Cancel()
-		r.eng.After(DefaultServiceNetDelay, s.cur.onFail)
-		s.cur = nil
+		r.eng.After(DefaultServiceNetDelay, r.on.fail, s.cur)
 		s.hasCur = false
 	}
 	if s.busy {
 		r.rm.WorkersBusy.Add(-1)
 	}
 	s.busy = false
-	for a := s.pop(); a != nil; a = s.pop() {
-		r.eng.After(DefaultServiceNetDelay, a.onFail)
+	for acc := s.pop(); acc >= 0; acc = s.pop() {
+		r.eng.After(DefaultServiceNetDelay, r.on.fail, acc)
 	}
 	r.rm.ServerActive.Add(-int64(s.active))
 	s.active = 0
@@ -191,13 +189,12 @@ func (r *runner) resume(id int) {
 	s.paused = false
 	r.reindex(id)
 	if s.hasCur {
-		a := s.cur
 		s.curEnd = r.eng.Now().Add(s.curRemaining)
-		s.curHandle = r.eng.After(s.curRemaining, a.onService)
+		s.curHandle = r.eng.After(s.curRemaining, r.on.service, s.cur)
 		return
 	}
 	if !s.busy {
-		if next := s.pop(); next != nil {
+		if next := s.pop(); next >= 0 {
 			r.startService(next)
 		}
 	}

@@ -11,8 +11,9 @@
 //
 // The hot path is built to scale to O(10k) servers and O(10M) accesses
 // (DESIGN.md §10): server state lives in one value slice, in-flight
-// accesses are pooled records with prebuilt callbacks (zero steady-
-// state allocation on the dispatch path), arrivals are scheduled
+// accesses and poll rounds are id-addressed slab records that events
+// name by id to callbacks bound once per run (zero steady-state
+// allocation on the dispatch path), arrivals are scheduled
 // lazily against a reserved sequence band (the pending-event heap
 // holds the in-flight population, not the whole trace), and the IDEAL
 // and least-connections decisions come from an indexed min-heap
