@@ -68,6 +68,16 @@ func (c *Caller) pool(addr string) (*connPool, error) {
 	return p, nil
 }
 
+// warm opens n idle connections to the endpoint's access address ahead
+// of use (connPool.warm).
+func (c *Caller) warm(ep Endpoint, n int) error {
+	p, err := c.pool(ep.AccessAddr)
+	if err != nil {
+		return err
+	}
+	return p.warm(n)
+}
+
 // Call sends one request to the endpoint's access address and returns
 // the response.
 func (c *Caller) Call(ep Endpoint, service string, partition uint32, serviceUs uint32, payload []byte) (*Response, error) {

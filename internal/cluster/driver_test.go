@@ -154,6 +154,59 @@ func TestStartClusterIncompleteTables(t *testing.T) {
 	}
 }
 
+// TestClientWarm checks RunExperiment's warm-up: Client.warm leaves the
+// requested idle poll rounds and connections behind without sending an
+// inquiry or a request, warming again mints nothing more, and an access
+// afterwards runs on the warmed rounds and connections.
+func TestClientWarm(t *testing.T) {
+	cl, err := StartCluster(ExperimentConfig{
+		Servers: 3, Clients: 1, Policy: core.NewPoll(2),
+		Transport: testTransport(t), SlowProb: -1, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	c := cl.Clients[0]
+	check := func(stage string) {
+		t.Helper()
+		c.roundMu.Lock()
+		idle, minted := len(c.idle), len(c.rounds)
+		c.roundMu.Unlock()
+		if idle != 4 || minted != 4 {
+			t.Errorf("%s: %d idle of %d minted rounds, want 4 of 4", stage, idle, minted)
+		}
+		for _, ep := range c.Endpoints() {
+			p, err := c.calls.pool(ep.AccessAddr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.mu.Lock()
+			free := len(p.free)
+			p.mu.Unlock()
+			if free != 2 {
+				t.Errorf("%s: node %d pool holds %d idle connections, want 2", stage, ep.NodeID, free)
+			}
+		}
+	}
+	for i := 0; i < 2; i++ {
+		if err := c.warm(4, 2); err != nil {
+			t.Fatal(err)
+		}
+		check("warm")
+	}
+	snap := cl.Registry.Snapshot()
+	for _, m := range []string{obs.MetricPollRequests, obs.MetricDispatches, obs.MetricServerServed} {
+		if v := snap.Value(m); v != 0 {
+			t.Errorf("warming counted %s = %d", m, v)
+		}
+	}
+	if _, err := c.Access(0, nil); err != nil {
+		t.Fatal(err)
+	}
+	check("after an access")
+}
+
 func TestRunExperimentDeterministicSchedule(t *testing.T) {
 	// Same seed produces the same access schedule (wall-clock noise will
 	// differ, but the per-server totals under round-robin are fixed).

@@ -87,6 +87,25 @@ func (p *connPool) get() (*pconn, error) {
 	return &pconn{c: c, r: bufio.NewReader(c), w: bufio.NewWriter(c)}, nil
 }
 
+// warm dials until the pool holds n idle connections, stopping at the
+// first failed dial.
+func (p *connPool) warm(n int) error {
+	pcs := make([]*pconn, 0, n)
+	defer func() {
+		for _, pc := range pcs {
+			p.put(pc)
+		}
+	}()
+	for len(pcs) < n {
+		pc, err := p.get()
+		if err != nil {
+			return err
+		}
+		pcs = append(pcs, pc)
+	}
+	return nil
+}
+
 // waitSlot blocks until a connection slot frees up, for at most
 // dialTimeout. The timer is stopped on the way out, so a slot that
 // frees up early leaves no timer behind.

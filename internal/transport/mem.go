@@ -153,16 +153,24 @@ func (m *Mem) DialPacket(addr string, _ Link) (PacketConn, error) {
 	return m.newEndpoint(addr), nil
 }
 
+// newEndpoint registers a fresh datagram endpoint. The inbox (memInboxCap
+// slots, ~200 KB) is allocated before m.mu is taken: every undelayed
+// datagram resolves its destination under m.mu, so allocating under
+// the lock stalls all traffic on the fabric. A client mints a poll
+// round, and so an endpoint, whenever all its rounds are in flight —
+// exactly when the fabric is busiest — and on a CPU-starved box that
+// stall fed back into more rounds in flight until poll-2 response
+// times rose fiftyfold.
 func (m *Mem) newEndpoint(peer string) *memEndpoint {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	e := &memEndpoint{
 		fab:    m,
-		addr:   m.nextAddr(),
 		peer:   peer,
 		inbox:  make(chan memDatagram, memInboxCap),
 		closed: make(chan struct{}),
 	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	e.addr = m.nextAddr()
 	m.endpoints[e.addr] = e
 	return e
 }
