@@ -10,6 +10,11 @@
 // Example (the paper's headline cell):
 //
 //	lbsim -workload fine -policy poll -d 2 -load 0.9
+//
+// A heterogeneous cluster is a -speed-factors spec: a quarter of 16
+// servers running 3x faster is
+//
+//	lbsim -workload fine -policy poll -speed-factors 4x3,12x1
 package main
 
 import (
@@ -35,8 +40,7 @@ func main() {
 	load := flag.Float64("load", 0.9, "per-server utilization in (0,1)")
 	accesses := flag.Int("accesses", 100000, "service accesses to simulate")
 	burst := flag.Float64("burst", 1, "arrival burst intensity (1 = none; Markov-modulated bursts)")
-	fastFrac := flag.Float64("fastfrac", 0, "fraction of servers running 3x faster (heterogeneous cluster)")
-	speedSpec := flag.String("speed-factors", "", `explicit per-server speeds, e.g. "4x3.25,12x0.25" (count x factor groups; overrides -fastfrac)`)
+	speedSpec := flag.String("speed-factors", "", `per-server speeds for a heterogeneous cluster, e.g. "4x3.25,12x0.25" (count x factor groups)`)
 	seed := flag.Uint64("seed", 1, "random seed")
 	flag.Parse()
 
@@ -67,17 +71,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "lbsim:", err)
 		os.Exit(2)
-	}
-	if speeds == nil && *fastFrac > 0 {
-		speeds = make([]float64, *servers)
-		nFast := int(*fastFrac * float64(*servers))
-		for i := range speeds {
-			if i < nFast {
-				speeds[i] = 3
-			} else {
-				speeds[i] = 1
-			}
-		}
 	}
 	start := time.Now()
 	res, err := simcluster.Run(simcluster.Config{

@@ -47,7 +47,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	verbose := fs.Bool("v", false, "print per-cell progress")
 	transportName := fs.String("transport", "net", "prototype messaging substrate: net (real loopback sockets) or mem (in-memory fabric)")
 	format := fs.String("format", "text", "output format: text, json, or csv")
-	csv := fs.Bool("csv", false, "emit CSV (deprecated; same as -format=csv)")
 	out := fs.String("out", "", "write output to this file instead of stdout")
 	servers := fs.Int("servers", 0, "override cluster size for scale-aware experiments (simscale); 0 = experiment default")
 	accesses := fs.Int("accesses", 0, "override access count for scale-aware experiments (simscale); 0 = experiment default")
@@ -63,9 +62,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-	if *csv {
-		*format = "csv"
 	}
 	if _, err := transport.ByName(*transportName, *seed); err != nil {
 		fmt.Fprintf(stderr, "repro: %v\n", err)

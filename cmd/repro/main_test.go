@@ -117,11 +117,6 @@ func TestTable1AllFormats(t *testing.T) {
 	if code != 0 || !strings.HasPrefix(csvOut, "Workload,") {
 		t.Fatalf("csv run: exit %d\n%s", code, csvOut)
 	}
-	// The deprecated -csv alias must keep working.
-	alias, _, code := repro(t, "-quick", "-csv", "table1")
-	if code != 0 || alias != csvOut {
-		t.Fatalf("-csv alias diverged from -format=csv (exit %d)", code)
-	}
 
 	jsonOut, _, code := repro(t, "-quick", "-format=json", "table1")
 	if code != 0 {

@@ -83,12 +83,8 @@ var (
 	PaperWorkloads = workload.Paper
 )
 
-// Trace is a materialized access sequence with Table 1 statistics and
-// file IO.
+// Trace is a materialized access sequence with Table 1 statistics.
 type Trace = workload.Trace
-
-// ReadTrace parses a trace file written by Trace.Write.
-var ReadTrace = workload.ReadTrace
 
 // SimConfig configures a discrete-event simulation run (Figures 2-4).
 type SimConfig = simcluster.Config

@@ -13,9 +13,8 @@ import (
 // stream connections, one bounded pool per access address. It is the
 // one stream caller of the prototype: a Client dispatches its chosen
 // server's access through one, the IDEAL manager's clients reach the
-// manager through one, a RemoteDirectory reaches its directory server
-// through one, and the Neptune replication layer uses one for write
-// fan-out, primary forwarding, and recovery pulls.
+// manager through one, and a RemoteDirectory reaches its directory
+// server through one.
 //
 // Caller is safe for concurrent use; each in-flight call holds its own
 // pooled connection.

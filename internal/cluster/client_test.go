@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"net"
 	"sync"
 	"testing"
@@ -88,6 +89,73 @@ func TestClientRandomAccess(t *testing.T) {
 	}
 	if len(seen) != 4 {
 		t.Fatalf("random policy used %d/4 servers", len(seen))
+	}
+}
+
+// TestClientAccessMountedHandler sends Client.Access to nodes whose
+// service is a mounted Handler: the handler sees the client's
+// partition, its payload comes back in info.Resp, and an application
+// error is a reply status, not an access failure.
+func TestClientAccessMountedHandler(t *testing.T) {
+	const partition = 7
+	d := NewDirectory(time.Minute)
+	var (
+		mu     sync.Mutex
+		served = map[int]int{}
+		parts  = map[uint32]int{}
+	)
+	for i := 0; i < 2; i++ {
+		id := i
+		startTestNode(t, NodeConfig{
+			ID: id, Service: "svc", Partitions: []uint32{partition}, Directory: d, Seed: uint64(id),
+			Handler: HandlerFunc(func(req *Request) ([]byte, uint8) {
+				mu.Lock()
+				served[id]++
+				parts[req.Partition]++
+				mu.Unlock()
+				if string(req.Payload) == "fail" {
+					return []byte("no such key"), StatusAppError
+				}
+				return []byte(fmt.Sprintf("%d:%s", id, req.Payload)), StatusOK
+			}),
+		})
+	}
+	c, err := NewClient(ClientConfig{
+		Directory: d, Service: "svc", Partition: partition, Policy: core.NewPoll(2), Seed: 42,
+		Transport: testTransport(t),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+
+	const accesses = 40
+	for i := 0; i < accesses; i++ {
+		info, err := c.Access(0, []byte("hi"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("%d:hi", info.Server)
+		if info.Resp.Status != StatusOK || string(info.Resp.Payload) != want {
+			t.Fatalf("access %d: status %d payload %q, want %d %q",
+				i, info.Resp.Status, info.Resp.Payload, StatusOK, want)
+		}
+	}
+	info, err := c.Access(0, []byte("fail"))
+	if err != nil {
+		t.Fatalf("application error surfaced as access error: %v", err)
+	}
+	if info.Resp.Status != StatusAppError || string(info.Resp.Payload) != "no such key" {
+		t.Fatalf("app error reply: status %d payload %q", info.Resp.Status, info.Resp.Payload)
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	if parts[partition] != accesses+1 || len(parts) != 1 {
+		t.Fatalf("handler partitions %v, want all %d accesses on %d", parts, accesses+1, partition)
+	}
+	if served[0] == 0 || served[1] == 0 {
+		t.Fatalf("poll 2 reached only one handler: %v", served)
 	}
 }
 

@@ -40,10 +40,9 @@ type NodeConfig struct {
 	// Handler, when non-nil, replaces the sleep/spin emulation with a
 	// real service implementation: the worker invokes it for every
 	// request, and its result becomes the response. This is how the
-	// Neptune-style replicated services (internal/neptune) mount real
-	// application logic on a node. While the handler runs it occupies
-	// one worker — a non-preemptive processing unit, as in the paper's
-	// model.
+	// directory server and the IDEAL manager run as Node services.
+	// While the handler runs it occupies one worker — a non-preemptive
+	// processing unit, as in the paper's model.
 	Handler Handler
 
 	// Directory, when non-nil, receives periodic soft-state publishes

@@ -1,15 +1,6 @@
 package workload
 
-import (
-	"bufio"
-	"fmt"
-	"io"
-	"sort"
-	"strconv"
-	"strings"
-
-	"finelb/internal/stats"
-)
+import "finelb/internal/stats"
 
 // Trace is a sequence of accesses in non-decreasing arrival order. It
 // plays the role of the paper's recorded service traces.
@@ -45,130 +36,3 @@ func (t Trace) Stats() Stats {
 		ServiceStd:  svc.Std(),
 	}
 }
-
-func (s Stats) String() string {
-	return fmt.Sprintf("n=%d arrival(mean=%.4gms std=%.4gms) service(mean=%.4gms std=%.4gms)",
-		s.Count, s.ArrivalMean*1e3, s.ArrivalStd*1e3, s.ServiceMean*1e3, s.ServiceStd*1e3)
-}
-
-// Sorted reports whether arrivals are non-decreasing.
-func (t Trace) Sorted() bool {
-	return sort.SliceIsSorted(t, func(i, j int) bool { return t[i].Arrival < t[j].Arrival })
-}
-
-// ScaleArrivals returns a copy of t with every inter-arrival interval
-// multiplied by factor (the first access keeps its scaled offset). This
-// is the trace-replay form of Workload.ScaledTo.
-func (t Trace) ScaleArrivals(factor float64) Trace {
-	out := make(Trace, len(t))
-	prev, prevScaled := 0.0, 0.0
-	for i, a := range t {
-		interval := a.Arrival - prev
-		prev = a.Arrival
-		prevScaled += interval * factor
-		out[i] = Access{Arrival: prevScaled, Service: a.Service}
-	}
-	return out
-}
-
-// Slice returns the portion of the trace with arrivals in [from, to),
-// re-based so the first retained access arrives at its offset from
-// `from`. It models the paper's use of a peak-time portion of each
-// trace.
-func (t Trace) Slice(from, to float64) Trace {
-	var out Trace
-	for _, a := range t {
-		if a.Arrival >= from && a.Arrival < to {
-			out = append(out, Access{Arrival: a.Arrival - from, Service: a.Service})
-		}
-	}
-	return out
-}
-
-// traceHeader is the first line of the on-disk format.
-const traceHeader = "# finelb trace v1: arrival_us service_us"
-
-// Write serializes the trace in a line-oriented text format:
-// one "arrival_us service_us" pair per line, microsecond integers.
-func (t Trace) Write(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintln(bw, traceHeader); err != nil {
-		return err
-	}
-	for _, a := range t {
-		if _, err := fmt.Fprintf(bw, "%d %d\n",
-			int64(a.Arrival*1e6+0.5), int64(a.Service*1e6+0.5)); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadTrace parses a trace written by Write. Blank lines and lines
-// beginning with '#' after the header are ignored.
-func ReadTrace(r io.Reader) (Trace, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<24)
-	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("workload: empty trace file")
-	}
-	if got := strings.TrimSpace(sc.Text()); got != traceHeader {
-		return nil, fmt.Errorf("workload: bad trace header %q", got)
-	}
-	var t Trace
-	line := 1
-	for sc.Scan() {
-		line++
-		s := strings.TrimSpace(sc.Text())
-		if s == "" || strings.HasPrefix(s, "#") {
-			continue
-		}
-		fields := strings.Fields(s)
-		if len(fields) != 2 {
-			return nil, fmt.Errorf("workload: line %d: want 2 fields, got %d", line, len(fields))
-		}
-		arr, err := strconv.ParseInt(fields[0], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("workload: line %d: %v", line, err)
-		}
-		svc, err := strconv.ParseInt(fields[1], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("workload: line %d: %v", line, err)
-		}
-		if arr < 0 || svc < 0 {
-			return nil, fmt.Errorf("workload: line %d: negative value", line)
-		}
-		t = append(t, Access{Arrival: float64(arr) / 1e6, Service: float64(svc) / 1e6})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if !t.Sorted() {
-		return nil, fmt.Errorf("workload: trace arrivals not sorted")
-	}
-	return t, nil
-}
-
-// Replay adapts a trace to the Stream interface: successive Next calls
-// return the trace's accesses; it panics when exhausted. Use Len to
-// bound consumption.
-type Replay struct {
-	t   Trace
-	pos int
-}
-
-// Replay returns a stream over the trace.
-func (t Trace) Replay() *Replay { return &Replay{t: t} }
-
-// Next returns the next access in the trace.
-func (r *Replay) Next() Access {
-	a := r.t[r.pos]
-	r.pos++
-	return a
-}
-
-// Remaining returns how many accesses are left.
-func (r *Replay) Remaining() int { return len(r.t) - r.pos }

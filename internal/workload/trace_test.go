@@ -1,11 +1,8 @@
 package workload
 
 import (
-	"bytes"
 	"math"
-	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestTraceStats(t *testing.T) {
@@ -23,170 +20,5 @@ func TestTraceStats(t *testing.T) {
 	}
 	if math.Abs(st.ServiceMean-1.0) > 1e-12 {
 		t.Fatalf("service mean = %v", st.ServiceMean)
-	}
-}
-
-func TestTraceRoundTrip(t *testing.T) {
-	orig := FineGrain().Generate(500, 9)
-	var buf bytes.Buffer
-	if err := orig.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(orig) {
-		t.Fatalf("length %d, want %d", len(got), len(orig))
-	}
-	for i := range got {
-		// Round-trips through integer microseconds.
-		if math.Abs(got[i].Arrival-orig[i].Arrival) > 1e-6 {
-			t.Fatalf("arrival %d: %v vs %v", i, got[i].Arrival, orig[i].Arrival)
-		}
-		if math.Abs(got[i].Service-orig[i].Service) > 1e-6 {
-			t.Fatalf("service %d: %v vs %v", i, got[i].Service, orig[i].Service)
-		}
-	}
-}
-
-func TestReadTraceErrors(t *testing.T) {
-	cases := []struct{ name, in string }{
-		{"empty", ""},
-		{"badHeader", "nonsense\n1 2\n"},
-		{"fieldCount", traceHeader + "\n1 2 3\n"},
-		{"nonInteger", traceHeader + "\n1 x\n"},
-		{"negative", traceHeader + "\n-5 2\n"},
-		{"unsorted", traceHeader + "\n10 1\n5 1\n"},
-	}
-	for _, c := range cases {
-		if _, err := ReadTrace(strings.NewReader(c.in)); err == nil {
-			t.Errorf("%s: no error", c.name)
-		}
-	}
-}
-
-func TestReadTraceSkipsCommentsAndBlanks(t *testing.T) {
-	in := traceHeader + "\n\n# comment\n100 50\n200 60\n"
-	tr, err := ReadTrace(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tr) != 2 {
-		t.Fatalf("parsed %d accesses", len(tr))
-	}
-	if tr[1].Arrival != 200e-6 || tr[1].Service != 60e-6 {
-		t.Fatalf("parsed %+v", tr[1])
-	}
-}
-
-func TestScaleArrivals(t *testing.T) {
-	tr := Trace{{Arrival: 1, Service: 9}, {Arrival: 3, Service: 8}, {Arrival: 6, Service: 7}}
-	got := tr.ScaleArrivals(0.5)
-	want := []float64{0.5, 1.5, 3.0}
-	for i := range got {
-		if math.Abs(got[i].Arrival-want[i]) > 1e-12 {
-			t.Fatalf("arrival %d = %v, want %v", i, got[i].Arrival, want[i])
-		}
-		if got[i].Service != tr[i].Service {
-			t.Fatalf("service %d changed", i)
-		}
-	}
-	// Original untouched.
-	if tr[0].Arrival != 1 {
-		t.Fatal("ScaleArrivals mutated input")
-	}
-}
-
-func TestSlice(t *testing.T) {
-	tr := Trace{{Arrival: 1}, {Arrival: 2}, {Arrival: 3}, {Arrival: 4}}
-	got := tr.Slice(2, 4)
-	if len(got) != 2 {
-		t.Fatalf("slice length %d", len(got))
-	}
-	if got[0].Arrival != 0 || got[1].Arrival != 1 {
-		t.Fatalf("slice not re-based: %+v", got)
-	}
-}
-
-func TestReplay(t *testing.T) {
-	tr := Trace{{Arrival: 1, Service: 2}, {Arrival: 3, Service: 4}}
-	r := tr.Replay()
-	if r.Remaining() != 2 {
-		t.Fatalf("remaining = %d", r.Remaining())
-	}
-	if a := r.Next(); a != tr[0] {
-		t.Fatalf("first = %+v", a)
-	}
-	if a := r.Next(); a != tr[1] {
-		t.Fatalf("second = %+v", a)
-	}
-	if r.Remaining() != 0 {
-		t.Fatalf("remaining = %d", r.Remaining())
-	}
-}
-
-func TestSorted(t *testing.T) {
-	if !(Trace{{Arrival: 1}, {Arrival: 2}}).Sorted() {
-		t.Fatal("sorted trace reported unsorted")
-	}
-	if (Trace{{Arrival: 2}, {Arrival: 1}}).Sorted() {
-		t.Fatal("unsorted trace reported sorted")
-	}
-}
-
-// Property: Write/ReadTrace round-trips arbitrary non-negative traces to
-// microsecond precision.
-func TestQuickTraceRoundTrip(t *testing.T) {
-	f := func(raw []uint32) bool {
-		var tr Trace
-		arr := 0.0
-		for _, v := range raw {
-			arr += float64(v%1000000) / 1e6
-			tr = append(tr, Access{Arrival: arr, Service: float64(v%5000) / 1e6})
-		}
-		var buf bytes.Buffer
-		if err := tr.Write(&buf); err != nil {
-			return false
-		}
-		got, err := ReadTrace(&buf)
-		if err != nil {
-			return false
-		}
-		if len(got) != len(tr) {
-			return false
-		}
-		for i := range got {
-			if math.Abs(got[i].Arrival-tr[i].Arrival) > 1e-6 ||
-				math.Abs(got[i].Service-tr[i].Service) > 1e-6 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: scaling arrivals by f then 1/f returns the original trace
-// (up to float tolerance) and never reorders accesses.
-func TestQuickScaleInverse(t *testing.T) {
-	f := func(seed uint64, fRaw uint8) bool {
-		factor := (float64(fRaw%40) + 1) / 10 // [0.1, 4.0]
-		tr := PoissonExp(0.01).Generate(50, seed)
-		back := tr.ScaleArrivals(factor).ScaleArrivals(1 / factor)
-		if !back.Sorted() {
-			return false
-		}
-		for i := range tr {
-			if math.Abs(back[i].Arrival-tr[i].Arrival) > 1e-9*(1+tr[i].Arrival) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }

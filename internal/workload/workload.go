@@ -1,8 +1,8 @@
 // Package workload defines the three evaluation workloads of the paper
 // (§1.1): the synthetic Poisson/Exp workload and synthetic equivalents
 // of the two proprietary Teoma search-engine traces ("Medium-Grain" and
-// "Fine-Grain"), plus trace generation, trace file IO, and the demand
-// (load-level) rescaling the paper applies to its traces.
+// "Fine-Grain"), plus trace generation and the demand (load-level)
+// rescaling the paper applies to its traces.
 //
 // The real traces are not publicly available, so the trace workloads
 // here are generated from lognormal marginals matched to the published
