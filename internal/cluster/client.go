@@ -39,30 +39,12 @@ type ClientConfig struct {
 	// refreshed from the directory (default 250 ms).
 	RefreshInterval time.Duration
 
-	// PollTimeout caps the wait for poll answers when no discard
-	// threshold is configured (default 1 s); a lost datagram must not
-	// hang an access forever.
-	PollTimeout time.Duration
-
-	// PollRetries is how many times a completely unanswered poll round
-	// is re-polled (after a jittered backoff) before the client falls
-	// back to random selection. Default faults.DefaultPollRetries;
-	// negative disables retries.
-	PollRetries int
-
-	// AccessRetries is how many times a failed service round trip is
-	// retried on a freshly chosen server. Default
-	// faults.DefaultAccessRetries; negative disables retries. Forced to
-	// zero for the Ideal policy, whose manager acquire/release protocol
-	// accounts each access exactly once.
-	AccessRetries int
-
 	// QuarantineAfter puts a server on this client's quarantine list
 	// after that many consecutive unanswered load inquiries; a broken
-	// service round trip quarantines immediately. Quarantined servers
-	// are skipped by server selection until QuarantineFor elapses (or a
-	// later inquiry is answered). Default faults.DefaultQuarantineAfter;
-	// negative disables quarantine.
+	// service round trip quarantines immediately (faults.Detector).
+	// Quarantined servers are skipped by server selection until
+	// QuarantineFor elapses (or a later inquiry is answered). Default
+	// faults.DefaultQuarantineAfter; negative disables quarantine.
 	QuarantineAfter int
 
 	// QuarantineFor is how long a quarantined server is avoided.
@@ -97,12 +79,6 @@ type AccessInfo struct {
 	PollRTTs  []time.Duration
 }
 
-// serverHealth is this client's failure-detector state for one server.
-type serverHealth struct {
-	strikes int       // consecutive unanswered inquiries
-	until   time.Time // quarantined while now < until
-}
-
 // Client is a client node: it maintains a service mapping table from
 // the availability subsystem and runs the load-balancing subsystem
 // (poll rounds or baseline policies) in front of the service access
@@ -112,14 +88,19 @@ type Client struct {
 	tr    transport.Transport
 	links *faults.LinkState // this client's link-fault stream; nil when none
 
-	//lint:guards rng, rr, endpoints, ident, outstanding, health
+	//lint:guards rng, rr, endpoints, ident, outstanding
 	mu          sync.Mutex
 	rng         *stats.RNG
 	rr          core.RoundRobinState
 	endpoints   []Endpoint
-	ident       []int                 // identity permutation scratch for poll-set selection
-	outstanding map[int]int           // this client's in-flight accesses by NodeID (LocalLeast)
-	health      map[int]*serverHealth // quarantine state by NodeID
+	ident       []int       // identity permutation scratch for poll-set selection
+	outstanding map[int]int // this client's in-flight accesses by NodeID (LocalLeast)
+
+	// det is the client's failure detector, keyed by NodeID on the
+	// clock of epoch; nil when quarantine is off. The pointer is set
+	// once by NewClient; the detector's state is guarded by mu.
+	det   *faults.Detector
+	epoch time.Time
 
 	// calls carries every service access; Refresh prunes its pools to
 	// the mapping table.
@@ -168,26 +149,8 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	if cfg.RefreshInterval == 0 {
 		cfg.RefreshInterval = 250 * time.Millisecond
 	}
-	if cfg.PollTimeout == 0 {
-		cfg.PollTimeout = time.Second
-	}
-	if cfg.PollRetries == 0 {
-		cfg.PollRetries = faults.DefaultPollRetries
-	}
-	if cfg.PollRetries < 0 {
-		cfg.PollRetries = 0
-	}
-	if cfg.AccessRetries == 0 {
-		cfg.AccessRetries = faults.DefaultAccessRetries
-	}
-	if cfg.AccessRetries < 0 || cfg.Policy.Kind == core.Ideal {
-		cfg.AccessRetries = 0
-	}
 	if cfg.QuarantineAfter == 0 {
 		cfg.QuarantineAfter = faults.DefaultQuarantineAfter
-	}
-	if cfg.QuarantineAfter < 0 {
-		cfg.QuarantineAfter = 0
 	}
 	if cfg.QuarantineFor == 0 {
 		cfg.QuarantineFor = faults.DefaultQuarantineFor
@@ -205,7 +168,8 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		rng:         stats.NewRNG(cfg.Seed ^ 0xc1e9a7b3d5f01234),
 		calls:       NewCaller(tr, accessTimeout),
 		outstanding: make(map[int]int),
-		health:      make(map[int]*serverHealth),
+		det:         faults.NewDetector(cfg.QuarantineAfter, cfg.QuarantineFor, 0),
+		epoch:       time.Now(),
 		done:        make(chan struct{}),
 	}
 	// A negative ID is no client of a link, so no link rule applies.
@@ -298,89 +262,28 @@ func (c *Client) LateAnswers() int64 {
 	return c.late.Load()
 }
 
-// liveEndpoints filters eps down to servers not currently quarantined.
-// It returns eps unchanged when nothing is quarantined (the common,
-// healthy case) and nil when every endpoint is quarantined.
-func (c *Client) liveEndpoints(eps []Endpoint) []Endpoint {
-	if c.cfg.QuarantineAfter == 0 {
-		return eps
+// liveEndpoints returns eps minus the servers this client has
+// quarantined, and whether any survived; when none did it returns eps
+// and false (faults.Live).
+func (c *Client) liveEndpoints(eps []Endpoint) ([]Endpoint, bool) {
+	if c.det == nil {
+		return eps, true // quarantine off: skip the lock
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(c.health) == 0 {
-		return eps
-	}
-	now := time.Now()
-	quarantined := 0
-	for _, ep := range eps {
-		if h := c.health[ep.NodeID]; h != nil && now.Before(h.until) {
-			quarantined++
-		}
-	}
-	if quarantined == 0 {
-		return eps
-	}
-	if quarantined == len(eps) {
-		return nil
-	}
-	live := make([]Endpoint, 0, len(eps)-quarantined)
-	for _, ep := range eps {
-		if h := c.health[ep.NodeID]; h != nil && now.Before(h.until) {
-			continue
-		}
-		live = append(live, ep)
-	}
-	return live
+	return faults.Live(c.det, nil, eps, nodeID, time.Since(c.epoch))
 }
 
-// noteAnswered clears a server's failure-detector state: an answered
-// inquiry is proof of life.
-func (c *Client) noteAnswered(nodeID int) {
-	if c.cfg.QuarantineAfter == 0 {
-		return
-	}
-	c.mu.Lock()
-	delete(c.health, nodeID)
-	c.mu.Unlock()
-}
+// nodeID maps an endpoint to the server id its detector state is kept
+// under.
+func nodeID(ep Endpoint) int { return ep.NodeID }
 
-// noteSilent records one unanswered inquiry; QuarantineAfter
-// consecutive silences quarantine the server.
-func (c *Client) noteSilent(nodeID int) {
-	if c.cfg.QuarantineAfter == 0 {
-		return
-	}
-	c.mu.Lock()
-	h := c.health[nodeID]
-	if h == nil {
-		h = &serverHealth{}
-		c.health[nodeID] = h
-	}
-	h.strikes++
-	if h.strikes >= c.cfg.QuarantineAfter {
-		h.until = time.Now().Add(c.cfg.QuarantineFor)
-		h.strikes = 0
+// silentLocked records one unanswered inquiry to node id at now on
+// the detector's clock. Caller holds c.mu.
+func (c *Client) silentLocked(id int, now time.Duration) {
+	if c.det.Silent(id, now) {
 		c.cfg.Metrics.Quarantines.Inc()
 	}
-	c.mu.Unlock()
-}
-
-// noteAccessFailure quarantines a server immediately: a broken service
-// round trip is much stronger evidence than a silent inquiry.
-func (c *Client) noteAccessFailure(nodeID int) {
-	if c.cfg.QuarantineAfter == 0 {
-		return
-	}
-	c.mu.Lock()
-	h := c.health[nodeID]
-	if h == nil {
-		h = &serverHealth{}
-		c.health[nodeID] = h
-	}
-	h.strikes = 0
-	h.until = time.Now().Add(c.cfg.QuarantineFor)
-	c.cfg.Metrics.Quarantines.Inc()
-	c.mu.Unlock()
 }
 
 // backoff sleeps the jittered backoff before retry attempt (0-based).
@@ -403,8 +306,9 @@ func (c *Client) backoff(attempt int) bool {
 // Access performs one service access of the configured service using
 // the configured policy, emulating serviceUs microseconds of work on
 // the chosen server. A failed round trip quarantines the chosen server
-// and retries (with backoff and a mapping-table refresh) up to
-// AccessRetries times before reporting the error.
+// and retries on a re-chosen one, after a backoff, up to
+// faults.DefaultAccessRetries times (never for Ideal, whose manager
+// accounts each access exactly once) before reporting the error.
 func (c *Client) Access(serviceUs uint32, payload []byte) (*AccessInfo, error) {
 	if c.closed.Load() {
 		return nil, fmt.Errorf("cluster: client closed")
@@ -418,16 +322,13 @@ func (c *Client) Access(serviceUs uint32, payload []byte) (*AccessInfo, error) {
 			}
 			info.Retries++
 			c.cfg.Metrics.Retries.Inc()
-			// The table may have moved on (soft-state expiry of the dead
-			// server); don't wait for the periodic refresh.
-			c.Refresh()
 		}
 		err := c.accessOnce(serviceUs, payload, info)
 		if err == nil {
 			return info, nil
 		}
 		lastErr = err
-		if c.closed.Load() || attempt >= c.cfg.AccessRetries {
+		if c.closed.Load() || attempt >= faults.DefaultAccessRetries || c.cfg.Policy.Kind == core.Ideal {
 			return nil, lastErr
 		}
 	}
@@ -441,11 +342,7 @@ func (c *Client) accessOnce(serviceUs uint32, payload []byte, info *AccessInfo) 
 	}
 	// Selection skips quarantined servers; when everything is
 	// quarantined the client has nothing better than the full table.
-	live := c.liveEndpoints(eps)
-	pickFrom := live
-	if pickFrom == nil {
-		pickFrom = eps
-	}
+	pickFrom, fresh := c.liveEndpoints(eps)
 
 	var target Endpoint
 	var releaseIdx uint32
@@ -506,7 +403,7 @@ func (c *Client) accessOnce(serviceUs uint32, payload []byte, info *AccessInfo) 
 
 	case core.Poll:
 		var err error
-		target, err = c.pollAndPick(eps, live, info)
+		target, err = c.pollAndPick(eps, pickFrom, fresh, info)
 		if err != nil {
 			return err
 		}
@@ -537,8 +434,12 @@ func (c *Client) accessOnce(serviceUs uint32, payload []byte, info *AccessInfo) 
 func (c *Client) dispatch(target Endpoint, serviceUs uint32, payload []byte) (*Response, error) {
 	c.cfg.Metrics.Dispatches.Inc()
 	resp, err := c.calls.Call(target, c.cfg.Service, c.cfg.Partition, serviceUs, payload)
-	if err != nil {
-		c.noteAccessFailure(target.NodeID)
+	if err != nil && c.det != nil {
+		c.mu.Lock()
+		if c.det.Failed(target.NodeID, time.Since(c.epoch)) {
+			c.cfg.Metrics.Quarantines.Inc()
+		}
+		c.mu.Unlock()
 	}
 	return resp, err
 }
@@ -584,28 +485,21 @@ func (c *Client) AccessNode(nodeID int, serviceUs uint32, payload []byte) (*Acce
 }
 
 // pollAndPick implements the random polling policy (§3.1-3.2) with
-// failure handling: poll PollSize random non-quarantined servers, and
-// if a whole round goes unanswered, back off and re-poll up to
-// PollRetries times before falling back to random selection. live is
-// the pre-filtered candidate list (nil when every server is
-// quarantined, in which case polling is pointless and the pick is
-// random over the full table).
-func (c *Client) pollAndPick(eps, live []Endpoint, info *AccessInfo) (Endpoint, error) {
-	if live == nil {
-		c.mu.Lock()
-		ep := eps[c.rng.Intn(len(eps))]
-		c.mu.Unlock()
-		return ep, nil
-	}
-	for round := 0; ; round++ {
-		ep, ok, err := c.pollOnce(live, info)
-		if err != nil {
-			return Endpoint{}, err
+// failure handling, as the simulator's client does: poll PollSize
+// random non-quarantined servers, and if a whole round goes unanswered,
+// back off and re-poll up to faults.DefaultPollRetries times before
+// falling back to a random server still believed live. cands and
+// fresh are liveEndpoints(eps): when every server is quarantined
+// polling is pointless, and the pick is random over the full table.
+func (c *Client) pollAndPick(eps, cands []Endpoint, fresh bool, info *AccessInfo) (Endpoint, error) {
+	for round := 0; fresh; round++ {
+		ep, ok, err := c.pollOnce(cands, info)
+		if err != nil || ok {
+			return ep, err
 		}
-		if ok {
-			return ep, nil
-		}
-		if round >= c.cfg.PollRetries {
+		if round >= faults.DefaultPollRetries {
+			// Every round was silence, which may have quarantined some.
+			cands, _ = c.liveEndpoints(eps)
 			break
 		}
 		info.Retries++
@@ -613,15 +507,10 @@ func (c *Client) pollAndPick(eps, live []Endpoint, info *AccessInfo) (Endpoint, 
 		if !c.backoff(round) {
 			return Endpoint{}, errPollClosed
 		}
-		// Re-filter: the silent round may have quarantined servers.
-		if fresh := c.liveEndpoints(eps); fresh != nil {
-			live = fresh
-		}
+		cands, fresh = c.liveEndpoints(eps)
 	}
-	// Every round was silence. Fall back to a random pick among the
-	// servers still believed live.
 	c.mu.Lock()
-	ep := live[c.rng.Intn(len(live))]
+	ep := cands[c.rng.Intn(len(cands))]
 	c.mu.Unlock()
 	return ep, nil
 }
@@ -668,7 +557,9 @@ func (c *Client) pollOnce(eps []Endpoint, info *AccessInfo) (ep Endpoint, ok boo
 		if err := c.inquire(r, seq, target); err != nil {
 			// The send failed outright (the client is closing, or the
 			// address is unusable): the server stays unpolled.
-			c.noteSilent(target.NodeID)
+			c.mu.Lock()
+			c.silentLocked(target.NodeID, time.Since(c.epoch))
+			c.mu.Unlock()
 			continue
 		}
 		r.epIdx[sent] = epIdx
@@ -678,7 +569,7 @@ func (c *Client) pollOnce(eps []Endpoint, info *AccessInfo) (ep Endpoint, ok boo
 	info.Polled += sent
 	c.cfg.Metrics.PollRequests.Add(int64(sent))
 
-	wait := c.cfg.PollTimeout
+	wait := faults.DefaultPollTimeout
 	if da := c.cfg.Policy.DiscardAfter; da > 0 && da < wait {
 		wait = da
 	}
@@ -706,26 +597,30 @@ func (c *Client) pollOnce(eps []Endpoint, info *AccessInfo) (ep Endpoint, ok boo
 	c.cfg.Metrics.PollResponses.Add(int64(answered))
 	c.cfg.Metrics.PollDiscards.Add(int64(sent - answered))
 
-	// Failure detection: an answer is proof of life; silence is a
-	// strike, and consecutive strikes quarantine.
-	for i := 0; i < sent; i++ {
-		if r.loads[i] >= 0 {
-			c.noteAnswered(eps[r.epIdx[i]].NodeID)
-		} else {
-			c.noteSilent(eps[r.epIdx[i]].NodeID)
+	// Failure detection (faults.Detector): an answer is proof of life;
+	// silence is a strike, and consecutive strikes quarantine. One lock
+	// covers the whole round's outcomes and the pick.
+	c.mu.Lock()
+	if c.det != nil {
+		now := time.Since(c.epoch)
+		for i := 0; i < sent; i++ {
+			if id := eps[r.epIdx[i]].NodeID; r.loads[i] >= 0 {
+				c.det.Answered(id)
+			} else {
+				c.silentLocked(id, now)
+			}
 		}
 	}
-
-	if answered == 0 {
-		c.putRound(r)
+	pick := -1
+	if answered > 0 {
+		pick = core.PickFromPolls(c.rng, r.responses, r.polled)
+	}
+	c.mu.Unlock()
+	c.putRound(r)
+	if pick < 0 {
 		return Endpoint{}, false, nil
 	}
-	c.mu.Lock()
-	pick := core.PickFromPolls(c.rng, r.responses, r.polled)
-	c.mu.Unlock()
-	ep = eps[pick]
-	c.putRound(r)
-	return ep, true, nil
+	return eps[pick], true, nil
 }
 
 // PollRound runs exactly one poll round against eps — encode, fan-out,

@@ -112,7 +112,6 @@ type ExperimentResult struct {
 	PollRTT *stats.Summary
 
 	PerServer []int64 // accesses served by each node (by index)
-	WallTime  time.Duration
 
 	// Elastic membership (zero churn on fixed-pool runs, where
 	// FinalPool = PeakPool = Servers): pool transitions applied and the
@@ -437,7 +436,6 @@ func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
 		})
 	}
 	wg.Wait()
-	res.WallTime = time.Since(start)
 	// Read the late answers still queued on idle round sockets, so
 	// poll_late_total counts every answer that has arrived.
 	for _, c := range cl.Clients {

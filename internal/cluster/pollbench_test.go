@@ -30,7 +30,6 @@ func pollBenchCluster(b testing.TB, tr transport.Transport, servers, d int) (*Cl
 	c, err := NewClient(ClientConfig{
 		Directory: dir, Service: "svc",
 		Policy:          core.NewPoll(d),
-		PollRetries:     -1,
 		QuarantineAfter: -1,
 		Transport:       tr,
 		Seed:            42,

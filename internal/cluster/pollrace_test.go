@@ -37,7 +37,6 @@ func TestLoadTableFanoutRace(t *testing.T) {
 	c, err := NewClient(ClientConfig{
 		Directory: dir, Service: "svc",
 		Policy:          core.NewPoll(2),
-		PollRetries:     -1,
 		QuarantineAfter: -1,
 		RefreshInterval: time.Millisecond,
 		Transport:       tr,
@@ -125,7 +124,6 @@ func TestMemFanoutDeterministic(t *testing.T) {
 		c, err := NewClient(ClientConfig{
 			Directory: dir, Service: "svc",
 			Policy:          core.NewPoll(3),
-			PollRetries:     -1,
 			QuarantineAfter: -1,
 			Transport:       tr,
 			Metrics:         m,
@@ -183,7 +181,6 @@ func TestRefreshPruneGrace(t *testing.T) {
 	c, err := NewClient(ClientConfig{
 		Directory: dir, Service: "svc",
 		Policy:          core.NewPoll(2),
-		PollRetries:     -1,
 		QuarantineAfter: -1,
 		Transport:       tr,
 		Seed:            7,
@@ -271,7 +268,6 @@ func TestTableSnapshotStableUnderRefresh(t *testing.T) {
 	c, err := NewClient(ClientConfig{
 		Directory: dir, Service: "svc",
 		Policy:          core.NewPoll(2),
-		PollRetries:     -1,
 		QuarantineAfter: -1,
 		RefreshInterval: time.Millisecond,
 		Transport:       tr,

@@ -197,6 +197,11 @@ const (
 	// DefaultQuarantineFor is how long a quarantined server is avoided —
 	// one directory TTL, long enough for soft state to confirm the death.
 	DefaultQuarantineFor = 2 * time.Second
+	// DefaultPollTimeout caps how long a client waits for poll answers
+	// when the policy sets no (or a longer) discard threshold: a lost
+	// datagram must not hang an access. Healthy answers arrive within a
+	// round trip, so it binds only under faults or extreme jitter.
+	DefaultPollTimeout = time.Second
 	// DefaultPollRetries is how many times a completely unanswered poll
 	// round is retried (with backoff) before falling back to random
 	// selection.
@@ -208,6 +213,124 @@ const (
 	// jittered uniformly over [0.5, 1.5)x and double per attempt.
 	DefaultRetryBackoff = 2 * time.Millisecond
 )
+
+// Detector is one client's failure detector, the soft-state crutch of
+// §3.1 that both substrates run: consecutive unanswered inquiries to a
+// server count as strikes, and the after-th strike quarantines it; a
+// broken service round trip quarantines it at once; any answer clears
+// its strikes and quarantine. A server is quarantined while now < until.
+// Times are offsets on the caller's clock (simulated time, or wall time
+// since the client started), so the detector itself reads no clock.
+//
+// A nil *Detector is the inert detector of a client with quarantine
+// off: it never quarantines anything. Detector is not safe for
+// concurrent use; the prototype client guards it with its own mutex.
+type Detector struct {
+	after  int
+	qfor   time.Duration
+	latest time.Duration // no server is quarantined from this instant on
+	state  []serverState // by server id
+}
+
+// serverState is one server's failure-detector state.
+type serverState struct {
+	strikes int           // consecutive unanswered inquiries
+	until   time.Duration // quarantined while now < until
+}
+
+// NewDetector returns a detector that quarantines a server for quarFor
+// after `after` consecutive silences, sized for server ids below
+// servers (larger ids grow it). after <= 0 turns quarantine off and
+// returns the inert nil detector.
+func NewDetector(after int, quarFor time.Duration, servers int) *Detector {
+	if after <= 0 {
+		return nil
+	}
+	return &Detector{after: after, qfor: quarFor, state: make([]serverState, servers)}
+}
+
+// Silent records one unanswered inquiry to srv at now and reports
+// whether that strike quarantined it.
+//
+//lint:noalloc
+func (d *Detector) Silent(srv int, now time.Duration) bool {
+	if d == nil {
+		return false
+	}
+	s := d.at(srv)
+	s.strikes++
+	if s.strikes < d.after {
+		return false
+	}
+	d.quarantine(s, now)
+	return true
+}
+
+// Failed records a broken service round trip to srv at now — much
+// stronger evidence than a silent inquiry — and quarantines srv at
+// once. It reports whether it did (false only on the inert detector).
+//
+//lint:noalloc
+func (d *Detector) Failed(srv int, now time.Duration) bool {
+	if d == nil {
+		return false
+	}
+	d.quarantine(d.at(srv), now)
+	return true
+}
+
+//lint:noalloc
+func (d *Detector) quarantine(s *serverState, now time.Duration) {
+	s.strikes = 0
+	s.until = now + d.qfor
+	d.latest = max(d.latest, s.until)
+}
+
+// Answered clears srv's strikes and quarantine: an answer is proof of
+// life.
+//
+//lint:noalloc
+func (d *Detector) Answered(srv int) {
+	if d == nil || srv >= len(d.state) {
+		return
+	}
+	d.state[srv] = serverState{}
+}
+
+// at returns srv's state, growing the table to reach it.
+//
+//lint:noalloc
+func (d *Detector) at(srv int) *serverState {
+	if srv >= len(d.state) {
+		//lint:allow noalloc grows once per server id beyond the sizing hint
+		d.state = append(d.state, make([]serverState, srv+1-len(d.state))...)
+	}
+	return &d.state[srv]
+}
+
+// Live returns the members that d has not quarantined at now, and
+// whether there were any; id maps a member to its server id. The
+// filtered set is appended to dst[:0]. When nothing is quarantined it
+// returns members itself, and when everything is it returns members
+// and false: a client with nowhere believed-live to go still has to go
+// somewhere, so the caller falls back to the full set.
+//
+//lint:noalloc
+func Live[T any](d *Detector, dst, members []T, id func(T) int, now time.Duration) ([]T, bool) {
+	if d == nil || now >= d.latest {
+		return members, true
+	}
+	dst = dst[:0]
+	for _, m := range members {
+		if srv := id(m); srv >= len(d.state) || now >= d.state[srv].until {
+			dst = append(dst, m)
+		}
+	}
+	if len(dst) == 0 {
+		return members, false
+	}
+	return dst, true
+}
 
 // Backoff returns the nominal backoff before retry number attempt
 // (0-based): DefaultRetryBackoff doubled per attempt. Callers jitter it

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -149,5 +150,107 @@ func TestDegradedDemo(t *testing.T) {
 	}
 	if s2 := DegradedDemo(2, 5, 0, 0, 1); len(s2.Events) != 2 || len(s2.Links) != 0 {
 		t.Errorf("clamped demo: %+v", s2)
+	}
+}
+
+// TestDetectorRules drives one detector through a script of events and
+// checks, after each, which of servers 0..3 it has quarantined.
+func TestDetectorRules(t *testing.T) {
+	const qfor = 10 * time.Second
+	type step struct {
+		at   time.Duration
+		op   string // "silent", "failed", "answered" or "check"
+		srv  int
+		want []int // quarantined servers at `at` ("check" only)
+	}
+	for _, tc := range []struct {
+		name  string
+		after int
+		steps []step
+	}{
+		{"quarantine on the Nth silence", 3, []step{
+			{0, "silent", 1, nil}, {1, "silent", 1, nil},
+			{2, "check", 0, nil},
+			{2, "silent", 1, nil},
+			{2, "check", 0, []int{1}},
+		}},
+		{"failed access quarantines at once", 3, []step{
+			{5, "failed", 2, nil},
+			{5, "check", 0, []int{2}},
+		}},
+		{"answer clears strikes and quarantine", 2, []step{
+			{0, "silent", 0, nil}, {0, "answered", 0, nil}, {0, "silent", 0, nil},
+			{0, "check", 0, nil}, // the answer reset the count
+			{0, "failed", 3, nil}, {1, "answered", 3, nil},
+			{1, "check", 0, nil},
+		}},
+		{"release exactly at until", 1, []step{
+			{7, "silent", 0, nil}, {8, "silent", 1, nil},
+			{7 + qfor - 1, "check", 0, []int{0, 1}},
+			{7 + qfor, "check", 0, []int{1}},
+			{8 + qfor, "check", 0, nil},
+		}},
+		{"quarantine restarts the strike count", 2, []step{
+			{0, "silent", 0, nil}, {0, "silent", 0, nil},
+			{qfor, "silent", 0, nil},
+			{qfor, "check", 0, nil},
+		}},
+		{"every server quarantined falls back to all", 3, []step{
+			{0, "failed", 0, nil}, {0, "failed", 1, nil}, {0, "failed", 2, nil}, {0, "failed", 3, nil},
+			{1, "check", 0, []int{0, 1, 2, 3}},
+		}},
+		{"QuarantineAfter 0 is inert", 0, []step{
+			{0, "silent", 0, nil}, {0, "silent", 0, nil}, {0, "failed", 1, nil},
+			{1, "check", 0, nil},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := NewDetector(tc.after, qfor, 2) // ids 2 and 3 grow the table
+			members := []int{0, 1, 2, 3}
+			for i, s := range tc.steps {
+				switch s.op {
+				case "silent":
+					d.Silent(s.srv, s.at)
+				case "failed":
+					d.Failed(s.srv, s.at)
+				case "answered":
+					d.Answered(s.srv)
+				case "check":
+					live, fresh := Live(d, nil, members, func(m int) int { return m }, s.at)
+					quarantined := map[int]bool{}
+					for _, q := range s.want {
+						quarantined[q] = true
+					}
+					var wantLive []int
+					for _, m := range members {
+						if !quarantined[m] {
+							wantLive = append(wantLive, m)
+						}
+					}
+					if len(wantLive) == 0 {
+						wantLive = members // nowhere believed live: the full set
+					}
+					if fmt.Sprint(live) != fmt.Sprint(wantLive) || fresh != (len(s.want) < len(members)) {
+						t.Fatalf("step %d at %v: live %v fresh %v, want %v quarantined", i, s.at, live, fresh, s.want)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestDetectorReportsQuarantines checks the transitions Silent and
+// Failed report, which callers count as quarantine events.
+func TestDetectorReportsQuarantines(t *testing.T) {
+	d := NewDetector(2, time.Second, 1)
+	if d.Silent(0, 0) || !d.Silent(0, 0) || d.Silent(0, 0) {
+		t.Fatal("Silent must report exactly the second consecutive strike")
+	}
+	if !d.Failed(0, 0) {
+		t.Fatal("Failed must report its quarantine")
+	}
+	var off *Detector
+	if off.Silent(0, 0) || off.Failed(0, 0) {
+		t.Fatal("the inert detector reported a quarantine")
 	}
 }

@@ -1,6 +1,8 @@
 package simcluster
 
 import (
+	"time"
+
 	"finelb/internal/core"
 	"finelb/internal/faults"
 	"finelb/internal/sim"
@@ -105,7 +107,36 @@ func (r *runner) candidates(client int) ([]int, bool) {
 	if r.ft == nil {
 		return r.pool.Members(), true
 	}
-	return r.ft.candidates(client, r.pool.Members())
+	return faults.Live(r.ft.det[client], r.ft.fresh, r.pool.Members(), serverID, r.now())
+}
+
+// serverID is the simulator's member-to-server-id map: members are ids.
+//
+//lint:noalloc
+func serverID(srv int) int { return srv }
+
+// detector returns the client's failure detector: nil, the inert
+// detector, unless the fault schedule is active.
+//
+//lint:noalloc
+func (r *runner) detector(client int) *faults.Detector {
+	if r.ft == nil {
+		return nil
+	}
+	return r.ft.det[client]
+}
+
+// now is the simulated clock as the offset faults.Detector takes.
+//
+//lint:noalloc
+func (r *runner) now() time.Duration { return time.Duration(r.eng.Now()) }
+
+// quarantined records client's decision to quarantine srv.
+//
+//lint:noalloc
+func (r *runner) quarantined(client, srv int) {
+	r.rm.Quarantines.Inc()
+	r.emit("client.quarantine", r.clientActor, client, int64(srv), 0)
 }
 
 // anyOf picks a uniformly random candidate.
@@ -202,7 +233,7 @@ func (r *runner) pollRound(id, round int, cands []int) {
 	r.res.Messages.PollRequests += int64(len(c.polled))
 	r.rm.PollRequests.Add(int64(len(c.polled)))
 
-	c.deadline = c.start.Add(DefaultPollTimeout)
+	c.deadline = c.start.Add(sim.Duration(faults.DefaultPollTimeout))
 	if d := cfg.Policy.DiscardAfter; d > 0 {
 		c.deadline = min(c.deadline, c.start.Add(sim.FromSeconds(d.Seconds())))
 	}
@@ -289,11 +320,14 @@ func (r *runner) decide(cid int) {
 	missing := int64(len(c.polled) - len(c.responses))
 	r.res.Messages.PollsDiscarded += missing
 	r.rm.PollDiscards.Add(missing)
+	det, at := r.detector(a.client), r.now()
 	for i, srv := range c.polled {
 		if c.answered[i] {
-			r.ft.noteAnswered(a.client, srv)
+			det.Answered(srv)
 		} else {
-			r.ft.noteSilent(a.client, srv)
+			if det.Silent(srv, at) {
+				r.quarantined(a.client, srv)
+			}
 			r.emit("poll.discard", r.clientActor, a.client, int64(srv), int64(a.idx))
 		}
 	}
@@ -402,7 +436,9 @@ func (r *runner) accessDone(id int) {
 func (r *runner) accessFailed(id int) {
 	a := r.accs.at(id)
 	r.settle(a)
-	r.ft.quarantine(a.client, a.srv)
+	if r.detector(a.client).Failed(a.srv, r.now()) {
+		r.quarantined(a.client, a.srv)
+	}
 	if a.attempt >= faults.DefaultAccessRetries {
 		r.lost++
 		r.emit("access.lost", r.clientActor, a.client, int64(a.srv), int64(a.idx))

@@ -179,11 +179,7 @@ func newRunner(cfg Config) (*runner, error) {
 	// Fault machinery, allocated only for an active schedule: an inert
 	// one pays nothing and draws nothing extra.
 	if cfg.Faults.Active() {
-		r.ft = newClientFaults(eng, cfg.Faults, cfg.Clients, maxPool)
-		r.ft.onQuarantine = func(client, srv int) {
-			r.rm.Quarantines.Inc()
-			r.emit("client.quarantine", r.clientActor, client, int64(srv), 0)
-		}
+		r.ft = newClientFaults(cfg.Faults, cfg.Clients, maxPool)
 		for _, ev := range cfg.Faults.Sorted() {
 			ev := ev
 			if ev.Node < maxPool {

@@ -45,14 +45,6 @@ const (
 	DefaultBroadcastDelay = 145 * sim.Microsecond
 )
 
-// DefaultPollTimeout caps how long a client waits for poll answers when
-// the policy sets no (or a longer) discard threshold, mirroring the
-// prototype client's poll deadline. The cap applies uniformly to
-// healthy and faulted runs (DESIGN.md §5); in the healthy model every
-// answer arrives within its ~290 us round trip, so it only binds when
-// fault injection or extreme PollJitter delays answers.
-const DefaultPollTimeout = sim.Duration(sim.Second)
-
 // Config describes one simulated run.
 type Config struct {
 	Servers  int
@@ -267,12 +259,4 @@ func (r *Result) MeanUtilization() float64 {
 		t += u
 	}
 	return t / float64(len(r.ServerUtilization))
-}
-
-// Describe summarizes the run in one line for logs.
-func (r *Result) Describe() string {
-	return fmt.Sprintf("%s %s n=%d: mean=%.3fms p95=%.3fms util=%.3f msgs=%d",
-		r.Config.Workload.Name, r.Config.Policy, r.Config.Servers,
-		r.Response.Mean()*1e3, r.Response.Percentile(0.95)*1e3,
-		r.MeanUtilization(), r.Messages.Total())
 }

@@ -309,14 +309,6 @@ func TestWarmupExcluded(t *testing.T) {
 	}
 }
 
-func TestDescribe(t *testing.T) {
-	w := workload.PoissonExp(0.05).ScaledTo(2, 0.5)
-	res := run(t, Config{Servers: 2, Workload: w, Policy: core.NewRandom(), Accesses: 2000, Seed: 17})
-	if s := res.Describe(); s == "" {
-		t.Fatal("empty description")
-	}
-}
-
 func TestLocalLeastBetweenRandomAndIdeal(t *testing.T) {
 	// Client-local least-connections beats random (it avoids its own
 	// hot spots) but cannot reach IDEAL (it only sees 1/Clients of the

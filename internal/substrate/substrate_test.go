@@ -159,7 +159,7 @@ func counts(r *RunResult) [6]int64 {
 
 func TestProtoMemDeterministicUnderFaults(t *testing.T) {
 	// Loss 1.0 on every client→server poll link makes every inquiry's
-	// fate fixed: each access burns the full poll round plus one retry,
+	// fate fixed: each access burns the full poll round plus its retries,
 	// discards everything, and falls back to random selection. With
 	// quarantine disabled (its expiry is wall-clock driven) the message
 	// counts are a pure function of the spec, so two runs must agree
@@ -191,11 +191,12 @@ func TestProtoMemDeterministicUnderFaults(t *testing.T) {
 	}
 
 	// The counts are also predictable in closed form: poll size 2 per
-	// round, one dry-round retry per access, everything discarded.
+	// round, faults.DefaultPollRetries dry-round retries per access,
+	// everything discarded.
 	if first.PollResponses != 0 {
 		t.Errorf("total loss still produced %d answers", first.PollResponses)
 	}
-	wantPolled := int64(spec.Accesses) * 2 * 2 // 2 inquiries × (1 round + 1 retry)
+	wantPolled := int64(spec.Accesses) * 2 * (1 + faults.DefaultPollRetries)
 	if first.PollRequests != wantPolled || first.PollsDiscarded != wantPolled {
 		t.Errorf("polled %d discarded %d, want %d each",
 			first.PollRequests, first.PollsDiscarded, wantPolled)
@@ -203,8 +204,8 @@ func TestProtoMemDeterministicUnderFaults(t *testing.T) {
 	if first.Lost != 0 {
 		t.Errorf("lost %d accesses; the access path carries no faults", first.Lost)
 	}
-	if first.Retries < int64(spec.Accesses) {
-		t.Errorf("retries %d, want at least one dry-round retry per access", first.Retries)
+	if want := int64(spec.Accesses) * faults.DefaultPollRetries; first.Retries < want {
+		t.Errorf("retries %d, want at least %d dry-round retries", first.Retries, want)
 	}
 }
 

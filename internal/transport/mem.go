@@ -76,8 +76,12 @@ func (m *Mem) nextAddr() string {
 }
 
 // memInboxCap bounds each endpoint's datagram queue; like a kernel
-// socket buffer, overflow drops.
-const memInboxCap = 4096
+// socket buffer, overflow drops. Only poll-round sockets read their
+// inbox (a node's load socket takes the handler path), and one holds
+// at most its round's d answers plus the late answers, each one owed
+// by an earlier round on the socket, that arrived while it sat idle.
+// 256 slots (about 12 KB) hold sixteen 16-server rounds' worth.
+const memInboxCap = 256
 
 type memDatagram struct {
 	from    string
@@ -154,7 +158,7 @@ func (m *Mem) DialPacket(addr string, _ Link) (PacketConn, error) {
 }
 
 // newEndpoint registers a fresh datagram endpoint. The inbox (memInboxCap
-// slots, ~200 KB) is allocated before m.mu is taken: every undelayed
+// slots) is allocated before m.mu is taken: every undelayed
 // datagram resolves its destination under m.mu, so allocating under
 // the lock stalls all traffic on the fabric. A client mints a poll
 // round, and so an endpoint, whenever all its rounds are in flight —

@@ -290,6 +290,38 @@ func TestMemManyEndpoints(t *testing.T) {
 	}
 }
 
+// TestMemInboxOverflowDrops fills an unread endpoint's inbox: it
+// queues exactly memInboxCap datagrams, drops the next one as a full
+// socket buffer would, and then reads every queued datagram back in
+// the order it was sent.
+func TestMemInboxOverflowDrops(t *testing.T) {
+	m := NewMem(MemConfig{Seed: 1})
+	src, _ := m.ListenPacket()
+	defer src.Close()
+	dst, _ := m.ListenPacket()
+	defer dst.Close()
+	for i := 0; i <= memInboxCap; i++ {
+		if _, err := src.WriteTo([]byte(fmt.Sprint(i)), dst.LocalAddr()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	buf := make([]byte, 16)
+	for i := 0; i < memInboxCap; i++ {
+		dst.SetReadDeadline(time.Now().Add(time.Second))
+		n, from, err := dst.ReadFrom(buf)
+		if err != nil || from != src.LocalAddr() {
+			t.Fatalf("datagram %d: from %q, err %v", i, from, err)
+		}
+		if got := string(buf[:n]); got != fmt.Sprint(i) {
+			t.Fatalf("datagram %d read back as %q", i, got)
+		}
+	}
+	dst.SetReadDeadline(time.Now().Add(20 * time.Millisecond))
+	if n, _, err := dst.ReadFrom(buf); !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("datagram past the inbox cap was queued: read %q, err %v", buf[:n], err)
+	}
+}
+
 func TestMemAddrFormat(t *testing.T) {
 	m := NewMem(MemConfig{Seed: 1})
 	pc, _ := m.ListenPacket()
