@@ -10,6 +10,8 @@ import (
 
 	"finelb/internal/core"
 	"finelb/internal/faults"
+	"finelb/internal/membership"
+	"finelb/internal/obs"
 	"finelb/internal/workload"
 )
 
@@ -62,21 +64,56 @@ func goldenSimSpec() (Substrate, RunSpec) {
 	}
 }
 
+// goldenSimFaultSpec is goldenSimSpec under an active fault schedule:
+// a crash, a pause and resume, and a lossy link on every inquiry, so
+// quarantines, dropped inquiries, discards and retries all fire.
+func goldenSimFaultSpec() (Substrate, RunSpec) {
+	sim, spec := goldenSimSpec()
+	spec.Policy = core.NewPollDiscard(2, 10*time.Millisecond)
+	spec.Faults = &faults.Schedule{
+		Seed: 3,
+		Events: []faults.NodeEvent{
+			{At: 3 * time.Second, Node: 1, Kind: faults.Crash},
+			{At: 5 * time.Second, Node: 2, Kind: faults.Pause},
+			{At: 9 * time.Second, Node: 2, Kind: faults.Resume},
+		},
+		Links: []faults.LinkRule{{Client: -1, Server: -1, Loss: 0.2}},
+	}
+	return sim, spec
+}
+
+// goldenSimElasticSpec is goldenSimSpec over an elastic pool: a
+// scheduled join/drain/leave cycle plus the closed-loop autoscaler.
+func goldenSimElasticSpec() (Substrate, RunSpec) {
+	sim, spec := goldenSimSpec()
+	spec.Membership = &membership.Schedule{Events: []membership.Event{
+		{At: 2 * time.Second, Node: 8, Kind: membership.Join},
+		{At: 10 * time.Second, Node: 8, Kind: membership.Drain},
+		{At: 20 * time.Second, Node: 8, Kind: membership.Leave},
+	}}
+	spec.Autoscaler = &membership.AutoscalerConfig{
+		Min: 6, Max: 12,
+		ScaleUpAt: 1.5, ScaleDownAt: 0.5,
+		ScaleUpCooldown: 2 * time.Second, ScaleDownCooldown: 5 * time.Second,
+		Interval: 250 * time.Millisecond,
+	}
+	return sim, spec
+}
+
 func goldenMetricsRun(t *testing.T) []metricsGolden {
 	t.Helper()
-	sim, simSpec := goldenSimSpec()
-	simRes, err := sim.Run(simSpec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mem, memSpec := goldenMemSpec()
-	memRes, err := mem.Run(memSpec)
-	if err != nil {
-		t.Fatal(err)
+	run := func(sub Substrate, spec RunSpec) *RunResult {
+		res, err := sub.Run(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
 	return []metricsGolden{
-		{Case: "sim-poissonexp-poll2", Scope: "full", Digest: simRes.Metrics.Digest()},
-		{Case: "proto-mem-total-loss", Scope: "deterministic", Digest: memRes.Metrics.DeterministicDigest()},
+		{Case: "sim-poissonexp-poll2", Scope: "full", Digest: run(goldenSimSpec()).Metrics.Digest()},
+		{Case: "proto-mem-total-loss", Scope: "deterministic", Digest: run(goldenMemSpec()).Metrics.DeterministicDigest()},
+		{Case: "sim-faults-polldiscard2", Scope: "full", Digest: run(goldenSimFaultSpec()).Metrics.Digest()},
+		{Case: "sim-elastic-poll2", Scope: "full", Digest: run(goldenSimElasticSpec()).Metrics.Digest()},
 	}
 }
 
@@ -165,6 +202,32 @@ func TestSubstratesEmitSameMetricNames(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Errorf("name %d differs: sim %q vs proto-mem %q", i, a[i], b[i])
+		}
+	}
+}
+
+// TestGoldenMetricsCasesReachChurnPaths checks that the fault and
+// elastic golden cases exercise what they are there to pin: a digest
+// over a run where no quarantine, drop, retry or scale action fired
+// would pin nothing the healthy case does not.
+func TestGoldenMetricsCasesReachChurnPaths(t *testing.T) {
+	sub, spec := goldenSimFaultSpec()
+	res, err := sub.Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{obs.MetricQuarantines, obs.MetricInquiriesDropped, obs.MetricRetries, obs.MetricPollDiscards} {
+		if res.Metrics.Value(name) == 0 {
+			t.Errorf("fault case: %s is zero", name)
+		}
+	}
+	sub, spec = goldenSimElasticSpec()
+	if res, err = sub.Run(spec); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{obs.MetricMembershipJoins, obs.MetricMembershipDrains, obs.MetricMembershipLeaves, obs.MetricAutoscaleUps, obs.MetricAutoscaleDowns} {
+		if res.Metrics.Value(name) == 0 {
+			t.Errorf("elastic case: %s is zero", name)
 		}
 	}
 }
