@@ -369,16 +369,21 @@ func (g *Gateway) handleAccess(w http.ResponseWriter, r *http.Request) {
 	defer g.m.Inflight.Add(-1)
 
 	serviceUs := t.cfg.ServiceUs
-	if s := r.URL.Query().Get("service_us"); s != "" {
-		v, err := strconv.ParseUint(s, 10, 32)
-		if err != nil {
-			http.Error(w, "gateway: bad service_us: "+err.Error(), http.StatusBadRequest)
-			return
+	// Parsing the query builds a map, so a request without one skips it.
+	if r.URL.RawQuery != "" {
+		if s := r.URL.Query().Get("service_us"); s != "" {
+			v, err := strconv.ParseUint(s, 10, 32)
+			if err != nil {
+				http.Error(w, "gateway: bad service_us: "+err.Error(), http.StatusBadRequest)
+				return
+			}
+			serviceUs = uint32(v)
 		}
-		serviceUs = uint32(v)
 	}
+	// A bodyless request skips the size-capping reader and ReadAll's
+	// 512-byte buffer; its payload stays nil.
 	var payload []byte
-	if r.Body != nil {
+	if r.Body != nil && r.Body != http.NoBody {
 		var err error
 		payload, err = io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
 		if err != nil {

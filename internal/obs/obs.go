@@ -9,7 +9,12 @@
 //
 // Hot-path operations (Counter.Add, Gauge.Add, Histogram.Observe) are
 // lock-free atomics with zero allocation; registration happens once at
-// run setup. A Snapshot freezes every metric into a sorted,
+// run setup. The prototype, whose nodes and clients share a registry
+// across goroutines, updates them live. The simulator is one goroutine,
+// so it tallies into plain fields and publishes once at the end of a
+// run: counters through Add, gauges through Set, and histograms through
+// Fold, whose buckets match Observe's because both index them with
+// BucketIndex. A Snapshot freezes every metric into a sorted,
 // JSON-marshalable form with two digests: Digest covers everything,
 // DeterministicDigest covers only the values that are a pure function
 // of the run's seed and spec (counters, gauge end values) so identical
@@ -161,19 +166,54 @@ func newHistogram(bounds []float64) (*Histogram, error) {
 //
 //lint:noalloc
 func (h *Histogram) Observe(x float64) {
-	// Binary search for the first bound >= x; small bound sets make this
-	// a handful of comparisons, no allocation.
-	lo, hi := 0, len(h.bounds)
+	h.counts[BucketIndex(h.bounds, x)].Add(1)
+	h.count.Add(1)
+	h.addSum(x)
+}
+
+// BucketIndex returns the bucket a histogram with these bounds counts x
+// into: the index of the first bound >= x, or len(bounds) for the +Inf
+// bucket. A recorder that tallies plain counts with it and publishes
+// them through Fold fills exactly the buckets Observe would.
+//
+//lint:noalloc
+func BucketIndex(bounds []float64, x float64) int {
+	// Binary search; small bound sets make this a handful of
+	// comparisons, no allocation.
+	lo, hi := 0, len(bounds)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if h.bounds[mid] >= x {
+		if bounds[mid] >= x {
 			hi = mid
 		} else {
 			lo = mid + 1
 		}
 	}
-	h.counts[lo].Add(1)
-	h.count.Add(1)
+	return lo
+}
+
+// Fold adds plain per-bucket counts, indexed as BucketIndex numbers
+// them (len(bounds)+1 entries, the last the +Inf bucket), and the sum
+// of the values they count. Folding the tallies of a series of values
+// into an empty histogram leaves it bit-identical to observing them one
+// by one, provided sum was accumulated in observation order.
+func (h *Histogram) Fold(counts []int64, sum float64) {
+	if len(counts) != len(h.counts) {
+		panic(fmt.Sprintf("obs: folding %d bucket counts into a histogram of %d buckets", len(counts), len(h.counts)))
+	}
+	var n int64
+	for i, c := range counts {
+		h.counts[i].Add(c)
+		n += c
+	}
+	h.count.Add(n)
+	h.addSum(sum)
+}
+
+// addSum adds x to the running sum.
+//
+//lint:noalloc
+func (h *Histogram) addSum(x float64) {
 	for {
 		old := h.sum.Load()
 		next := math.Float64bits(math.Float64frombits(old) + x)
@@ -210,13 +250,8 @@ func (h *Histogram) Merge(other *Histogram) error {
 		h.counts[i].Add(other.counts[i].Load())
 	}
 	h.count.Add(other.count.Load())
-	for {
-		old := h.sum.Load()
-		next := math.Float64bits(math.Float64frombits(old) + other.Sum())
-		if h.sum.CompareAndSwap(old, next) {
-			return nil
-		}
-	}
+	h.addSum(other.Sum())
+	return nil
 }
 
 // metric is one registered metric with its metadata.

@@ -235,6 +235,36 @@ func TestHistogramMerge(t *testing.T) {
 	}
 }
 
+// TestHistogramFoldMatchesObserve pins the plain-tally publish path:
+// counts tallied with BucketIndex and a sum accumulated in observation
+// order, folded into an empty histogram, leave it bit-identical to
+// observing the same values one by one.
+func TestHistogramFoldMatchesObserve(t *testing.T) {
+	bounds := LatencyBuckets()
+	live, _ := newHistogram(bounds)
+	folded, _ := newHistogram(bounds)
+	counts := make([]int64, len(bounds)+1)
+	var sum float64
+	for i := 0; i < 1000; i++ {
+		x := 0.00003 * math.Pow(1.02, float64(i)) // 30 µs up past the +Inf bound
+		live.Observe(x)
+		counts[BucketIndex(bounds, x)]++
+		sum += x
+	}
+	folded.Fold(counts, sum)
+	if folded.Count() != live.Count() || math.Float64bits(folded.Sum()) != math.Float64bits(live.Sum()) {
+		t.Fatalf("folded count %d sum %v, observed count %d sum %v", folded.Count(), folded.Sum(), live.Count(), live.Sum())
+	}
+	for i := range counts {
+		if folded.BucketCount(i) != live.BucketCount(i) {
+			t.Errorf("bucket %d: folded %d, observed %d", i, folded.BucketCount(i), live.BucketCount(i))
+		}
+	}
+	if live.BucketCount(len(bounds)) == 0 {
+		t.Error("no value reached the +Inf bucket")
+	}
+}
+
 func TestHistogramConcurrentObserve(t *testing.T) {
 	h, _ := newHistogram(LatencyBuckets())
 	var wg sync.WaitGroup

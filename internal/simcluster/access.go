@@ -135,7 +135,7 @@ func (r *runner) now() time.Duration { return time.Duration(r.eng.Now()) }
 //
 //lint:noalloc
 func (r *runner) quarantined(client, srv int) {
-	r.rm.Quarantines.Inc()
+	r.quarantines++
 	r.emit("client.quarantine", r.clientActor, client, int64(srv), 0)
 }
 
@@ -198,17 +198,38 @@ func (r *runner) indexPick(x *core.LoadIndex, cands []int) int {
 }
 
 // pollCtx is one poll round's state, kept in the runner's slab like
-// access records; its slices are reused across the rounds that take
-// its id.
+// access records; its slices are carved once, with room for a full
+// round, and reused by every round that takes its id.
 type pollCtx struct {
 	acc       int      // the access being decided
 	round     int      // 0, then one more per silent-round retry
 	start     sim.Time // when the inquiries went out
 	deadline  sim.Time // poll timeout, capped by the discard threshold
-	polled    []int
-	respAt    []sim.Time
-	answered  []bool
-	responses []core.PollResponse
+	slots     []pollSlot
+	responses []core.PollResponse // the answers, in the order they landed
+}
+
+// pollSlot is one inquiry of a poll round.
+type pollSlot struct {
+	srv      int      // the polled server
+	respAt   sim.Time // when its answer lands at the client
+	answered bool
+}
+
+// carve returns an empty slice with room for n records, cut from
+// *pool; an exhausted pool is refilled with room for a slab block's
+// worth of such slices, so the poll contexts of one block share a
+// backing array instead of each growing its own.
+//
+//lint:noalloc (the refill below is the one sanctioned mint)
+func carve[T any](pool *[]T, n int) []T {
+	if len(*pool) < n {
+		//lint:allow noalloc one backing array per 1<<slabBits poll contexts minted
+		*pool = make([]T, n<<slabBits)
+	}
+	s := (*pool)[:0:n]
+	*pool = (*pool)[n:]
+	return s
 }
 
 // pollRound sends one round of load inquiries for access id to a
@@ -226,27 +247,27 @@ func (r *runner) pollRound(id, round int, cands []int) {
 	cid := r.polls.get()
 	c := r.polls.at(cid)
 	c.acc, c.round, c.start = id, round, r.eng.Now()
-	c.polled = c.polled[:0]
-	for _, i := range set {
-		c.polled = append(c.polled, cands[i])
+	if c.slots == nil {
+		c.slots = carve(&r.slotPool, cfg.Policy.PollSize)
+		c.responses = carve(&r.respPool, cfg.Policy.PollSize)
 	}
-	r.res.Messages.PollRequests += int64(len(c.polled))
-	r.rm.PollRequests.Add(int64(len(c.polled)))
+	c.slots = c.slots[:0]
+	c.responses = c.responses[:0]
+	for _, i := range set {
+		c.slots = append(c.slots, pollSlot{srv: cands[i]})
+	}
+	r.msg.PollRequests += int64(len(c.slots))
 
 	c.deadline = c.start.Add(sim.Duration(faults.DefaultPollTimeout))
 	if d := cfg.Policy.DiscardAfter; d > 0 {
 		c.deadline = min(c.deadline, c.start.Add(sim.FromSeconds(d.Seconds())))
 	}
-	c.respAt = c.respAt[:0]
-	c.answered = c.answered[:0]
-	c.responses = c.responses[:0]
 	decideAt := c.start
-	for i, srv := range c.polled {
-		c.respAt = append(c.respAt, 0)
-		c.answered = append(c.answered, false)
-		drop, extra := r.ft.pollFault(client, srv)
+	for i := range c.slots {
+		sl := &c.slots[i]
+		drop, extra := r.ft.pollFault(client, sl.srv)
 		if drop {
-			r.rm.InquiriesDropped.Inc() // lost datagram: silence until the deadline
+			r.inquiriesDropped++ // lost datagram: silence until the deadline
 			decideAt = c.deadline
 			continue
 		}
@@ -254,19 +275,19 @@ func (r *runner) pollRound(id, round int, cands []int) {
 		if cfg.PollJitter != nil {
 			rtt += sim.FromSeconds(cfg.PollJitter.Sample(r.jitterRNG))
 		}
-		c.respAt[i] = c.start.Add(rtt)
-		if c.respAt[i] > c.deadline {
+		sl.respAt = c.start.Add(rtt)
+		if sl.respAt > c.deadline {
 			// A live server's answer lands after the client has decided
 			// without it.
-			if s := &r.srv[srv]; !s.down && !s.paused {
-				r.rm.PollLate.Inc()
-				r.rm.InquiriesServed.Inc()
-				r.rm.PollRTTSeconds.Observe(rtt.Seconds())
+			if r.load[sl.srv] >= 0 {
+				r.pollLate++
+				r.inquiriesServed++
+				r.pollRTT.observe(rtt.Seconds())
 			}
 			decideAt = c.deadline
 			continue
 		}
-		decideAt = max(decideAt, c.respAt[i])
+		decideAt = max(decideAt, sl.respAt)
 		r.eng.At(c.start.Add(obsDelay(rtt)), r.on.observe, cid<<r.slotBits|i)
 	}
 	r.eng.At(decideAt, r.on.decide, cid)
@@ -281,24 +302,24 @@ func obsDelay(rtt sim.Duration) sim.Duration { return rtt - rtt/2 }
 
 // observe is one poll slot's observation event; arg packs the round's
 // id and the slot. The inquiry reaches the server and reads its load
-// index; the answer lands back at the client at respAt[i], within the
-// deadline by construction. A crashed or stalled server stays silent.
+// index from the dense load slice; the answer lands back at the client
+// at the slot's respAt, within the deadline by construction. A crashed
+// or stalled server stays silent.
 //
 //lint:noalloc
 func (r *runner) observe(arg int) {
-	c, i := r.polls.at(arg>>r.slotBits), arg&(1<<r.slotBits-1)
-	srv := c.polled[i]
-	s := &r.srv[srv]
-	if s.down || s.paused {
-		r.rm.InquiriesDropped.Inc()
+	c := r.polls.at(arg >> r.slotBits)
+	sl := &c.slots[arg&(1<<r.slotBits-1)]
+	load := r.load[sl.srv]
+	if load < 0 {
+		r.inquiriesDropped++
 		return
 	}
-	c.answered[i] = true
-	c.responses = append(c.responses, core.PollResponse{Server: srv, Load: s.active})
-	r.res.Messages.PollResponses++
-	r.rm.PollResponses.Inc()
-	r.rm.InquiriesServed.Inc()
-	r.rm.PollRTTSeconds.Observe(c.respAt[i].Sub(c.start).Seconds())
+	sl.answered = true
+	c.responses = append(c.responses, core.PollResponse{Server: sl.srv, Load: int(load)})
+	r.msg.PollResponses++
+	r.inquiriesServed++
+	r.pollRTT.observe(sl.respAt.Sub(c.start).Seconds())
 }
 
 // decide closes poll round cid and dispatches. A slot that fell silent
@@ -313,33 +334,32 @@ func (r *runner) decide(cid int) {
 	id := c.acc
 	a := r.accs.at(id)
 	now := r.eng.Now()
-	if len(c.responses) < len(c.polled) && now < c.deadline {
+	if len(c.responses) < len(c.slots) && now < c.deadline {
 		r.eng.At(c.deadline, r.on.decide, cid)
 		return
 	}
-	missing := int64(len(c.polled) - len(c.responses))
-	r.res.Messages.PollsDiscarded += missing
-	r.rm.PollDiscards.Add(missing)
+	r.msg.PollsDiscarded += int64(len(c.slots) - len(c.responses))
 	det, at := r.detector(a.client), r.now()
-	for i, srv := range c.polled {
-		if c.answered[i] {
-			det.Answered(srv)
+	for _, sl := range c.slots {
+		if sl.answered {
+			det.Answered(sl.srv)
 		} else {
-			if det.Silent(srv, at) {
-				r.quarantined(a.client, srv)
+			if det.Silent(sl.srv, at) {
+				r.quarantined(a.client, sl.srv)
 			}
-			r.emit("poll.discard", r.clientActor, a.client, int64(srv), int64(a.idx))
+			r.emit("poll.discard", r.clientActor, a.client, int64(sl.srv), int64(a.idx))
 		}
 	}
 	a.pollDur = now.Sub(a.start)
 	switch {
-	case len(c.responses) > 0 || r.ft == nil:
-		// With no answers (all discarded) PickFromPolls picks a random
-		// polled server, the prototype's discard fallback.
-		a.srv = core.PickFromPolls(r.policyRNG, c.responses, c.polled)
+	case len(c.responses) > 0:
+		a.srv = core.PickFromPolls(r.policyRNG, c.responses, nil)
+	case r.ft == nil:
+		// No answers (all discarded): a random polled server, the
+		// prototype's discard fallback.
+		a.srv = c.slots[r.policyRNG.Intn(len(c.slots))].srv
 	case c.round < faults.DefaultPollRetries:
-		r.res.Retries++
-		r.rm.Retries.Inc()
+		r.retries++
 		r.emit("poll.retry", r.clientActor, a.client, int64(c.round), int64(a.idx))
 		r.eng.After(r.ft.backoff(c.round), r.on.repoll, cid)
 		return
@@ -379,8 +399,7 @@ func (r *runner) repoll(cid int) {
 //lint:noalloc
 func (r *runner) dispatch(id int) {
 	a := r.accs.at(id)
-	r.res.Messages.Dispatches++
-	r.rm.Dispatches.Inc()
+	r.msg.Dispatches++
 	r.emit("access.dispatch", r.clientActor, a.client, int64(a.srv), int64(a.idx))
 	if r.commit != nil {
 		r.commit.Add(a.srv, 1)
@@ -411,18 +430,18 @@ func (r *runner) settle(a *access) {
 func (r *runner) accessDone(id int) {
 	a := r.accs.at(id)
 	r.settle(a)
-	r.completed++
-	r.rm.Completions.Inc()
-	r.rm.ResponseSeconds.Observe(r.eng.Now().Sub(a.start).Seconds())
+	r.completions++
+	resp := r.eng.Now().Sub(a.start).Seconds()
+	r.response.observe(resp)
 	r.emit("access.complete", r.clientActor, a.client, int64(a.srv), int64(a.idx))
 	if a.idx >= r.warmup {
-		r.res.Response.Add(r.eng.Now().Sub(a.start).Seconds())
+		r.res.Response.Add(resp)
 		if r.cfg.Policy.Kind == core.Poll {
 			r.res.PollTime.Add(a.pollDur.Seconds())
 		}
 	}
 	if r.cfg.Policy.Kind == core.Poll {
-		r.rm.PollWaitSeconds.Observe(a.pollDur.Seconds())
+		r.pollWait.observe(a.pollDur.Seconds())
 	}
 	r.accs.put(id)
 	r.finish()
@@ -446,8 +465,7 @@ func (r *runner) accessFailed(id int) {
 		r.finish()
 		return
 	}
-	r.res.Retries++
-	r.rm.Retries.Inc()
+	r.retries++
 	r.emit("access.retry", r.clientActor, a.client, int64(a.srv), int64(a.attempt))
 	attempt := a.attempt
 	a.attempt++
@@ -458,7 +476,7 @@ func (r *runner) accessFailed(id int) {
 //
 //lint:noalloc
 func (r *runner) finish() {
-	if r.completed+r.lost == r.cfg.Accesses {
+	if r.completions+r.lost == int64(r.cfg.Accesses) {
 		r.eng.Stop()
 	}
 }

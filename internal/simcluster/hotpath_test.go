@@ -111,7 +111,7 @@ func TestRunAllocCeiling(t *testing.T) {
 	const (
 		servers  = 10000
 		accesses = 100000
-		ceiling  = 0.5 // allocations per access
+		ceiling  = 0.22 // allocations per access; a run measured 0.19
 	)
 	cfg := Config{
 		Servers:  servers,
@@ -243,8 +243,8 @@ func TestLazyArrivalsBoundPendingEvents(t *testing.T) {
 	if peak > 5000 {
 		t.Errorf("pending events peaked at %d; lazy arrival scheduling should bound this by the in-flight population", peak)
 	}
-	if r.completed != 100000 {
-		t.Errorf("completed %d of 100000", r.completed)
+	if r.completions != 100000 {
+		t.Errorf("completed %d of 100000", r.completions)
 	}
 }
 

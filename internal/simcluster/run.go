@@ -24,14 +24,18 @@ type runner struct {
 	cfg Config
 	eng *sim.Engine
 	res *Result
-	reg *obs.Registry
-	rm  *obs.RunMetrics
+	reg *obs.Registry // the membership metrics and, at collect, the tally
 	tr  *obs.Trace
+	tally
 
 	clientActor []string
 	serverActor []string
 
 	srv []serverState
+	// load mirrors each server's load index for the poll observations
+	// that read it: the active count, or -1 while the server is down or
+	// paused and stays silent. setLoad keeps it in step with srv.
+	load []int32
 	// pool is the routable membership. Every run has one; a fixed pool
 	// simply never churns.
 	pool *membership.Pool
@@ -66,6 +70,10 @@ type runner struct {
 	pollIdent []int
 	pollSwaps []int
 	pollDst   []int
+	// slotPool and respPool back the poll contexts' slot and response
+	// slices (carve).
+	slotPool []pollSlot
+	respPool []core.PollResponse
 
 	ft *clientFaults // nil unless the fault schedule is active
 
@@ -77,15 +85,15 @@ type runner struct {
 	// on holds the event callbacks, bound once per run; each event's
 	// argument names the record it concerns.
 	on struct {
-		arrival, arrive, service, done, fail, retry func(int) // access id
-		decide, repoll                              func(int) // poll round id
-		observe                                     func(int) // poll round id and slot
-		deliver                                     func(int) // packed broadcast
+		arrival, arrive, done, fail, retry func(int) // access id
+		service                            func(int) // server id
+		decide, repoll                     func(int) // poll round id
+		observe                            func(int) // poll round id and slot
+		deliver                            func(int) // packed broadcast
 	}
 
-	completed int
-	lost      int
-	warmup    int
+	lost   int64
+	warmup int
 }
 
 // emit records one trace event; actors is clientActor or serverActor
@@ -141,15 +149,12 @@ func newRunner(cfg Config) (*runner, error) {
 		r.res.PollTime.Reserve(cfg.Accesses - r.warmup)
 	}
 
-	// Observability. The catalog always exists (a private registry when
-	// the caller supplied none) so instrumentation is branch-free; it
-	// schedules no events and draws no randomness, keeping seeded runs
-	// bit-identical with or without a caller registry.
-	r.reg = cfg.Metrics
-	if r.reg == nil {
-		r.reg = obs.NewRegistry()
-	}
-	r.rm = obs.NewRunMetrics(r.reg)
+	// Observability. The run tallies into plain fields and publishes the
+	// catalog into its private registry at collect; instrumentation
+	// schedules no events and draws no randomness, so it cannot perturb
+	// a run.
+	r.reg = obs.NewRegistry()
+	r.tally = newTally()
 	// Elastic runs can grow past Servers; every capacity below is sized
 	// to the reachable maximum so growth reuses reserved space instead
 	// of reallocating. Fixed-pool runs have maxPool == Servers.
@@ -167,6 +172,7 @@ func newRunner(cfg Config) (*runner, error) {
 	}
 
 	r.srv = make([]serverState, cfg.Servers, maxPool)
+	r.load = make([]int32, cfg.Servers, maxPool)
 	for i := range r.srv {
 		s := &r.srv[i]
 		s.speed = r.speedFor(i)
@@ -258,7 +264,7 @@ func newRunner(cfg Config) (*runner, error) {
 				return sim.Duration(float64(mean) * f)
 			}
 			eng.Every(interval, func() {
-				r.res.Messages.Broadcasts++
+				r.msg.Broadcasts++
 				eng.After(DefaultBroadcastDelay, r.on.deliver, r.srv[id].active*len(r.srv)+id)
 			})
 		}
@@ -283,7 +289,7 @@ func (r *runner) deliver(arg int) {
 	id, load := arg%len(r.srv), arg/len(r.srv)
 	for _, tbl := range r.tables {
 		tbl.Update(id, load)
-		r.res.Messages.BroadcastDeliveries++
+		r.msg.BroadcastDeliveries++
 	}
 }
 
@@ -328,8 +334,9 @@ func (r *runner) collect() *Result {
 	res.Joins, res.Drains, res.Leaves, res.FinalPool, res.PeakPool = r.pool.Stats()
 	// Accesses stranded on a paused-forever server drain no events, so
 	// the engine exits with them still frozen; they are lost too.
-	res.Lost = int64(r.cfg.Accesses - r.completed)
-	r.rm.Lost.Add(res.Lost)
+	res.Lost = int64(r.cfg.Accesses) - r.completions
+	res.Messages, res.Retries = r.msg, r.retries
+	r.tally.publish(obs.NewRunMetrics(r.reg), res.Lost)
 	res.Metrics = r.reg.Snapshot()
 	return res
 }

@@ -61,6 +61,20 @@ func (s *serverState) pop() int {
 	return id
 }
 
+// setLoad mirrors server id's load index, or its silence while down or
+// paused, into the dense load slice; every write of active, down or
+// paused calls it.
+//
+//lint:noalloc
+func (r *runner) setLoad(id int) {
+	s := &r.srv[id]
+	l := int32(s.active)
+	if s.down || s.paused {
+		l = -1
+	}
+	r.load[id] = l
+}
+
 // record samples server id's load index into its time-weighted average
 // (and optional series) at the current simulated time.
 //
@@ -88,7 +102,8 @@ func (r *runner) serverArrive(id int) {
 		return
 	}
 	s.active++
-	r.rm.ServerActive.Add(1)
+	r.serverActive.add(1)
+	r.setLoad(srv)
 	r.record(srv)
 	if s.busy || s.paused {
 		s.push(id)
@@ -104,29 +119,32 @@ func (r *runner) startService(id int) {
 	a := r.accs.at(id)
 	s := &r.srv[a.srv]
 	s.busy = true
-	r.rm.WorkersBusy.Add(1)
+	r.workersBusy.add(1)
 	d := sim.Duration(float64(a.service) / s.speed)
 	s.busyTime += d
 	s.cur, s.hasCur = id, true
 	s.curEnd = r.eng.Now().Add(d)
-	s.curHandle = r.eng.After(d, r.on.service, id)
+	s.curHandle = r.eng.After(d, r.on.service, a.srv)
 }
 
-// serviceDone completes access id's service: the next queued access
-// starts, and the response travels back to the client. A server the
-// autoscaler drained retires as soon as its queue empties.
+// serviceDone completes the service in progress at server srv (the
+// completion event is keyed by server, so the access record is not
+// loaded first): the next queued access starts, and the response
+// travels back to the client. A server the autoscaler drained retires
+// as soon as its queue empties.
 //
 //lint:noalloc
-func (r *runner) serviceDone(id int) {
-	srv := r.accs.at(id).srv
+func (r *runner) serviceDone(srv int) {
 	s := &r.srv[srv]
+	id := s.cur
 	s.hasCur = false
 	s.active--
-	r.rm.ServerActive.Add(-1)
-	r.rm.ServerServed.Inc()
+	r.serverActive.add(-1)
+	r.served++
+	r.setLoad(srv)
 	r.record(srv)
 	s.busy = false
-	r.rm.WorkersBusy.Add(-1)
+	r.workersBusy.add(-1)
 	if next := s.pop(); next >= 0 {
 		r.startService(next)
 	} else if s.active == 0 && r.pool.Retiring(srv) {
@@ -151,14 +169,15 @@ func (r *runner) crash(id int) {
 		s.hasCur = false
 	}
 	if s.busy {
-		r.rm.WorkersBusy.Add(-1)
+		r.workersBusy.add(-1)
 	}
 	s.busy = false
 	for acc := s.pop(); acc >= 0; acc = s.pop() {
 		r.eng.After(DefaultServiceNetDelay, r.on.fail, acc)
 	}
-	r.rm.ServerActive.Add(-int64(s.active))
+	r.serverActive.add(-int64(s.active))
 	s.active = 0
+	r.setLoad(id)
 	r.record(id)
 	r.reindex(id)
 }
@@ -172,6 +191,7 @@ func (r *runner) pause(id int) {
 		return
 	}
 	s.paused = true
+	r.setLoad(id)
 	if s.hasCur {
 		s.curHandle.Cancel()
 		s.curRemaining = s.curEnd.Sub(r.eng.Now())
@@ -187,10 +207,11 @@ func (r *runner) resume(id int) {
 		return
 	}
 	s.paused = false
+	r.setLoad(id)
 	r.reindex(id)
 	if s.hasCur {
 		s.curEnd = r.eng.Now().Add(s.curRemaining)
-		s.curHandle = r.eng.After(s.curRemaining, r.on.service, s.cur)
+		s.curHandle = r.eng.After(s.curRemaining, r.on.service, id)
 		return
 	}
 	if !s.busy {
@@ -236,6 +257,7 @@ func (r *runner) growTo(n int) {
 	for len(r.srv) < n {
 		id := len(r.srv)
 		r.srv = append(r.srv, serverState{speed: r.speedFor(id)})
+		r.load = append(r.load, 0)
 		if r.cfg.RecordQueueSeries {
 			r.srv[id].series = &QSeries{}
 		}

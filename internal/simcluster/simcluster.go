@@ -96,12 +96,6 @@ type Config struct {
 	// (Figure 2 needs it; it costs memory on long runs).
 	RecordQueueSeries bool
 
-	// Metrics, when non-nil, is the registry the run records the shared
-	// obs.RunMetrics catalog into; nil records into a private registry.
-	// Either way Result.Metrics carries the end-of-run snapshot.
-	// Instrumentation schedules no events and draws no randomness, so it
-	// cannot perturb a run (the golden-seed harness pins this).
-	Metrics *obs.Registry
 	// Trace, when non-nil, receives structured protocol events
 	// (dispatches, discards, quarantines, server faults) on the
 	// simulated clock. See obs.Event for the schema.
