@@ -71,7 +71,7 @@ type ClientConfig struct {
 type AccessInfo struct {
 	Server    int           // NodeID that served the access
 	Resp      *Response     // server reply
-	PollTime  time.Duration // time spent acquiring load information (all rounds, waits for a free round included)
+	PollTime  time.Duration // time spent acquiring load information (all rounds)
 	Polled    int           // inquiries sent
 	Answered  int           // inquiries answered in time
 	Discarded int           // inquiries abandoned at the deadline
@@ -110,13 +110,11 @@ type Client struct {
 	// is the free list; rounds is every round the client has minted,
 	// idle or in flight, so Close can close an in-flight round's socket
 	// and unblock its owner at once. A free list, not a sync.Pool: a
-	// round the pool dropped would leak its socket. roundSlots holds
-	// one token per round checked out, at most maxRounds.
+	// round the pool dropped would leak its socket.
 	//lint:guards idle, rounds
-	roundMu    sync.Mutex
-	idle       []*pollRound
-	rounds     []*pollRound
-	roundSlots chan struct{}
+	roundMu sync.Mutex
+	idle    []*pollRound
+	rounds  []*pollRound
 	// late counts answers that arrived after their round stopped
 	// waiting (§3.2).
 	late atomic.Int64
@@ -173,7 +171,6 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		det:         faults.NewDetector(cfg.QuarantineAfter, cfg.QuarantineFor, 0),
 		epoch:       time.Now(),
 		done:        make(chan struct{}),
-		roundSlots:  make(chan struct{}, maxRounds),
 	}
 	// A negative ID is no client of a link, so no link rule applies.
 	if cfg.ID >= 0 {
@@ -538,7 +535,6 @@ func (c *Client) pollOnce(eps []Endpoint, info *AccessInfo) (ep Endpoint, ok boo
 	if d > len(eps) {
 		d = len(eps)
 	}
-	begin := time.Now()
 	r, err := c.getRound(d)
 	if err != nil {
 		return Endpoint{}, false, err
@@ -597,7 +593,7 @@ func (c *Client) pollOnce(eps []Endpoint, info *AccessInfo) (ep Endpoint, ok boo
 	r.owed += sent - answered
 	info.Answered += answered
 	info.Discarded += sent - answered
-	info.PollTime += time.Since(begin) // a wait for a round slot included
+	info.PollTime += time.Since(r.start)
 	c.cfg.Metrics.PollResponses.Add(int64(answered))
 	c.cfg.Metrics.PollDiscards.Add(int64(sent - answered))
 

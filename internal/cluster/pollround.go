@@ -44,32 +44,11 @@ type pollRound struct {
 	responses []core.PollResponse
 }
 
-// maxRounds bounds the poll rounds one client has checked out at once;
-// an access that finds them all in flight waits for one to come back.
-// Without it, a burst of arrivals mints a round, and so a socket, per
-// access. A host that stops the process for ~100 ms releases such a
-// burst: a 6-client, 16-server poll-2 Fine-Grain run at 90% busy then
-// minted over 3,000 sockets and opened some 4,000 more connections
-// while its servers sat idle, and ended at a 430 ms mean response
-// where the cell usually gives 13 ms. Waiting instead spreads a
-// burst's decisions over the time rounds take, so later ones see the
-// load the earlier ones placed. The bound sits above the few dozen
-// rounds per client such a run reaches at healthy peaks, when slow
-// answers (§3.2) hold rounds for tens of milliseconds.
-const maxRounds = 64
-
 // getRound checks a round out of the client's free list, sized for a
-// poll set of d with every slot unanswered. It first takes a round
-// slot, waiting while maxRounds rounds are checked out. When every
-// minted round is in flight it mints one, with a fresh socket from the
-// transport.
+// poll set of d with every slot unanswered. When every round is in
+// flight it mints one, with a fresh socket from the transport.
 func (c *Client) getRound(d int) (*pollRound, error) {
 	if c.closed.Load() {
-		return nil, errPollClosed
-	}
-	select {
-	case c.roundSlots <- struct{}{}:
-	case <-c.done:
 		return nil, errPollClosed
 	}
 	c.roundMu.Lock()
@@ -82,7 +61,6 @@ func (c *Client) getRound(d int) (*pollRound, error) {
 	if r == nil {
 		var err error
 		if r, err = c.newRound(); err != nil {
-			<-c.roundSlots
 			return nil, err
 		}
 	}
@@ -131,11 +109,10 @@ func (c *Client) newRound() (*pollRound, error) {
 
 // warm mints, ahead of a timed run, what the run's first accesses would
 // otherwise mint under load: rounds idle poll rounds (poll policies
-// only, at most maxRounds) and conns service connections to every
-// server in the mapping table. It stops at the first error; the access
-// path still mints whatever it lacks.
+// only) and conns service connections to every server in the mapping
+// table. It stops at the first error; the access path still mints
+// whatever it lacks.
 func (c *Client) warm(rounds, conns int) error {
-	rounds = min(rounds, maxRounds)
 	if c.cfg.Policy.Kind == core.Poll {
 		held := make([]*pollRound, 0, rounds)
 		defer func() {
@@ -159,14 +136,13 @@ func (c *Client) warm(rounds, conns int) error {
 	return nil
 }
 
-// putRound returns a finished round to the free list and gives up its
-// slot. Its socket stays open: answers the round gave up on may still
-// arrive there, and the next owner (or LateAnswers) counts them late.
+// putRound returns a finished round to the free list. Its socket stays
+// open: answers the round gave up on may still arrive there, and the
+// next owner (or LateAnswers) counts them late.
 func (c *Client) putRound(r *pollRound) {
 	c.roundMu.Lock()
 	c.idle = append(c.idle, r)
 	c.roundMu.Unlock()
-	<-c.roundSlots
 }
 
 // inquire sends the load inquiry seq to target from the round's

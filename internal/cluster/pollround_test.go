@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"errors"
 	"os"
 	"runtime"
 	"strings"
@@ -454,67 +453,6 @@ func TestPollAgentCancelDropsLateAnswer(t *testing.T) {
 	c.putRound(r3)
 	if got := c.LateAnswers(); got != 1 {
 		t.Fatalf("LateAnswers %d after the answered round, want 1", got)
-	}
-}
-
-// TestRoundsBounded checks out maxRounds rounds and asks for one more:
-// the extra request waits, takes the first round given back (no new
-// socket), and a request still waiting when the client closes returns
-// errPollClosed.
-func TestRoundsBounded(t *testing.T) {
-	_, nodes := testCluster(t, 1, false)
-	c, err := NewClient(ClientConfig{
-		Directory:       FixedDirectory{nodes[0].Endpoint()},
-		Service:         "svc",
-		Policy:          core.NewPoll(1),
-		QuarantineAfter: -1,
-		Transport:       nodes[0].Transport(),
-		Seed:            13,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
-
-	held := make([]*pollRound, maxRounds)
-	for i := range held {
-		if held[i], err = c.getRound(1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	type got struct {
-		r   *pollRound
-		err error
-	}
-	extra := make(chan got, 1)
-	go func() {
-		r, err := c.getRound(1)
-		extra <- got{r, err}
-	}()
-	select {
-	case g := <-extra:
-		t.Fatalf("round %d checked out past the bound of %d (err %v)", maxRounds+1, maxRounds, g.err)
-	case <-time.After(50 * time.Millisecond):
-	}
-	c.putRound(held[0])
-	g := <-extra
-	if g.err != nil || g.r != held[0] {
-		t.Fatalf("waiting request got round %p (err %v), want the returned %p", g.r, g.err, held[0])
-	}
-	c.roundMu.Lock()
-	minted := len(c.rounds)
-	c.roundMu.Unlock()
-	if minted != maxRounds {
-		t.Fatalf("%d rounds minted, want %d", minted, maxRounds)
-	}
-
-	go func() {
-		r, err := c.getRound(1)
-		extra <- got{r, err}
-	}()
-	c.Close()
-	if g := <-extra; !errors.Is(g.err, errPollClosed) {
-		t.Fatalf("request waiting at Close got %p, %v; want errPollClosed", g.r, g.err)
 	}
 }
 

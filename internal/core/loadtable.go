@@ -65,7 +65,7 @@ func PickFromPolls(rng *stats.RNG, responses []PollResponse, polled []int) int {
 		if len(polled) == 0 {
 			panic("core: PickFromPolls with no polls")
 		}
-		return polled[rng.Intn(len(polled))]
+		return polled[PickUnanswered(rng, len(polled))]
 	}
 	best := 0
 	ties := 1
@@ -82,3 +82,9 @@ func PickFromPolls(rng *stats.RNG, responses []PollResponse, polled []int) int {
 	}
 	return responses[best].Server
 }
+
+// PickUnanswered returns the index, among n polled servers, of the one a
+// round with no answers falls back to: uniform, with one draw from rng.
+// Callers that keep their polled servers in another shape than
+// PickFromPolls's []int call it directly, so both draw alike.
+func PickUnanswered(rng *stats.RNG, n int) int { return rng.Intn(n) }

@@ -357,7 +357,7 @@ func (r *runner) decide(cid int) {
 	case r.ft == nil:
 		// No answers (all discarded): a random polled server, the
 		// prototype's discard fallback.
-		a.srv = c.slots[r.policyRNG.Intn(len(c.slots))].srv
+		a.srv = c.slots[core.PickUnanswered(r.policyRNG, len(c.slots))].srv
 	case c.round < faults.DefaultPollRetries:
 		r.retries++
 		r.emit("poll.retry", r.clientActor, a.client, int64(c.round), int64(a.idx))
