@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -9,89 +10,93 @@ import (
 	"finelb/internal/transport"
 )
 
-// Caller issues service requests to explicit endpoints over pooled
-// stream connections, one bounded pool per access address. It is the
-// one stream caller of the prototype: a Client dispatches its chosen
+// Caller issues service requests to explicit endpoints over one
+// multiplexed stream per access address (stream.go). It is the one
+// stream caller of the prototype: a Client dispatches its chosen
 // server's access through one, the IDEAL manager's clients reach the
 // manager through one, and a RemoteDirectory reaches its directory
 // server through one.
 //
-// Caller is safe for concurrent use; each in-flight call holds its own
-// pooled connection.
+// Caller is safe for concurrent use. Concurrent calls to one address
+// share its stream, so each of them is queued at the server, where its
+// load index counts it, not on the caller.
 type Caller struct {
 	tr      transport.Transport
 	timeout time.Duration
 
-	//lint:guards pools, absentSince, closed
-	mu    sync.Mutex
-	pools map[string]*connPool
-	// absentSince records when a pooled access address was first
+	//lint:guards streams, absentSince, closed
+	mu      sync.Mutex
+	streams map[string]*stream
+	// absentSince records when a streamed access address was first
 	// missing from the mapping table handed to prune; pruning waits out
 	// a soft-state TTL so a starved republish (one missed heartbeat
-	// under load) doesn't tear down live connections.
+	// under load) doesn't tear down a live stream.
 	absentSince map[string]time.Time
 	closed      bool
 
-	reqID atomic.Uint64
+	reqID   atomic.Uint64
+	readers sync.WaitGroup // the streams' reader goroutines
 }
 
 // NewCaller returns a caller whose calls go over tr (the default
 // real-socket transport when nil) and time out after the given
-// duration (default 10 s when zero).
+// duration (default 10 s when not positive).
 func NewCaller(tr transport.Transport, timeout time.Duration) *Caller {
 	if tr == nil {
 		tr = transport.Default()
 	}
-	if timeout == 0 {
+	if timeout <= 0 {
 		timeout = accessTimeout
 	}
 	return &Caller{
 		tr:          tr,
 		timeout:     timeout,
-		pools:       make(map[string]*connPool),
+		streams:     make(map[string]*stream),
 		absentSince: make(map[string]time.Time),
 	}
 }
 
-func (c *Caller) pool(addr string) (*connPool, error) {
+// stream checks out the stream to addr, dialing it when there is none
+// or the last one broke. The checkout ends when the call made on it
+// (stream.call) returns.
+func (c *Caller) stream(addr string) (*stream, error) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.closed {
-		return nil, fmt.Errorf("cluster: caller closed")
+		c.mu.Unlock()
+		return nil, errCallerClosed
 	}
-	if p, ok := c.pools[addr]; ok {
-		return p, nil
+	s := c.streams[addr]
+	fresh := s == nil || s.failure() != nil
+	if fresh {
+		s = newStream(addr)
+		c.streams[addr] = s
 	}
-	p := newConnPool(c.tr, addr)
-	c.pools[addr] = p
-	return p, nil
-}
-
-// warm opens n idle connections to the endpoint's access address ahead
-// of use (connPool.warm).
-func (c *Caller) warm(ep Endpoint, n int) error {
-	p, err := c.pool(ep.AccessAddr)
-	if err != nil {
-		return err
+	s.users.Add(1)
+	c.mu.Unlock()
+	if fresh {
+		s.dial(c.tr, &c.readers)
 	}
-	return p.warm(n)
+	return s, nil
 }
 
 // Call sends one request to the endpoint's access address and returns
 // the response.
 func (c *Caller) Call(ep Endpoint, service string, partition uint32, serviceUs uint32, payload []byte) (*Response, error) {
-	p, err := c.pool(ep.AccessAddr)
-	if err != nil {
-		return nil, err
-	}
-	req := &Request{
+	req := Request{
 		ID:        c.reqID.Add(1),
 		Service:   service,
 		Partition: partition,
 		ServiceUs: serviceUs,
 		Payload:   payload,
 	}
-	return p.roundTrip(req, c.timeout)
+	if err := req.check(); err != nil {
+		return nil, err
+	}
+	s, err := c.stream(ep.AccessAddr)
+	if err != nil {
+		return nil, err
+	}
+	return s.call(&req, c.timeout)
 }
 
 // callOK makes one call to a bookkeeping service (the IDEAL manager,
@@ -109,7 +114,7 @@ func (c *Caller) callOK(ep Endpoint, service string, partition uint32, payload [
 }
 
 // pruneGrace is how long an access address must stay missing from the
-// mapping table before prune closes its connections. One soft-state TTL
+// mapping table before prune closes its stream. One soft-state TTL
 // distinguishes a genuinely departed server from a republish that
 // arrived late under load: a single starved heartbeat expires an entry
 // for at most one publish interval, well inside the grace, while a
@@ -117,27 +122,29 @@ func (c *Caller) callOK(ep Endpoint, service string, partition uint32, payload [
 // expires.
 const pruneGrace = DefaultTTL
 
-// prune closes the connection pools of addresses that have been
-// missing from the mapping table eps for at least pruneGrace, so an
-// elastic pool's membership churn cannot accumulate connections toward
-// departed nodes (the FD audit in DESIGN.md §12: one bounded TCP pool
-// per live access address, nothing for the long dead). Present
-// addresses clear their absence mark.
+// prune closes the streams of addresses that have been missing from
+// the mapping table eps for at least pruneGrace, so an elastic pool's
+// membership churn cannot accumulate connections toward departed nodes
+// (the FD audit in DESIGN.md §12: one stream per live access address,
+// nothing for the long dead). A stream with calls in flight survives
+// until a later prune finds it idle, so a drain drops no in-flight
+// work. Present addresses clear their absence mark.
 func (c *Caller) prune(eps []Endpoint) {
 	now := time.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for addr, p := range c.pools {
-		if c.keepLocked(eps, addr, now) {
+	for addr, s := range c.streams {
+		if c.keepLocked(eps, addr, now) || s.users.Load() > 0 {
 			continue
 		}
-		delete(c.pools, addr)
-		p.closeAll()
+		delete(c.streams, addr)
+		delete(c.absentSince, addr)
+		s.fail(net.ErrClosed)
 	}
 }
 
-// keepLocked reports whether the pool for addr survives a prune against
-// eps, updating the absence bookkeeping. Caller holds c.mu.
+// keepLocked reports whether the stream to addr survives a prune
+// against eps, updating the absence bookkeeping. Caller holds c.mu.
 func (c *Caller) keepLocked(eps []Endpoint, addr string, now time.Time) bool {
 	for i := range eps {
 		if eps[i].AccessAddr == addr {
@@ -150,21 +157,19 @@ func (c *Caller) keepLocked(eps []Endpoint, addr string, now time.Time) bool {
 		c.absentSince[addr] = now
 		return true
 	}
-	if now.Sub(first) < pruneGrace {
-		return true
-	}
-	delete(c.absentSince, addr)
-	return false
+	return now.Sub(first) < pruneGrace
 }
 
-// Close releases every pooled connection; later calls fail.
+// Close closes every stream, failing the calls still in flight at
+// once, and waits for the streams' readers to exit; later calls fail.
 func (c *Caller) Close() {
 	c.mu.Lock()
-	pools := c.pools
-	c.pools = nil
+	streams := c.streams
+	c.streams = nil
 	c.closed = true
 	c.mu.Unlock()
-	for _, p := range pools {
-		p.closeAll()
+	for _, s := range streams {
+		s.fail(errCallerClosed)
 	}
+	c.readers.Wait()
 }

@@ -60,17 +60,39 @@ func TestCallerWrongService(t *testing.T) {
 	}
 }
 
+// TestCallerTimesOutOnStalledNode times a call out against a paused
+// node, then resumes it: the late reply to the timed-out call is
+// dropped, and the next call succeeds on the same stream.
 func TestCallerTimesOutOnStalledNode(t *testing.T) {
 	n := startTestNode(t, NodeConfig{ID: 1, Service: "svc"})
 	n.Pause() // requests are accepted and queued but never served
 	c := NewCaller(testTransport(t), 100*time.Millisecond)
 	defer c.Close()
 	start := time.Now()
-	if _, err := c.Call(n.Endpoint(), "svc", 0, 0, nil); err == nil {
+	if _, err := c.Call(n.Endpoint(), "svc", 0, 0, []byte("late")); err == nil {
 		t.Fatal("call against a paused node succeeded")
 	}
 	if d := time.Since(start); d > 2*time.Second {
 		t.Fatalf("timeout took %v, want ~100ms", d)
+	}
+	c.mu.Lock()
+	s := c.streams[n.AccessAddr()]
+	c.mu.Unlock()
+
+	n.Resume()
+	waitUntil(t, func() bool { return n.Stats().Served == 1 }, "the timed-out request to be served")
+	resp, err := c.Call(n.Endpoint(), "svc", 0, 0, []byte("next"))
+	if err != nil {
+		t.Fatalf("call after the late reply: %v", err)
+	}
+	if string(resp.Payload) != "next" {
+		t.Fatalf("next call got payload %q, want the late reply dropped", resp.Payload)
+	}
+	c.mu.Lock()
+	same := c.streams[n.AccessAddr()] == s
+	c.mu.Unlock()
+	if !same {
+		t.Error("a timed-out call closed its stream, want it kept open")
 	}
 }
 

@@ -84,13 +84,11 @@ const (
 	warmupFrac = 0.1
 	// serviceName is the service every node of a run publishes.
 	serviceName = "translate"
-	// warmRounds and warmConns size the warm-up RunExperiment gives each
-	// client before the timed phase (Client.warm): idle poll rounds, and
-	// connections to each server. A 16-server poll-2 Fine-Grain run at
-	// 90% busy that kept up with its arrivals minted 85 rounds and 335
-	// connections over its 6 clients; these open 96 and 768.
+	// warmRounds sizes the warm-up RunExperiment gives each client
+	// before the timed phase (Client.warm): idle poll rounds. A
+	// 16-server poll-2 Fine-Grain run at 90% busy that kept up with its
+	// arrivals minted 85 rounds over its 6 clients; this opens 96.
 	warmRounds = 16
-	warmConns  = 8
 )
 
 // ExperimentResult aggregates the measurements of one run. Counts —
@@ -329,17 +327,17 @@ func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
 	trace := cfg.Workload.Generate(cfg.Accesses, cfg.Seed^0xfeedface)
 	warmup := int(float64(cfg.Accesses) * warmupFrac)
 
-	// Open the poll sockets and connections the timed phase will use. A
-	// cold cluster mints them on its first accesses, at the full arrival
-	// rate; over real sockets each is a socket or a dial and an accept,
-	// and on a busy box that slowed the first accesses enough that more
-	// of them overlapped and needed still more. Poll-2 Fine-Grain runs
-	// caught in that loop opened thousands of connections and settled at
-	// up to 50 times their warm response time. Warming is best effort: a
-	// client that fails to warm (say, out of file descriptors) mints on
-	// demand as before.
+	// Open the poll sockets the timed phase will use. A cold cluster
+	// mints them on its first accesses, at the full arrival rate; over
+	// real sockets each is a socket, and on a busy box that slowed the
+	// first accesses enough that more of them overlapped and needed
+	// still more. Poll-2 Fine-Grain runs caught in that loop settled at
+	// up to 50 times their warm response time. Streams need no warming:
+	// each client dials one per server, at its first access there.
+	// Warming is best effort: a client that fails to warm (say, out of
+	// file descriptors) mints on demand as before.
 	for _, c := range cl.Clients {
-		_ = c.warm(warmRounds, warmConns)
+		_ = c.warm(warmRounds)
 	}
 
 	// Collect garbage left over from setup (or from a preceding run in

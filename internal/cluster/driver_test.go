@@ -155,9 +155,9 @@ func TestStartClusterIncompleteTables(t *testing.T) {
 }
 
 // TestClientWarm checks RunExperiment's warm-up: Client.warm leaves the
-// requested idle poll rounds and connections behind without sending an
-// inquiry or a request, warming again mints nothing more, and an access
-// afterwards runs on the warmed rounds and connections.
+// requested idle poll rounds behind without sending an inquiry or
+// opening a stream, warming again mints nothing more, and an access
+// afterwards runs on a warmed round.
 func TestClientWarm(t *testing.T) {
 	cl, err := StartCluster(ExperimentConfig{
 		Servers: 3, Clients: 1, Policy: core.NewPoll(2),
@@ -168,7 +168,7 @@ func TestClientWarm(t *testing.T) {
 	}
 	defer cl.Close()
 	c := cl.Clients[0]
-	check := func(stage string) {
+	check := func(stage string, wantStreams int) {
 		t.Helper()
 		c.roundMu.Lock()
 		idle, minted := len(c.idle), len(c.rounds)
@@ -176,24 +176,18 @@ func TestClientWarm(t *testing.T) {
 		if idle != 4 || minted != 4 {
 			t.Errorf("%s: %d idle of %d minted rounds, want 4 of 4", stage, idle, minted)
 		}
-		for _, ep := range c.Endpoints() {
-			p, err := c.calls.pool(ep.AccessAddr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			p.mu.Lock()
-			free := len(p.free)
-			p.mu.Unlock()
-			if free != 2 {
-				t.Errorf("%s: node %d pool holds %d idle connections, want 2", stage, ep.NodeID, free)
-			}
+		c.calls.mu.Lock()
+		streams := len(c.calls.streams)
+		c.calls.mu.Unlock()
+		if streams != wantStreams {
+			t.Errorf("%s: client holds %d streams, want %d", stage, streams, wantStreams)
 		}
 	}
 	for i := 0; i < 2; i++ {
-		if err := c.warm(4, 2); err != nil {
+		if err := c.warm(4); err != nil {
 			t.Fatal(err)
 		}
-		check("warm")
+		check("warm", 0)
 	}
 	snap := cl.Registry.Snapshot()
 	for _, m := range []string{obs.MetricPollRequests, obs.MetricDispatches, obs.MetricServerServed} {
@@ -204,7 +198,7 @@ func TestClientWarm(t *testing.T) {
 	if _, err := c.Access(0, nil); err != nil {
 		t.Fatal(err)
 	}
-	check("after an access")
+	check("after an access", 1)
 }
 
 func TestRunExperimentDeterministicSchedule(t *testing.T) {

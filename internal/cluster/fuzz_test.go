@@ -3,8 +3,12 @@ package cluster
 import (
 	"bufio"
 	"bytes"
+	"net"
 	"testing"
 	"testing/quick"
+	"time"
+
+	"finelb/internal/transport"
 )
 
 // The protocol fuzz suite holds every decoder to the same contract:
@@ -129,6 +133,82 @@ func FuzzDecodeLoad(f *testing.F) {
 		}
 		if out := EncodeLoad(nil, seq, load); !bytes.Equal(out, data) {
 			t.Fatalf("load round trip: %x != %x", out, data)
+		}
+	})
+}
+
+// pipeTransport dials every address to the client end of one
+// in-process pipe.
+type pipeTransport struct {
+	transport.Transport
+	conn net.Conn
+}
+
+func (p pipeTransport) Dial(string, time.Duration) (net.Conn, error) { return p.conn, nil }
+
+// FuzzStreamReplies feeds arbitrary reply bytes to a stream with three
+// calls pending on it, then closes the server end. No input may panic
+// the stream's reader, and every call must resolve long before its
+// timeout: with its own reply when the bytes carry one, with the
+// stream's failure otherwise.
+func FuzzStreamReplies(f *testing.F) {
+	const calls = 3
+	replies := func(ids ...uint64) []byte {
+		var b []byte
+		for _, id := range ids {
+			b = append(b, encodeResponse(f, &Response{ID: id, Payload: []byte("r")})...)
+		}
+		return b
+	}
+	f.Add(replies(1, 2, 3))
+	f.Add(replies(3, 1, 2))
+	f.Add(replies(2, 99, 1)) // an unknown id is dropped
+	f.Add(replies(1, 1, 2))  // a duplicate finds no waiter
+	f.Add(append(replies(1), 0xff, magicResponse))
+	f.Add(replies(1, 2, 3)[:30]) // cut inside the second reply
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cli, srv := net.Pipe()
+		defer srv.Close()
+		c := NewCaller(pipeTransport{conn: cli}, 10*time.Second)
+		defer c.Close()
+		type result struct {
+			resp *Response
+			err  error
+		}
+		results := make(chan result, calls)
+		for i := 0; i < calls; i++ {
+			go func() {
+				resp, err := c.Call(Endpoint{AccessAddr: "pipe"}, "svc", 0, 0, nil)
+				results <- result{resp, err}
+			}()
+		}
+		// A call writes its request only once its waiter is registered,
+		// so three requests read means three calls pending.
+		r := bufio.NewReader(srv)
+		for i := 0; i < calls; i++ {
+			if _, err := ReadRequest(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, _ = srv.Write(data) // fails early once a bad frame breaks the stream
+		srv.Close()
+		seen := map[uint64]bool{}
+		timeout := time.After(5 * time.Second)
+		for i := 0; i < calls; i++ {
+			select {
+			case res := <-results:
+				if res.err != nil {
+					continue
+				}
+				id := res.resp.ID
+				if id < 1 || id > calls || seen[id] {
+					t.Fatalf("a call got the reply with id %d (ids already taken: %v)", id, seen)
+				}
+				seen[id] = true
+			case <-timeout:
+				t.Fatalf("%d of %d calls unresolved after the server closed", calls-i, calls)
+			}
 		}
 	})
 }

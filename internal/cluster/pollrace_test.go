@@ -160,9 +160,9 @@ func TestMemFanoutDeterministic(t *testing.T) {
 }
 
 // TestRefreshPruneGrace pins the FD-audit pruning contract: a server
-// missing from one refresh keeps its connection pool (a starved
-// republish must not tear down live connections), while one absent
-// past pruneGrace loses it.
+// missing from one refresh keeps its stream (a starved republish must
+// not tear down a live connection), while one absent past pruneGrace
+// loses it.
 func TestRefreshPruneGrace(t *testing.T) {
 	tr := transport.NewMem(transport.MemConfig{Seed: 9})
 	dir := NewDirectory(time.Hour)
@@ -192,26 +192,26 @@ func TestRefreshPruneGrace(t *testing.T) {
 	if _, err := c.Access(0, nil); err != nil {
 		t.Fatal(err)
 	}
-	// One access reaches one server; pin the other so both hold a pool.
+	// One access reaches one server; pin the other so both hold a stream.
 	for _, n := range nodes {
 		if _, err := c.AccessNode(n.cfg.ID, 0, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	c.calls.mu.Lock()
-	pools := len(c.calls.pools)
+	streams := len(c.calls.streams)
 	c.calls.mu.Unlock()
-	if pools != 2 {
-		t.Fatalf("pools after accessing both servers: %d, want 2", pools)
+	if streams != 2 {
+		t.Fatalf("streams after accessing both servers: %d, want 2", streams)
 	}
 
 	dir.Withdraw(0, "svc")
 	c.Refresh() // first miss: marked absent, connections survive
 	c.calls.mu.Lock()
-	pools, marks := len(c.calls.pools), len(c.calls.absentSince)
+	streams, marks := len(c.calls.streams), len(c.calls.absentSince)
 	c.calls.mu.Unlock()
-	if pools != 2 {
-		t.Fatalf("pools pruned on first missed refresh: %d, want 2", pools)
+	if streams != 2 {
+		t.Fatalf("streams pruned on first missed refresh: %d, want 2", streams)
 	}
 	if marks == 0 {
 		t.Fatal("missing endpoint not marked absent")
@@ -238,11 +238,79 @@ func TestRefreshPruneGrace(t *testing.T) {
 	c.calls.mu.Unlock()
 	c.Refresh()
 	c.calls.mu.Lock()
-	pools = len(c.calls.pools)
-	_, pool0 := c.calls.pools[nodes[0].AccessAddr()]
+	streams = len(c.calls.streams)
+	_, stream0 := c.calls.streams[nodes[0].AccessAddr()]
 	c.calls.mu.Unlock()
-	if pools != 1 || pool0 {
-		t.Fatalf("after grace expiry: %d pools (node0 pool held: %v), want only node 1's", pools, pool0)
+	if streams != 1 || stream0 {
+		t.Fatalf("after grace expiry: %d streams (node0 stream held: %v), want only node 1's", streams, stream0)
+	}
+}
+
+// TestPruneKeepsStreamInUse drains a server while an access to it is
+// still queued there: a prune past the grace keeps the stream, the
+// access completes, and the next prune closes the now idle stream. A
+// drain drops no in-flight work.
+func TestPruneKeepsStreamInUse(t *testing.T) {
+	tr := transport.NewMem(transport.MemConfig{Seed: 11})
+	dir := NewDirectory(time.Hour)
+	var nodes []*Node
+	for i := 0; i < 2; i++ {
+		n, err := StartNode(NodeConfig{
+			ID: i, Service: "svc", Directory: dir, SlowProb: -1,
+			Transport: tr, Seed: uint64(i + 1),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes = append(nodes, n)
+		t.Cleanup(func() { _ = n.Close() })
+	}
+	c, err := NewClient(ClientConfig{
+		Directory: dir, Service: "svc",
+		Policy:          core.NewRandom(),
+		QuarantineAfter: -1,
+		Transport:       tr,
+		Seed:            7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = c.Close() })
+	streamTo := func(n *Node) bool {
+		c.calls.mu.Lock()
+		defer c.calls.mu.Unlock()
+		_, ok := c.calls.streams[n.AccessAddr()]
+		return ok
+	}
+	pruneNow := func() {
+		c.Refresh()
+		c.calls.mu.Lock()
+		for addr, first := range c.calls.absentSince {
+			c.calls.absentSince[addr] = first.Add(-pruneGrace - time.Second)
+		}
+		c.calls.mu.Unlock()
+		c.Refresh()
+	}
+
+	nodes[0].Pause()
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.AccessNode(0, 0, nil)
+		done <- err
+	}()
+	waitUntil(t, func() bool { return nodes[0].LoadIndex() == 1 }, "the access to queue at node 0")
+	nodes[0].Drain()
+	pruneNow()
+	if !streamTo(nodes[0]) {
+		t.Fatal("prune closed a stream with an access in flight")
+	}
+	nodes[0].Resume()
+	if err := <-done; err != nil {
+		t.Fatalf("in-flight access to a drained node: %v", err)
+	}
+	c.Refresh()
+	if streamTo(nodes[0]) {
+		t.Error("the drained node's stream outlived its last access")
 	}
 }
 

@@ -107,31 +107,26 @@ func (c *Client) newRound() (*pollRound, error) {
 	return r, nil
 }
 
-// warm mints, ahead of a timed run, what the run's first accesses would
-// otherwise mint under load: rounds idle poll rounds (poll policies
-// only) and conns service connections to every server in the mapping
-// table. It stops at the first error; the access path still mints
-// whatever it lacks.
-func (c *Client) warm(rounds, conns int) error {
-	if c.cfg.Policy.Kind == core.Poll {
-		held := make([]*pollRound, 0, rounds)
-		defer func() {
-			for _, r := range held {
-				c.putRound(r)
-			}
-		}()
-		for len(held) < rounds {
-			r, err := c.getRound(c.cfg.Policy.PollSize)
-			if err != nil {
-				return err
-			}
-			held = append(held, r)
-		}
+// warm mints, ahead of a timed run, the idle poll rounds the run's
+// first accesses would otherwise mint under load (poll policies only).
+// It stops at the first error; the access path still mints whatever it
+// lacks.
+func (c *Client) warm(rounds int) error {
+	if c.cfg.Policy.Kind != core.Poll {
+		return nil
 	}
-	for _, ep := range c.table() {
-		if err := c.calls.warm(ep, conns); err != nil {
+	held := make([]*pollRound, 0, rounds)
+	defer func() {
+		for _, r := range held {
+			c.putRound(r)
+		}
+	}()
+	for len(held) < rounds {
+		r, err := c.getRound(c.cfg.Policy.PollSize)
+		if err != nil {
 			return err
 		}
+		held = append(held, r)
 	}
 	return nil
 }

@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"net"
 	"os"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -605,10 +607,13 @@ func TestLinkFaultsReplayInFanout(t *testing.T) {
 }
 
 // TestRoundSocketsBoundedOnNet is the FD and goroutine audit of the
-// poll path on real sockets. Sequential accesses against 16 servers
-// hold exactly one client UDP socket and park no client goroutine;
-// after Close — even one racing rounds in flight — the process's file
-// descriptors and goroutines return to their count before the client.
+// client on real sockets. Sequential accesses against 16 servers hold
+// exactly one client UDP socket and park no client goroutine; the
+// client holds at most one TCP connection and one stream reader per
+// server, before and after a burst of concurrent accesses; and after
+// Close — even one racing poll rounds and a call in flight — the
+// process's file descriptors and goroutines return to their count
+// before the client.
 func TestRoundSocketsBoundedOnNet(t *testing.T) {
 	if _, err := os.Stat("/proc/self/fd"); err != nil {
 		t.Skip("needs /proc/self/fd")
@@ -637,6 +642,22 @@ func TestRoundSocketsBoundedOnNet(t *testing.T) {
 	atBaseline := func(fds, goroutines int) func() bool {
 		return func() bool { return countFDs(t) <= fds && runtime.NumGoroutine() <= goroutines }
 	}
+	readers := streamReaders()
+	oneStreamPerServer := func(stage string) {
+		t.Helper()
+		conns := countTCPConnsTo(t, eps)
+		if len(conns) == 0 {
+			t.Fatalf("%s: found no client TCP connection", stage)
+		}
+		for addr, n := range conns {
+			if n > 1 {
+				t.Errorf("%s: the client holds %d TCP connections to %s, want at most 1", stage, n, addr)
+			}
+		}
+		if got := streamReaders() - readers; got != len(conns) {
+			t.Errorf("%s: %d stream reader goroutines for %d connected servers, want one each", stage, got, len(conns))
+		}
+	}
 
 	fds, goroutines, udp := countFDs(t), runtime.NumGoroutine(), countUDPSockets(t)
 	c := newClient()
@@ -651,15 +672,28 @@ func TestRoundSocketsBoundedOnNet(t *testing.T) {
 	if got := clientGoroutines(); got != 0 {
 		t.Errorf("%d goroutines parked in client code between accesses, want 0", got)
 	}
+	oneStreamPerServer("sequential accesses")
+	var wg sync.WaitGroup
+	for i := 0; i < 128; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := c.Access(200, nil); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	oneStreamPerServer("a burst of 128 concurrent accesses")
 	c.Close()
 	waitUntil(t, atBaseline(fds, goroutines), "FDs and goroutines to return to baseline after Close")
 
 	// Rounds that include the paused node wait out the 1 s poll timeout,
-	// so Close lands while several are in flight.
+	// and a call pinned to it waits on its stream, so Close lands while
+	// several of both are in flight.
 	nodes[0].Pause()
 	t.Cleanup(nodes[0].Resume)
 	c = newClient()
-	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func() {
@@ -671,10 +705,74 @@ func TestRoundSocketsBoundedOnNet(t *testing.T) {
 			}
 		}()
 	}
-	waitUntil(t, func() bool { return nodes[0].Stats().Dropped >= 2 }, "rounds to wait on the paused node")
+	pinned := make(chan error, 1)
+	go func() {
+		_, err := c.AccessNode(0, 0, nil)
+		pinned <- err
+	}()
+	waitUntil(t, func() bool { return nodes[0].Stats().Dropped >= 2 && nodes[0].LoadIndex() >= 1 },
+		"rounds and a call to wait on the paused node")
 	c.Close()
+	select {
+	case err := <-pinned:
+		if err == nil {
+			t.Error("a call pending on a paused node succeeded after Close")
+		}
+	case <-time.After(2 * time.Second):
+		t.Error("Close left a call pending on its stream")
+	}
 	wg.Wait()
 	waitUntil(t, atBaseline(fds, goroutines), "FDs and goroutines to return to baseline after a racing Close")
+}
+
+// countTCPConnsTo counts, by address, the process's open TCP sockets
+// whose remote end is the access address of one of eps: the client
+// ends of streams to those servers.
+func countTCPConnsTo(t *testing.T, eps []Endpoint) map[string]int {
+	t.Helper()
+	table, err := os.ReadFile("/proc/net/tcp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	byPort := map[uint64]string{}
+	for _, ep := range eps {
+		_, port, err := net.SplitHostPort(ep.AccessAddr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := strconv.ParseUint(port, 10, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		byPort[p] = ep.AccessAddr
+	}
+	remote := map[string]string{} // socket inode link -> server address
+	for _, line := range strings.Split(string(table), "\n")[1:] {
+		f := strings.Fields(line)
+		if len(f) <= 9 {
+			continue
+		}
+		_, hexPort, _ := strings.Cut(f[2], ":")
+		if p, err := strconv.ParseUint(hexPort, 16, 16); err == nil && byPort[p] != "" {
+			remote["socket:["+f[9]+"]"] = byPort[p]
+		}
+	}
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	conns := map[string]int{}
+	for _, fd := range fds {
+		if link, err := os.Readlink("/proc/self/fd/" + fd.Name()); err == nil && remote[link] != "" {
+			conns[remote[link]]++
+		}
+	}
+	return conns
+}
+
+// streamReaders counts the goroutines running a stream's reader.
+func streamReaders() int {
+	return goroutinesIn("cluster.(*stream).read")
 }
 
 // countFDs counts the process's open file descriptors.
@@ -717,11 +815,16 @@ func countUDPSockets(t *testing.T) int {
 // clientGoroutines counts goroutines with a Client method on their
 // stack.
 func clientGoroutines() int {
+	return goroutinesIn("cluster.(*Client)")
+}
+
+// goroutinesIn counts goroutines whose stack mentions fn.
+func goroutinesIn(fn string) int {
 	buf := make([]byte, 1<<20)
 	buf = buf[:runtime.Stack(buf, true)]
 	n := 0
 	for _, g := range strings.Split(string(buf), "\n\n") {
-		if strings.Contains(g, "cluster.(*Client)") {
+		if strings.Contains(g, fn) {
 			n++
 		}
 	}

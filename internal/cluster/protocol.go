@@ -17,9 +17,9 @@
 //     server selection, and poll rounds (each sends its inquiries
 //     from, and reads the answers on, one pooled UDP socket, with a
 //     discard deadline).
-//   - Caller: the one stream caller — pooled connections to explicit
-//     endpoints — behind every service access, manager call and
-//     remote directory call.
+//   - Caller: the one stream caller — one multiplexed connection per
+//     endpoint, its replies matched to calls by request ID — behind
+//     every service access, manager call and remote directory call.
 //   - IdealManager: the centralized load-index manager used to emulate
 //     the IDEAL policy in §4, run as a Node service on the node
 //     protocol.
@@ -83,166 +83,151 @@ type Response struct {
 	Payload []byte
 }
 
-// WriteRequest frames req onto w.
-func WriteRequest(w *bufio.Writer, req *Request) error {
+// Frame layouts. Every integer is little-endian.
+//
+//	request:  magic(1) version(1) id(8) nameLen(1) name(nameLen)
+//	          partition(4) serviceUs(4) payloadLen(4) payload
+//	response: magic(1) version(1) id(8) status(1) load(4)
+//	          payloadLen(4) payload
+//
+// The readers peek each fixed-size header in the bufio.Reader's own
+// buffer and the writers build it in the bufio.Writer's, so a frame
+// costs no scratch allocation; only the decoded value, its service name
+// and its payload are allocated.
+const (
+	requestHeadSize  = 11 // magic, version, id, nameLen
+	requestTailSize  = 12 // partition, serviceUs, payloadLen
+	responseHeadSize = 19 // magic, version, id, status, load, payloadLen
+)
+
+// check rejects a request no frame can carry.
+func (req *Request) check() error {
 	if len(req.Service) > maxServiceName {
 		return fmt.Errorf("cluster: service name too long (%d)", len(req.Service))
 	}
 	if len(req.Payload) > maxPayload {
 		return fmt.Errorf("cluster: payload too large (%d)", len(req.Payload))
 	}
-	var hdr [2]byte
-	hdr[0], hdr[1] = magicRequest, protoVersion
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], req.ID)
-	if _, err := w.Write(buf[:8]); err != nil {
-		return err
-	}
-	if err := w.WriteByte(byte(len(req.Service))); err != nil {
-		return err
-	}
-	if _, err := w.WriteString(req.Service); err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint32(buf[:4], req.Partition)
-	binary.LittleEndian.PutUint32(buf[4:8], req.ServiceUs)
-	if _, err := w.Write(buf[:8]); err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint32(buf[:4], uint32(len(req.Payload)))
-	if _, err := w.Write(buf[:4]); err != nil {
-		return err
-	}
-	if _, err := w.Write(req.Payload); err != nil {
-		return err
-	}
-	return w.Flush()
+	return nil
 }
 
-// ReadRequest parses one framed request from r.
+// WriteRequest frames req onto w and flushes it.
+func WriteRequest(w *bufio.Writer, req *Request) error {
+	if err := req.check(); err != nil {
+		return err
+	}
+	b := append(w.AvailableBuffer(), magicRequest, protoVersion)
+	b = binary.LittleEndian.AppendUint64(b, req.ID)
+	b = append(b, byte(len(req.Service)))
+	b = append(b, req.Service...)
+	b = binary.LittleEndian.AppendUint32(b, req.Partition)
+	b = binary.LittleEndian.AppendUint32(b, req.ServiceUs)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(req.Payload)))
+	return writeFrame(w, b, req.Payload)
+}
+
+// ReadRequest parses one framed request from r. r's buffer must hold a
+// request header with its service name (at most 267 bytes; the default
+// bufio size holds it).
 func ReadRequest(r *bufio.Reader) (*Request, error) {
-	var hdr [2]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	if hdr[0] != magicRequest {
-		return nil, fmt.Errorf("cluster: bad request magic 0x%02x", hdr[0])
-	}
-	if hdr[1] != protoVersion {
-		return nil, fmt.Errorf("cluster: unsupported version %d", hdr[1])
-	}
-	var req Request
-	var buf [8]byte
-	if _, err := io.ReadFull(r, buf[:8]); err != nil {
-		return nil, err
-	}
-	req.ID = binary.LittleEndian.Uint64(buf[:8])
-	nameLen, err := r.ReadByte()
+	h, err := r.Peek(requestHeadSize)
 	if err != nil {
 		return nil, err
 	}
-	name := make([]byte, nameLen)
-	if _, err := io.ReadFull(r, name); err != nil {
+	if err := checkMagic(h, magicRequest, "request"); err != nil {
 		return nil, err
 	}
-	req.Service = string(name)
-	if _, err := io.ReadFull(r, buf[:8]); err != nil {
+	req := &Request{ID: binary.LittleEndian.Uint64(h[2:10])}
+	nameLen := int(h[10])
+	_, _ = r.Discard(requestHeadSize)
+	t, err := r.Peek(nameLen + requestTailSize)
+	if err != nil {
 		return nil, err
 	}
-	req.Partition = binary.LittleEndian.Uint32(buf[:4])
-	req.ServiceUs = binary.LittleEndian.Uint32(buf[4:8])
-	if _, err := io.ReadFull(r, buf[:4]); err != nil {
+	req.Service = string(t[:nameLen])
+	t = t[nameLen:]
+	req.Partition = binary.LittleEndian.Uint32(t[0:4])
+	req.ServiceUs = binary.LittleEndian.Uint32(t[4:8])
+	plen := binary.LittleEndian.Uint32(t[8:12])
+	_, _ = r.Discard(nameLen + requestTailSize)
+	if req.Payload, err = readPayload(r, plen); err != nil {
 		return nil, err
 	}
-	plen := binary.LittleEndian.Uint32(buf[:4])
-	if plen > maxPayload {
-		return nil, fmt.Errorf("cluster: payload length %d exceeds limit", plen)
-	}
-	if plen > 0 {
-		req.Payload = make([]byte, plen)
-		if _, err := io.ReadFull(r, req.Payload); err != nil {
-			return nil, err
-		}
-	}
-	return &req, nil
+	return req, nil
 }
 
-// WriteResponse frames resp onto w.
+// WriteResponse frames resp onto w and flushes it.
 func WriteResponse(w *bufio.Writer, resp *Response) error {
 	if len(resp.Payload) > maxPayload {
 		return fmt.Errorf("cluster: payload too large (%d)", len(resp.Payload))
 	}
-	var hdr [2]byte
-	hdr[0], hdr[1] = magicResponse, protoVersion
-	if _, err := w.Write(hdr[:]); err != nil {
+	b := append(w.AvailableBuffer(), magicResponse, protoVersion)
+	b = binary.LittleEndian.AppendUint64(b, resp.ID)
+	b = append(b, resp.Status)
+	b = binary.LittleEndian.AppendUint32(b, resp.Load)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(resp.Payload)))
+	return writeFrame(w, b, resp.Payload)
+}
+
+// ReadResponse parses one framed response from r.
+func ReadResponse(r *bufio.Reader) (*Response, error) {
+	h, err := r.Peek(responseHeadSize)
+	if err != nil {
+		return nil, err
+	}
+	if err := checkMagic(h, magicResponse, "response"); err != nil {
+		return nil, err
+	}
+	resp := &Response{
+		ID:     binary.LittleEndian.Uint64(h[2:10]),
+		Status: h[10],
+		Load:   binary.LittleEndian.Uint32(h[11:15]),
+	}
+	plen := binary.LittleEndian.Uint32(h[15:19])
+	_, _ = r.Discard(responseHeadSize)
+	if resp.Payload, err = readPayload(r, plen); err != nil {
+		return nil, err
+	}
+	return resp, nil
+}
+
+// writeFrame writes a header built in w.AvailableBuffer, then the
+// payload, and flushes the frame.
+func writeFrame(w *bufio.Writer, head, payload []byte) error {
+	if _, err := w.Write(head); err != nil {
 		return err
 	}
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], resp.ID)
-	if _, err := w.Write(buf[:8]); err != nil {
-		return err
-	}
-	if err := w.WriteByte(resp.Status); err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint32(buf[:4], resp.Load)
-	if _, err := w.Write(buf[:4]); err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint32(buf[:4], uint32(len(resp.Payload)))
-	if _, err := w.Write(buf[:4]); err != nil {
-		return err
-	}
-	if _, err := w.Write(resp.Payload); err != nil {
+	if _, err := w.Write(payload); err != nil {
 		return err
 	}
 	return w.Flush()
 }
 
-// ReadResponse parses one framed response from r.
-func ReadResponse(r *bufio.Reader) (*Response, error) {
-	var hdr [2]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// checkMagic validates a frame's magic and version bytes.
+func checkMagic(h []byte, magic byte, kind string) error {
+	if h[0] != magic {
+		return fmt.Errorf("cluster: bad %s magic 0x%02x", kind, h[0])
+	}
+	if h[1] != protoVersion {
+		return fmt.Errorf("cluster: unsupported version %d", h[1])
+	}
+	return nil
+}
+
+// readPayload reads a payload of n bytes, bounded by maxPayload; an
+// empty payload is nil.
+func readPayload(r *bufio.Reader, n uint32) ([]byte, error) {
+	if n > maxPayload {
+		return nil, fmt.Errorf("cluster: payload length %d exceeds limit", n)
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	p := make([]byte, n)
+	if _, err := io.ReadFull(r, p); err != nil {
 		return nil, err
 	}
-	if hdr[0] != magicResponse {
-		return nil, fmt.Errorf("cluster: bad response magic 0x%02x", hdr[0])
-	}
-	if hdr[1] != protoVersion {
-		return nil, fmt.Errorf("cluster: unsupported version %d", hdr[1])
-	}
-	var resp Response
-	var buf [8]byte
-	if _, err := io.ReadFull(r, buf[:8]); err != nil {
-		return nil, err
-	}
-	resp.ID = binary.LittleEndian.Uint64(buf[:8])
-	status, err := r.ReadByte()
-	if err != nil {
-		return nil, err
-	}
-	resp.Status = status
-	if _, err := io.ReadFull(r, buf[:4]); err != nil {
-		return nil, err
-	}
-	resp.Load = binary.LittleEndian.Uint32(buf[:4])
-	if _, err := io.ReadFull(r, buf[:4]); err != nil {
-		return nil, err
-	}
-	plen := binary.LittleEndian.Uint32(buf[:4])
-	if plen > maxPayload {
-		return nil, fmt.Errorf("cluster: payload length %d exceeds limit", plen)
-	}
-	if plen > 0 {
-		resp.Payload = make([]byte, plen)
-		if _, err := io.ReadFull(r, resp.Payload); err != nil {
-			return nil, err
-		}
-	}
-	return &resp, nil
+	return p, nil
 }
 
 // Load-inquiry datagrams are fixed size: magic(1) + seq(4) [+ load(4)].

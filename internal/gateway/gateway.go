@@ -64,9 +64,9 @@ type Metrics struct {
 	Latency           *obs.Histogram
 }
 
-// NewMetrics resolves the gateway catalog against reg (a nil registry
+// newMetrics resolves the gateway catalog against reg (a nil registry
 // gets a fresh private one).
-func NewMetrics(reg *obs.Registry) *Metrics {
+func newMetrics(reg *obs.Registry) *Metrics {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
@@ -157,7 +157,7 @@ func New(cfg Config) (*Gateway, error) {
 		cfg:     cfg,
 		now:     cfg.Now,
 		reg:     reg,
-		m:       NewMetrics(reg),
+		m:       newMetrics(reg),
 		tenants: make(map[string]*tenant, len(cfg.Tenants)),
 		loads:   newLoadTable(),
 	}

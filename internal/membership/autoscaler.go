@@ -112,15 +112,6 @@ func (c *AutoscalerConfig) withDefaults() AutoscalerConfig {
 	return out
 }
 
-// SampleInterval returns the configured sampling interval with
-// defaults applied.
-func (c *AutoscalerConfig) SampleInterval() time.Duration {
-	if !c.Active() {
-		return DefaultInterval
-	}
-	return c.withDefaults().Interval
-}
-
 // Autoscaler evaluates the policy over explicit timestamps. It holds
 // only cooldown state; the substrate owns the pool and applies the
 // returned deltas as Join/Drain/Leave events. Time is always passed in

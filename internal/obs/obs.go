@@ -229,9 +229,6 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
-// Bounds returns the bucket upper bounds (without the implicit +Inf).
-func (h *Histogram) Bounds() []float64 { return append([]float64(nil), h.bounds...) }
-
 // BucketCount returns the count in bucket i, where i == len(bounds)
 // addresses the +Inf bucket.
 func (h *Histogram) BucketCount(i int) int64 { return h.counts[i].Load() }

@@ -460,8 +460,8 @@ func TestMemStreamAddrs(t *testing.T) {
 
 // TestMemStreamZeroAllocs is the allocation gate for fabric streams: a
 // warm request/response exchange wrapped in SetDeadline(now+10s) and
-// SetDeadline(time.Time{}), as connPool.roundTrip does it, allocates
-// nothing on either side.
+// SetDeadline(time.Time{}) allocates nothing on either side, deadline
+// timers included.
 func TestMemStreamZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is not stable under -race")
