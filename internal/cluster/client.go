@@ -106,15 +106,14 @@ type Client struct {
 	// the mapping table.
 	calls *Caller
 
-	// Poll rounds, each owning one datagram socket (pollround.go). idle
-	// is the free list; rounds is every round the client has minted,
-	// idle or in flight, so Close can close an in-flight round's socket
-	// and unblock its owner at once. A free list, not a sync.Pool: a
-	// round the pool dropped would leak its socket.
-	//lint:guards idle, rounds
-	roundMu sync.Mutex
-	idle    []*pollRound
-	rounds  []*pollRound
+	// conn is the poll policy's one datagram socket (nil for other
+	// policies): every inquiry leaves from it and every answer comes
+	// back to it, filed by answer into the round registered under its
+	// seq in inflight (pollround.go).
+	conn transport.PacketConn
+	//lint:guards inflight
+	pendMu   sync.Mutex
+	inflight map[uint32]inquiry
 	// late counts answers that arrived after their round stopped
 	// waiting (§3.2).
 	late atomic.Int64
@@ -168,6 +167,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		rng:         stats.NewRNG(cfg.Seed ^ 0xc1e9a7b3d5f01234),
 		calls:       NewCaller(tr, accessTimeout),
 		outstanding: make(map[int]int),
+		inflight:    make(map[uint32]inquiry),
 		det:         faults.NewDetector(cfg.QuarantineAfter, cfg.QuarantineFor, 0),
 		epoch:       time.Now(),
 		done:        make(chan struct{}),
@@ -175,6 +175,15 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	// A negative ID is no client of a link, so no link rule applies.
 	if cfg.ID >= 0 {
 		c.links = cfg.Faults.NewLinkState(cfg.ID)
+	}
+	if cfg.Policy.Kind == core.Poll {
+		conn, err := tr.ListenPacket()
+		if err != nil {
+			c.calls.Close()
+			return nil, fmt.Errorf("cluster: poll socket: %w", err)
+		}
+		c.conn = conn
+		serveDatagrams(conn, c.answer, &c.wg)
 	}
 	if cfg.Policy.Kind == core.Ideal {
 		c.mgr = newManagerClient(tr, cfg.ManagerAddr)
@@ -235,11 +244,10 @@ func (c *Client) Close() error {
 	c.once.Do(func() {
 		c.closed.Store(true)
 		close(c.done)
-		c.roundMu.Lock()
-		for _, r := range c.rounds {
-			_ = r.conn.Close()
+		if c.conn != nil {
+			c.failRounds()
+			_ = c.conn.Close()
 		}
-		c.roundMu.Unlock()
 		c.calls.Close()
 		if c.mgr != nil {
 			c.mgr.close()
@@ -251,14 +259,8 @@ func (c *Client) Close() error {
 
 // LateAnswers reports how many poll answers arrived after their round
 // stopped waiting for them at the deadline — the observable count of
-// the §3.2 slow-poll discards. Answers already queued on idle round
-// sockets are read and counted first.
+// the §3.2 slow-poll discards. Each is counted as it arrives.
 func (c *Client) LateAnswers() int64 {
-	c.roundMu.Lock()
-	for _, r := range c.idle {
-		c.drainLocked(r)
-	}
-	c.roundMu.Unlock()
 	return c.late.Load()
 }
 
@@ -516,29 +518,27 @@ func (c *Client) pollAndPick(eps, cands []Endpoint, fresh bool, info *AccessInfo
 }
 
 // pollOnce runs one poll round: send load inquiries to PollSize random
-// servers from the round's own datagram socket, read the answers back
-// on it until all are in or the discard deadline passes, and pick the
-// least-loaded respondent. ok is false when not a single answer
-// arrived in time.
+// servers from the client's datagram socket, wait until all are
+// answered or the discard deadline passes, and pick the least-loaded
+// respondent. ok is false when not a single answer arrived in time.
 //
-// The round is pooled state (pollround.go): one socket, one encode
-// buffer, one read deadline, and the owner's own reads — no reader
-// goroutine, demultiplexer or wakeup in between — so steady-state
-// rounds allocate nothing. The RNG and sequence-number streams are
-// exactly those of the historical per-reply-channel implementation:
-// ChooseIdentity draws the same poll set Choose did, and seq numbers
-// (and link-fault draws) are taken per inquiry in poll-set order.
+// The round is pooled state (pollround.go): one encode buffer, one
+// slot table filled by the client's answer handler, and one pooled
+// waiter, so steady-state rounds allocate nothing. On the mem fabric
+// every answer is filed during the fan-out and the round never parks.
+// The RNG and sequence-number streams are exactly those of the
+// historical per-reply-channel implementation: ChooseIdentity draws
+// the same poll set Choose did, and seq numbers (and link-fault draws)
+// are taken per inquiry in poll-set order.
 //
-//lint:noalloc steady state; the free-list mint lives in getRound
+//lint:noalloc steady state; pool misses mint in getRound and register
 func (c *Client) pollOnce(eps []Endpoint, info *AccessInfo) (ep Endpoint, ok bool, err error) {
 	d := c.cfg.Policy.PollSize
 	if d > len(eps) {
 		d = len(eps)
 	}
-	r, err := c.getRound(d)
-	if err != nil {
-		return Endpoint{}, false, err
-	}
+	r := getRound(d)
+	defer putRound(r)
 
 	// Choose the poll set. The identity scratch persists across rounds;
 	// ChooseIdentity restores it, so growth is the only maintenance.
@@ -549,22 +549,25 @@ func (c *Client) pollOnce(eps []Endpoint, info *AccessInfo) (ep Endpoint, ok boo
 	c.rng.ChooseIdentity(r.polled, len(eps), c.ident, r.swaps)
 	c.mu.Unlock()
 
+	for i := range r.seqs {
+		r.seqs[i] = c.seq.Add(1)
+	}
 	r.start = time.Now()
-	sent := 0
-	for _, epIdx := range r.polled {
+	if err := c.register(r); err != nil {
+		return Endpoint{}, false, err
+	}
+	sent := d
+	for i, epIdx := range r.polled {
 		target := &eps[epIdx]
-		seq := c.seq.Add(1)
-		if err := c.inquire(r, seq, target); err != nil {
+		if err := c.inquire(r, r.seqs[i], target); err != nil {
 			// The send failed outright (the client is closing, or the
 			// address is unusable): the server stays unpolled.
+			c.unsend(r, i)
+			sent--
 			c.mu.Lock()
 			c.silentLocked(target.NodeID, time.Since(c.epoch))
 			c.mu.Unlock()
-			continue
 		}
-		r.epIdx[sent] = epIdx
-		r.seqs[sent] = seq
-		sent++
 	}
 	info.Polled += sent
 	c.cfg.Metrics.PollRequests.Add(int64(sent))
@@ -573,24 +576,21 @@ func (c *Client) pollOnce(eps []Endpoint, info *AccessInfo) (ep Endpoint, ok boo
 	if da := c.cfg.Policy.DiscardAfter; da > 0 && da < wait {
 		wait = da
 	}
-	if err := c.collect(r, sent, r.start.Add(wait)); err != nil {
-		// Close took the round's socket with it; the round is not reused.
+	if err := c.collect(r, r.start.Add(wait)); err != nil {
 		return Endpoint{}, false, err
 	}
 
 	r.responses = r.responses[:0]
-	for i := 0; i < sent; i++ {
-		load := r.loads[i]
+	for i, load := range r.loads {
 		if load < 0 {
 			continue
 		}
-		r.responses = append(r.responses, core.PollResponse{Server: r.epIdx[i], Load: int(load)})
+		r.responses = append(r.responses, core.PollResponse{Server: r.polled[i], Load: int(load)})
 		rtt := r.rtts[i]
 		info.PollRTTs = append(info.PollRTTs, rtt)
 		c.cfg.Metrics.PollRTTSeconds.Observe(rtt.Seconds())
 	}
 	answered := len(r.responses)
-	r.owed += sent - answered
 	info.Answered += answered
 	info.Discarded += sent - answered
 	info.PollTime += time.Since(r.start)
@@ -603,10 +603,10 @@ func (c *Client) pollOnce(eps []Endpoint, info *AccessInfo) (ep Endpoint, ok boo
 	c.mu.Lock()
 	if c.det != nil {
 		now := time.Since(c.epoch)
-		for i := 0; i < sent; i++ {
-			if id := eps[r.epIdx[i]].NodeID; r.loads[i] >= 0 {
+		for i, load := range r.loads {
+			if id := eps[r.polled[i]].NodeID; load >= 0 {
 				c.det.Answered(id)
-			} else {
+			} else if load != notSent {
 				c.silentLocked(id, now)
 			}
 		}
@@ -616,7 +616,6 @@ func (c *Client) pollOnce(eps []Endpoint, info *AccessInfo) (ep Endpoint, ok boo
 		pick = core.PickFromPolls(c.rng, r.responses, r.polled)
 	}
 	c.mu.Unlock()
-	c.putRound(r)
 	if pick < 0 {
 		return Endpoint{}, false, nil
 	}
@@ -630,5 +629,8 @@ func (c *Client) pollOnce(eps []Endpoint, info *AccessInfo) (ep Endpoint, ok boo
 // (cmd/repro, BENCH_pollpath.json) and the in-package benchmarks drive;
 // Access remains the production path.
 func (c *Client) PollRound(eps []Endpoint, info *AccessInfo) (ep Endpoint, ok bool, err error) {
+	if c.conn == nil {
+		return Endpoint{}, false, fmt.Errorf("cluster: PollRound needs a client with the poll policy")
+	}
 	return c.pollOnce(eps, info)
 }

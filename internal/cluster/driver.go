@@ -84,11 +84,6 @@ const (
 	warmupFrac = 0.1
 	// serviceName is the service every node of a run publishes.
 	serviceName = "translate"
-	// warmRounds sizes the warm-up RunExperiment gives each client
-	// before the timed phase (Client.warm): idle poll rounds. A
-	// 16-server poll-2 Fine-Grain run at 90% busy that kept up with its
-	// arrivals minted 85 rounds over its 6 clients; this opens 96.
-	warmRounds = 16
 )
 
 // ExperimentResult aggregates the measurements of one run. Counts —
@@ -327,19 +322,6 @@ func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
 	trace := cfg.Workload.Generate(cfg.Accesses, cfg.Seed^0xfeedface)
 	warmup := int(float64(cfg.Accesses) * warmupFrac)
 
-	// Open the poll sockets the timed phase will use. A cold cluster
-	// mints them on its first accesses, at the full arrival rate; over
-	// real sockets each is a socket, and on a busy box that slowed the
-	// first accesses enough that more of them overlapped and needed
-	// still more. Poll-2 Fine-Grain runs caught in that loop settled at
-	// up to 50 times their warm response time. Streams need no warming:
-	// each client dials one per server, at its first access there.
-	// Warming is best effort: a client that fails to warm (say, out of
-	// file descriptors) mints on demand as before.
-	for _, c := range cl.Clients {
-		_ = c.warm(warmRounds)
-	}
-
 	// Collect garbage left over from setup (or from a preceding run in
 	// the same process) so GC pauses don't pollute the timed phase —
 	// latency experiments on a single-core box are sensitive to this.
@@ -434,11 +416,6 @@ func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
 		})
 	}
 	wg.Wait()
-	// Read the late answers still queued on idle round sockets, so
-	// poll_late_total counts every answer that has arrived.
-	for _, c := range cl.Clients {
-		c.LateAnswers()
-	}
 	res.Joins, res.Drains, res.Leaves, res.FinalPool, res.PeakPool = cl.ChurnStats()
 	// Snapshot after the last access settles and before teardown, so
 	// cross-metric invariants (gauges back at zero on clean runs) hold.

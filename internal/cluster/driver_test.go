@@ -154,53 +154,6 @@ func TestStartClusterIncompleteTables(t *testing.T) {
 	}
 }
 
-// TestClientWarm checks RunExperiment's warm-up: Client.warm leaves the
-// requested idle poll rounds behind without sending an inquiry or
-// opening a stream, warming again mints nothing more, and an access
-// afterwards runs on a warmed round.
-func TestClientWarm(t *testing.T) {
-	cl, err := StartCluster(ExperimentConfig{
-		Servers: 3, Clients: 1, Policy: core.NewPoll(2),
-		Transport: testTransport(t), SlowProb: -1, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	c := cl.Clients[0]
-	check := func(stage string, wantStreams int) {
-		t.Helper()
-		c.roundMu.Lock()
-		idle, minted := len(c.idle), len(c.rounds)
-		c.roundMu.Unlock()
-		if idle != 4 || minted != 4 {
-			t.Errorf("%s: %d idle of %d minted rounds, want 4 of 4", stage, idle, minted)
-		}
-		c.calls.mu.Lock()
-		streams := len(c.calls.streams)
-		c.calls.mu.Unlock()
-		if streams != wantStreams {
-			t.Errorf("%s: client holds %d streams, want %d", stage, streams, wantStreams)
-		}
-	}
-	for i := 0; i < 2; i++ {
-		if err := c.warm(4); err != nil {
-			t.Fatal(err)
-		}
-		check("warm", 0)
-	}
-	snap := cl.Registry.Snapshot()
-	for _, m := range []string{obs.MetricPollRequests, obs.MetricDispatches, obs.MetricServerServed} {
-		if v := snap.Value(m); v != 0 {
-			t.Errorf("warming counted %s = %d", m, v)
-		}
-	}
-	if _, err := c.Access(0, nil); err != nil {
-		t.Fatal(err)
-	}
-	check("after an access", 1)
-}
-
 func TestRunExperimentDeterministicSchedule(t *testing.T) {
 	// Same seed produces the same access schedule (wall-clock noise will
 	// differ, but the per-server totals under round-robin are fixed).

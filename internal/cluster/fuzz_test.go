@@ -3,11 +3,13 @@ package cluster
 import (
 	"bufio"
 	"bytes"
+	"fmt"
 	"net"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"finelb/internal/core"
 	"finelb/internal/transport"
 )
 
@@ -209,6 +211,87 @@ func FuzzStreamReplies(f *testing.F) {
 			case <-timeout:
 				t.Fatalf("%d of %d calls unresolved after the server closed", calls-i, calls)
 			}
+		}
+	})
+}
+
+// FuzzPollAnswers feeds arbitrary datagrams to a poll client's answer
+// handler while a round with three inquiries (seqs 1-3) waits on
+// servers that never answer. The input is a run of datagrams, each
+// prefixed by its length mod 16. No input may panic the handler; every
+// datagram that decodes as a load answer either fills one slot or
+// counts late, so no slot fills twice; no inquiry stays registered
+// after the round; and the round ends at its last answer or its
+// deadline, never before.
+func FuzzPollAnswers(f *testing.F) {
+	const deadline = 20 * time.Millisecond
+	answers := func(seqs ...uint32) []byte {
+		var b []byte
+		for _, seq := range seqs {
+			b = append(append(b, loadSize), EncodeLoad(nil, seq, seq*10)...)
+		}
+		return b
+	}
+	f.Add(answers(1, 2, 3))
+	f.Add(answers(3, 1, 2))
+	f.Add(answers(2, 99, 1)) // an unregistered seq counts late
+	f.Add(answers(1, 1, 2))  // a duplicate finds its slot filled
+	f.Add(append(answers(1), 4, magicLoad, 0, 0, 0))
+	f.Add(answers(1, 2, 3)[:15]) // cut inside the second answer
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr := transport.NewMem(transport.MemConfig{Seed: 1})
+		var eps []Endpoint
+		for i := 0; i < 3; i++ {
+			eps = append(eps, Endpoint{NodeID: i, Service: "svc", LoadAddr: fmt.Sprintf("mem:silent-%d", i)})
+		}
+		c, err := NewClient(ClientConfig{
+			Directory:       FixedDirectory(eps),
+			Service:         "svc",
+			Policy:          core.NewPollDiscard(3, deadline),
+			QuarantineAfter: -1,
+			Transport:       tr,
+			Seed:            1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		info := &AccessInfo{}
+		done := make(chan error, 1)
+		start := time.Now()
+		go func() {
+			_, _, err := c.pollOnce(eps, info)
+			done <- err
+		}()
+		waitUntil(t, func() bool { return inflight(c) == 3 }, "the round to register its inquiries")
+
+		decoded := 0
+		for len(data) > 0 {
+			n := min(int(data[0])%16, len(data)-1)
+			dg := data[1 : 1+n]
+			data = data[1+n:]
+			if _, _, err := DecodeLoad(dg); err == nil {
+				decoded++
+			}
+			c.answer(dg, "fuzz")
+		}
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("the round did not end at its deadline")
+		}
+		if info.Answered < 3 && time.Since(start) < deadline {
+			t.Fatalf("the round ended after %v with %d answers, before its deadline", time.Since(start), info.Answered)
+		}
+		if got := int64(info.Answered) + c.LateAnswers(); got != int64(decoded) {
+			t.Fatalf("%d answers decoded, but %d filed and %d counted late", decoded, info.Answered, c.LateAnswers())
+		}
+		if n := inflight(c); n != 0 {
+			t.Fatalf("%d inquiries still registered after the round", n)
 		}
 	})
 }

@@ -236,12 +236,7 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	}
 	n.wg.Add(1)
 	go n.acceptLoop()
-	// Inquiries arrive as synchronous handler calls when the transport
-	// supports it (mem fabric); otherwise a read loop parks in ReadFrom.
-	if hc, ok := loadConn.(transport.HandlerPacketConn); !ok || !hc.SetPacketHandler(n.handleInquiry) {
-		n.wg.Add(1)
-		go n.loadIndexLoop()
-	}
+	serveDatagrams(loadConn, n.handleInquiry, &n.wg)
 
 	if cfg.Directory != nil {
 		n.publish()
@@ -584,12 +579,12 @@ func spinFor(d time.Duration) {
 // handleInquiry answers one UDP load inquiry (§3.1): the server side
 // of the random polling policy. It runs either synchronously on the
 // inquiring client's goroutine (HandlerPacketConn transports) or on
-// loadIndexLoop's goroutine. Answers pass through the contention model
-// described in DESIGN.md: a busy node occasionally answers slowly, the
-// way the paper's busy Linux nodes took >10 ms to answer a 290 µs
-// round-trip inquiry. The fast-path reply is encoded into a pooled
+// the load socket's read loop (serveDatagrams). Answers pass through
+// the contention model described in DESIGN.md: a busy node
+// occasionally answers slowly, the way the paper's busy Linux nodes
+// took >10 ms to answer a 290 µs round-trip inquiry. The fast-path reply is encoded into a pooled
 // buffer and written after inqMu is released: on the synchronous path
-// WriteTo delivers into the inquiring round's socket, and holding
+// WriteTo runs the inquiring client's answer handler, and holding
 // the node's mutex across it would serialize every concurrent poller
 // of this node behind one delivery.
 //
@@ -650,18 +645,3 @@ var loadBufPool = sync.Pool{New: func() any {
 	b := make([]byte, 0, loadSize)
 	return &b
 }}
-
-// loadIndexLoop is the read-loop fallback for transports without
-// synchronous handler delivery (real sockets): it parks in ReadFrom
-// and feeds each inquiry to handleInquiry.
-func (n *Node) loadIndexLoop() {
-	defer n.wg.Done()
-	buf := make([]byte, 64)
-	for {
-		m, from, err := n.loadConn.ReadFrom(buf)
-		if err != nil {
-			return // socket closed
-		}
-		n.handleInquiry(buf[:m], from)
-	}
-}

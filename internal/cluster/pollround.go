@@ -2,7 +2,7 @@ package cluster
 
 import (
 	"errors"
-	"fmt"
+	"sync"
 	"time"
 
 	"finelb/internal/core"
@@ -12,60 +12,62 @@ import (
 // errPollClosed reports a poll round cut short by Client.Close.
 var errPollClosed = errors.New("cluster: client closed during poll")
 
-// pollRound is the reusable state of one poll round (§3.1-3.2): an
-// unconnected datagram socket that sends the round's inquiries and
-// reads their answers, plus the slot tables the answers fill.
+// notSent marks a slot whose inquiry could not be written; -1 marks one
+// still unanswered.
+const notSent = -2
+
+// pollRound is the reusable state of one poll round (§3.1-3.2): the
+// slot table its answers fill and the waiter its owner parks on.
 //
-// Ownership rules (DESIGN.md §12): a round is checked out of the
-// client's free list by one access goroutine, which owns all of it —
-// socket, slots and buffers — until putRound. The owner reads its own
-// answers, so nothing else touches a round and it needs no lock. An
-// answer to an earlier use of the socket can still arrive; sequence
-// numbers are client-global and monotone, so its seq matches no slot
-// of the current round, and it is counted late and dropped.
+// Ownership rules (DESIGN.md §12): one access goroutine checks a round
+// out of the pool and owns it until putRound. Its inquiries leave from
+// the client's one datagram socket, each registered in c.inflight
+// under its sequence number before the first is written. The client's
+// answer handler files an answer into the slot its seq names and
+// removes the entry, so a slot fills at most once; an answer whose seq
+// is not registered (a duplicate, or one that came back after its
+// round stopped waiting) is counted late. While any entry of the round
+// is registered, its slots and pending belong to c.pendMu.
 type pollRound struct {
-	conn transport.PacketConn
+	w *waiter // the owner parks here until the last answer or Close
 
-	// Slots, indexed by the order inquiries were sent.
-	epIdx []int           // slot -> index into the round's endpoint table
-	seqs  []uint32        // slot -> the inquiry's sequence number
-	loads []int64         // slot -> answered load; -1 = unanswered
-	rtts  []time.Duration // slot -> inquiry round trip, valid when loads >= 0
+	// Slots, in poll-set order.
+	polled []int           // slot -> index into the round's endpoint table
+	seqs   []uint32        // slot -> the inquiry's sequence number
+	loads  []int64         // slot -> answered load; -1 unanswered, notSent
+	rtts   []time.Duration // slot -> inquiry round trip, valid when loads >= 0
 
-	// owed counts the inquiries of earlier uses that went unanswered:
-	// late answers that may still arrive on the socket.
-	owed int
+	// pending counts the round's registered inquiries plus one for the
+	// owner until its fan-out is done. Whoever else brings it to zero (the
+	// handler filing the last answer, or Close) hands the owner one
+	// wake-up on w.
+	pending int
+	closed  bool // Close failed the round
 
 	start     time.Time
 	sendBuf   []byte // encode buffer for every inquiry in the round
-	recvBuf   []byte // read buffer for every answer
-	polled    []int
-	swaps     []int
+	swaps     []int  // ChooseIdentity scratch
 	responses []core.PollResponse
 }
 
-// getRound checks a round out of the client's free list, sized for a
-// poll set of d with every slot unanswered. When every round is in
-// flight it mints one, with a fresh socket from the transport.
-func (c *Client) getRound(d int) (*pollRound, error) {
-	if c.closed.Load() {
-		return nil, errPollClosed
-	}
-	c.roundMu.Lock()
-	var r *pollRound
-	if n := len(c.idle); n > 0 {
-		r = c.idle[n-1]
-		c.idle = c.idle[:n-1]
-	}
-	c.roundMu.Unlock()
-	if r == nil {
-		var err error
-		if r, err = c.newRound(); err != nil {
-			return nil, err
-		}
-	}
-	if cap(r.epIdx) < d {
-		r.epIdx = make([]int, d)
+// inquiry is one registered load inquiry: the round and slot its
+// answer fills.
+type inquiry struct {
+	r    *pollRound
+	slot int
+}
+
+// roundPool pools poll rounds across every client of the process. A round
+// owns no socket, so one the pool drops costs nothing but memory.
+var roundPool = sync.Pool{New: func() any {
+	return &pollRound{w: newWaiter(), sendBuf: make([]byte, 0, inquirySize)}
+}}
+
+// getRound checks a round out of the pool, sized for a poll set of d
+// with every slot unanswered.
+func getRound(d int) *pollRound {
+	r := roundPool.Get().(*pollRound)
+	if cap(r.polled) < d {
 		r.seqs = make([]uint32, d)
 		r.loads = make([]int64, d)
 		r.rtts = make([]time.Duration, d)
@@ -73,7 +75,6 @@ func (c *Client) getRound(d int) (*pollRound, error) {
 		r.swaps = make([]int, d)
 		r.responses = make([]core.PollResponse, 0, d)
 	}
-	r.epIdx = r.epIdx[:d]
 	r.seqs = r.seqs[:d]
 	r.loads = r.loads[:d]
 	r.rtts = r.rtts[:d]
@@ -82,65 +83,43 @@ func (c *Client) getRound(d int) (*pollRound, error) {
 	for i := range r.loads {
 		r.loads[i] = -1
 	}
-	return r, nil
+	r.closed = false
+	return r
 }
 
-// newRound mints a round and its socket and registers it with the
-// client, so Close can reach it wherever it is.
-func (c *Client) newRound() (*pollRound, error) {
-	conn, err := c.tr.ListenPacket()
-	if err != nil {
-		return nil, fmt.Errorf("cluster: poll socket: %w", err)
-	}
-	r := &pollRound{
-		conn:    conn,
-		sendBuf: make([]byte, 0, inquirySize),
-		recvBuf: make([]byte, 64),
-	}
-	c.roundMu.Lock()
-	defer c.roundMu.Unlock()
+// putRound returns a finished round, none of whose seqs is registered
+// any longer, to the pool.
+func putRound(r *pollRound) { roundPool.Put(r) }
+
+// register enters every slot's seq in c.inflight, plus the owner's own
+// hold on pending, before the round's first inquiry is written: on the
+// mem fabric an answer arrives inside that write.
+func (c *Client) register(r *pollRound) error {
+	c.pendMu.Lock()
+	defer c.pendMu.Unlock()
 	if c.closed.Load() {
-		_ = conn.Close()
-		return nil, errPollClosed
+		return errPollClosed
 	}
-	c.rounds = append(c.rounds, r)
-	return r, nil
-}
-
-// warm mints, ahead of a timed run, the idle poll rounds the run's
-// first accesses would otherwise mint under load (poll policies only).
-// It stops at the first error; the access path still mints whatever it
-// lacks.
-func (c *Client) warm(rounds int) error {
-	if c.cfg.Policy.Kind != core.Poll {
-		return nil
+	for i, seq := range r.seqs {
+		c.inflight[seq] = inquiry{r, i}
 	}
-	held := make([]*pollRound, 0, rounds)
-	defer func() {
-		for _, r := range held {
-			c.putRound(r)
-		}
-	}()
-	for len(held) < rounds {
-		r, err := c.getRound(c.cfg.Policy.PollSize)
-		if err != nil {
-			return err
-		}
-		held = append(held, r)
-	}
+	r.pending = len(r.seqs) + 1
 	return nil
 }
 
-// putRound returns a finished round to the free list. Its socket stays
-// open: answers the round gave up on may still arrive there, and the
-// next owner (or LateAnswers) counts them late.
-func (c *Client) putRound(r *pollRound) {
-	c.roundMu.Lock()
-	c.idle = append(c.idle, r)
-	c.roundMu.Unlock()
+// unsend withdraws slot i, whose inquiry could not be written. The
+// owner's hold keeps pending above zero.
+func (c *Client) unsend(r *pollRound, i int) {
+	c.pendMu.Lock()
+	if _, ok := c.inflight[r.seqs[i]]; ok {
+		delete(c.inflight, r.seqs[i])
+		r.pending--
+	}
+	r.loads[i] = notSent
+	c.pendMu.Unlock()
 }
 
-// inquire sends the load inquiry seq to target from the round's
+// inquire sends the load inquiry seq to target from the client's
 // socket, replaying the client→server link's injected faults first
 // (faults.LinkRule). A dropped inquiry is never written but still
 // counts as sent: the client learns of the loss only through silence,
@@ -158,93 +137,129 @@ func (c *Client) inquire(r *pollRound, seq uint32, target *Endpoint) error {
 		return nil
 	}
 	if delay > 0 {
-		writeLater(r.conn, msg, target.LoadAddr, delay)
+		writeLater(c.conn, msg, target.LoadAddr, delay)
 		return nil
 	}
-	_, err := r.conn.WriteTo(msg, target.LoadAddr)
+	_, err := c.conn.WriteTo(msg, target.LoadAddr)
 	return err
 }
 
 // writeLater sends a copy of msg to addr from conn once delay has
-// passed: an injected link latency. If the round has finished by then,
-// the answer reaches the socket's next owner and is counted late.
+// passed: an injected link latency. If the round has stopped waiting
+// by then, its answer is counted late.
 func writeLater(conn transport.PacketConn, msg []byte, addr string, delay time.Duration) {
 	buf := append([]byte(nil), msg...)
 	time.AfterFunc(delay, func() { _, _ = conn.WriteTo(buf, addr) })
 }
 
-// collect reads the round's answers until all sent inquiries are
-// answered or the round's deadline passes, and reports errPollClosed
-// when Close cut the round short.
+// answer is the client socket's datagram handler: it files one load
+// answer into the slot that asked for it, and wakes the round's owner
+// when that was the last one. An answer no registered inquiry is
+// waiting for is counted late (§3.2's discarded slow poll). It runs on
+// the answering node's goroutine on the mem fabric and on the client's
+// read loop on Net.
 //
 //lint:noalloc
-func (c *Client) collect(r *pollRound, sent int, deadline time.Time) error {
-	if sent == 0 {
-		return nil
+func (c *Client) answer(p []byte, _ string) {
+	seq, load, err := DecodeLoad(p)
+	if err != nil {
+		return
 	}
-	_ = r.conn.SetReadDeadline(deadline)
-	for got := 0; got < sent; {
-		n, err := r.conn.Read(r.recvBuf)
-		if err != nil {
-			if c.closed.Load() {
-				return errPollClosed
+	c.pendMu.Lock()
+	q, ok := c.inflight[seq]
+	var last bool
+	if ok {
+		delete(c.inflight, seq)
+		r := q.r
+		r.loads[q.slot] = int64(load)
+		r.rtts[q.slot] = time.Since(r.start)
+		r.pending--
+		last = r.pending == 0
+	}
+	c.pendMu.Unlock()
+	switch {
+	case !ok:
+		c.late.Add(1)
+		c.cfg.Metrics.PollLate.Inc()
+	case last:
+		q.r.w.ch <- nil
+	}
+}
+
+// collect drops the owner's hold on the round and waits until every
+// sent inquiry is answered or the deadline passes; at the deadline the
+// unanswered ones are discarded (§3.2) and their seqs withdrawn. It
+// reports errPollClosed when Close cut the round short.
+//
+//lint:noalloc
+func (c *Client) collect(r *pollRound, deadline time.Time) error {
+	c.pendMu.Lock()
+	held := r.pending > 0 // Close may have taken the hold already
+	if held {
+		r.pending--
+	}
+	done := held && r.pending == 0
+	c.pendMu.Unlock()
+	if !done {
+		if _, ok := r.w.wait(deadline); !ok {
+			c.pendMu.Lock()
+			mine := r.pending > 0
+			if mine {
+				for i, seq := range r.seqs {
+					if r.loads[i] == -1 {
+						delete(c.inflight, seq)
+					}
+				}
+				r.pending = 0
 			}
-			// The deadline passed: the unanswered inquiries are discarded
-			// (§3.2). An unconnected socket gets no ICMP errors, so a dead
-			// server is silence, not a failed read.
-			return nil
+			c.pendMu.Unlock()
+			if !mine {
+				<-r.w.ch // the last answer or Close came just as the wait gave up
+			}
 		}
-		if c.record(r, sent, r.recvBuf[:n]) {
-			got++
-		}
+	}
+	if r.closed {
+		return errPollClosed
 	}
 	return nil
 }
 
-// record files one answer into the slot that asked for it and reports
-// whether it did. An answer matching no unanswered slot among the
-// first sent came back after its round stopped waiting: a discarded
-// slow poll, counted late.
-//
-//lint:noalloc
-func (c *Client) record(r *pollRound, sent int, p []byte) bool {
-	seq, load, err := DecodeLoad(p)
-	if err != nil {
-		return false
-	}
-	for i := 0; i < sent; i++ {
-		if r.seqs[i] == seq && r.loads[i] < 0 {
-			r.loads[i] = int64(load)
-			r.rtts[i] = time.Since(r.start)
-			return true
+// failRounds ends every round with an inquiry pending: Close's half of
+// the poll path. Each round is woken once, with closed set.
+func (c *Client) failRounds() {
+	var failed []*pollRound
+	c.pendMu.Lock()
+	for _, q := range c.inflight {
+		if q.r.pending > 0 {
+			q.r.pending = 0
+			q.r.closed = true
+			failed = append(failed, q.r)
 		}
 	}
-	c.late.Add(1)
-	c.cfg.Metrics.PollLate.Inc()
-	if r.owed > 0 {
-		r.owed--
+	clear(c.inflight)
+	c.pendMu.Unlock()
+	for _, r := range failed {
+		r.w.ch <- nil
 	}
-	return false
 }
 
-// drainWait bounds how long draining an idle round socket waits for
-// owed answers that have not arrived.
-const drainWait = time.Millisecond
-
-// drainLocked reads and counts the late answers an idle round is still
-// owed. Caller holds c.roundMu, which keeps the round idle. A round
-// owed nothing returns at once; otherwise the wait for answers not yet
-// arrived (or lost) is bounded by drainWait.
-func (c *Client) drainLocked(r *pollRound) {
-	if r.owed == 0 {
+// serveDatagrams hands every datagram conn receives to h: as the conn's
+// handler on transports that deliver synchronously (mem), otherwise
+// from a read loop counted in wg that ends when conn closes (Net).
+func serveDatagrams(conn transport.PacketConn, h transport.PacketHandler, wg *sync.WaitGroup) {
+	if hc, ok := conn.(transport.HandlerPacketConn); ok && hc.SetPacketHandler(h) {
 		return
 	}
-	_ = r.conn.SetReadDeadline(time.Now().Add(drainWait))
-	for r.owed > 0 {
-		n, err := r.conn.Read(r.recvBuf)
-		if err != nil {
-			return
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		buf := make([]byte, 64)
+		for {
+			n, from, err := conn.ReadFrom(buf)
+			if err != nil {
+				return // closed
+			}
+			h(buf[:n], from)
 		}
-		c.record(r, 0, r.recvBuf[:n])
-	}
+	}()
 }

@@ -308,12 +308,13 @@ func TestNodePauseResume(t *testing.T) {
 	}
 }
 
-// TestStaleAnswerOnReusedRoundSocket delivers an answer to an earlier
-// round's inquiry to the idle round socket the next round reuses. The
-// next round must count it late and keep it out of its slots: here the
-// stale seq is the deaf node's discarded inquiry (its link lost it,
-// but it still took a seq), and letting it fill that node's new slot
-// would report two answers instead of one.
+// TestStaleAnswerOnReusedRoundSocket delivers the answers to an
+// earlier round's inquiries to the client's one socket while the next
+// round waits on a deaf node. The waiting round must keep them out of
+// its slots, and each counts late as it arrives: here a stale seq is
+// the deaf node's discarded inquiry (its link lost it, but it still
+// took a seq), and letting it fill that node's new slot would report
+// two answers instead of one.
 func TestStaleAnswerOnReusedRoundSocket(t *testing.T) {
 	tr := testTransport(t)
 	alive := startTestNode(t, NodeConfig{ID: 0, Service: "svc", SlowProb: -1, Transport: tr})
@@ -321,7 +322,7 @@ func TestStaleAnswerOnReusedRoundSocket(t *testing.T) {
 	c, err := NewClient(ClientConfig{
 		Directory:       FixedDirectory{alive.Endpoint(), deaf.Endpoint()},
 		Service:         "svc",
-		Policy:          core.NewPollDiscard(2, 50*time.Millisecond),
+		Policy:          core.NewPollDiscard(2, 200*time.Millisecond),
 		QuarantineAfter: -1,
 		Faults:          deafTo(1),
 		Transport:       tr,
@@ -336,66 +337,77 @@ func TestStaleAnswerOnReusedRoundSocket(t *testing.T) {
 	if _, ok, err := c.pollOnce(c.Endpoints(), first); err != nil || !ok || first.Answered != 1 {
 		t.Fatalf("first round: ok=%v err=%v answered=%d", ok, err, first.Answered)
 	}
-	c.roundMu.Lock()
-	idle := append([]*pollRound(nil), c.idle...)
-	c.roundMu.Unlock()
-	if len(idle) != 1 {
-		t.Fatalf("%d idle rounds after one round, want 1", len(idle))
+	stale := c.seq.Load() // the first round's seqs are 1..stale
+
+	type result struct {
+		ep   Endpoint
+		ok   bool
+		err  error
+		info *AccessInfo
 	}
-	r := idle[0]
-	var deafSeq uint32
-	for i, epIdx := range r.epIdx {
-		if c.Endpoints()[epIdx].NodeID == deaf.cfg.ID {
-			deafSeq = r.seqs[i]
-		}
-	}
+	done := make(chan result, 1)
+	go func() {
+		info := &AccessInfo{}
+		ep, ok, err := c.pollOnce(c.Endpoints(), info)
+		done <- result{ep, ok, err, info}
+	}()
+	waitUntil(t, func() bool { return inflight(c) == 1 }, "the second round to wait on the deaf node")
 
 	src, err := tr.ListenPacket()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer src.Close()
-	if _, err := src.WriteTo(EncodeLoad(nil, deafSeq, 0), r.conn.LocalAddr()); err != nil {
-		t.Fatal(err)
+	for seq := uint32(1); seq <= stale; seq++ {
+		if _, err := src.WriteTo(EncodeLoad(nil, seq, 0), c.conn.LocalAddr()); err != nil {
+			t.Fatal(err)
+		}
 	}
+	waitUntil(t, func() bool { return c.LateAnswers() == int64(stale) }, "the stale answers to be counted late")
 
-	second := &AccessInfo{}
-	ep, ok, err := c.pollOnce(c.Endpoints(), second)
-	if err != nil || !ok {
-		t.Fatalf("second round: ok=%v err=%v", ok, err)
+	res := <-done
+	if res.err != nil || !res.ok {
+		t.Fatalf("second round: ok=%v err=%v", res.ok, res.err)
 	}
-	c.roundMu.Lock()
-	minted := len(c.rounds)
-	c.roundMu.Unlock()
-	if minted != 1 {
-		t.Fatalf("sequential rounds minted %d sockets, want 1", minted)
-	}
-	if second.Answered != 1 || second.Discarded != 1 || ep.NodeID != alive.cfg.ID {
+	if res.info.Answered != 1 || res.info.Discarded != 1 || res.ep.NodeID != alive.cfg.ID {
 		t.Fatalf("stale answer leaked into the round: answered %d discarded %d picked node %d",
-			second.Answered, second.Discarded, ep.NodeID)
+			res.info.Answered, res.info.Discarded, res.ep.NodeID)
 	}
-	// Read by the round itself, before any LateAnswers drain.
-	if got := c.late.Load(); got != 1 {
-		t.Fatalf("round counted %d late answers, want 1", got)
+	if n := inflight(c); n != 0 {
+		t.Fatalf("%d inquiries still registered after the round", n)
 	}
-	if got := c.LateAnswers(); got != 1 {
-		t.Fatalf("LateAnswers %d, want 1", got)
+	if got := c.LateAnswers(); got != int64(stale) {
+		t.Fatalf("LateAnswers %d, want %d", got, stale)
 	}
 }
 
-// TestPollAgentCancelDropsLateAnswer abandons a round right after its
-// inquiry is sent, as a discard does. The answer lands on the idle
-// socket; the next owner of that socket must drop it rather than fill
-// its own slot with it, and an inquiry after the cancel still works.
+// inflight counts the client's registered inquiries.
+func inflight(c *Client) int {
+	c.pendMu.Lock()
+	defer c.pendMu.Unlock()
+	return len(c.inflight)
+}
+
+// TestPollAgentCancelDropsLateAnswer polls a raw datagram socket that
+// stands in for a node, so the test decides when each inquiry is
+// answered. The first round gives up on its inquiry at the deadline,
+// as a discard does; the answer that lands afterwards is counted late
+// and fills no slot, an inquiry after the cancel is answered into its
+// slot, and a second answer to that inquiry counts late too.
 func TestPollAgentCancelDropsLateAnswer(t *testing.T) {
-	_, nodes := testCluster(t, 1, false)
-	ep := nodes[0].Endpoint()
+	tr := testTransport(t)
+	srv, err := tr.ListenPacket()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ep := Endpoint{NodeID: 0, Service: "svc", LoadAddr: srv.LocalAddr()}
 	c, err := NewClient(ClientConfig{
 		Directory:       FixedDirectory{ep},
 		Service:         "svc",
-		Policy:          core.NewPoll(1),
+		Policy:          core.NewPollDiscard(1, 20*time.Millisecond),
 		QuarantineAfter: -1,
-		Transport:       nodes[0].Transport(),
+		Transport:       tr,
 		Seed:            12,
 	})
 	if err != nil {
@@ -403,66 +415,72 @@ func TestPollAgentCancelDropsLateAnswer(t *testing.T) {
 	}
 	t.Cleanup(func() { c.Close() })
 
-	// send checks a round out, sends it one inquiry and returns it.
-	send := func() (*pollRound, uint32) {
+	type result struct {
+		ok   bool
+		err  error
+		info *AccessInfo
+	}
+	round := func() chan result {
+		done := make(chan result, 1)
+		go func() {
+			info := &AccessInfo{}
+			_, ok, err := c.pollOnce([]Endpoint{ep}, info)
+			done <- result{ok, err, info}
+		}()
+		return done
+	}
+	// inquiry reads the next inquiry the stand-in node receives.
+	buf := make([]byte, 64)
+	inquiry := func() (uint32, string) {
 		t.Helper()
-		r, err := c.getRound(1)
+		_ = srv.SetReadDeadline(time.Now().Add(5 * time.Second))
+		n, from, err := srv.ReadFrom(buf)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r.start = time.Now()
-		seq := c.seq.Add(1)
-		if err := c.inquire(r, seq, &ep); err != nil {
+		seq, err := DecodeInquiry(buf[:n])
+		if err != nil {
 			t.Fatal(err)
 		}
-		r.epIdx[0], r.seqs[0] = 0, seq
-		return r, seq
+		return seq, from
+	}
+	reply := func(seq uint32, load uint32, to string) {
+		t.Helper()
+		if _, err := srv.WriteTo(EncodeLoad(nil, seq, load), to); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	r1, _ := send()
-	r1.owed++ // cancel: the round gives up on its answer unread
-	c.putRound(r1)
-	waitUntil(t, func() bool { return nodes[0].Stats().Inquiries == 1 }, "the node to answer the cancelled inquiry")
-
-	// The next round reuses the socket under a fresh seq it never sends,
-	// so the only answer it can read is the cancelled one.
-	r2, err := c.getRound(1)
-	if err != nil {
-		t.Fatal(err)
+	done := round()
+	cancelled, from := inquiry()
+	if res := <-done; res.err != nil || res.ok || res.info.Discarded != 1 {
+		t.Fatalf("unanswered round: ok=%v err=%v discarded %d, want a dry round", res.ok, res.err, res.info.Discarded)
 	}
-	if r2 != r1 {
-		t.Fatal("the next round did not reuse the idle socket")
-	}
-	r2.start = time.Now()
-	r2.epIdx[0], r2.seqs[0] = 0, c.seq.Add(1)
-	if err := c.collect(r2, 1, r2.start.Add(200*time.Millisecond)); err != nil {
-		t.Fatal(err)
-	}
-	if r2.loads[0] >= 0 {
-		t.Fatalf("cancelled answer filled the next round's slot with load %d", r2.loads[0])
-	}
-	c.putRound(r2)
+	reply(cancelled, 5, from)
 	waitUntil(t, func() bool { return c.LateAnswers() == 1 }, "the cancelled answer to be counted late")
 
-	// An inquiry after the cancel is answered into its slot.
-	r3, _ := send()
-	if err := c.collect(r3, 1, r3.start.Add(time.Second)); err != nil {
-		t.Fatal(err)
+	done = round()
+	seq, from := inquiry()
+	if seq == cancelled {
+		t.Fatal("the next round reused the cancelled seq")
 	}
-	if r3.loads[0] < 0 {
-		t.Fatal("inquiry after the cancel unanswered")
+	reply(seq, 7, from)
+	res := <-done
+	if res.err != nil || !res.ok || res.info.Answered != 1 {
+		t.Fatalf("inquiry after the cancel: ok=%v err=%v answered %d", res.ok, res.err, res.info.Answered)
 	}
-	c.putRound(r3)
 	if got := c.LateAnswers(); got != 1 {
 		t.Fatalf("LateAnswers %d after the answered round, want 1", got)
 	}
+	reply(seq, 9, from) // a second answer finds its slot already filled
+	waitUntil(t, func() bool { return c.LateAnswers() == 2 }, "the duplicate answer to be counted late")
 }
 
 // TestPollAgentCountsLateAnswers polls a busy node whose answers take a
 // deterministic 50 ms slow path, with a discard threshold far below it:
-// the round gives up on the answer, and when it lands the client counts
-// exactly one late answer (§3.2's discarded slow poll) and files it
-// into no slot.
+// the round gives up on the answer and withdraws its seq, and when the
+// answer lands on the client's socket it is counted exactly once as
+// late (§3.2's discarded slow poll).
 func TestPollAgentCountsLateAnswers(t *testing.T) {
 	n := startTestNode(t, NodeConfig{
 		ID: 1, Service: "svc",
@@ -494,18 +512,15 @@ func TestPollAgentCountsLateAnswers(t *testing.T) {
 	if info.Polled != 1 || info.Answered != 0 || info.Discarded != 1 {
 		t.Fatalf("polled %d answered %d discarded %d, want 1/0/1", info.Polled, info.Answered, info.Discarded)
 	}
+	if n := inflight(c); n != 0 {
+		t.Fatalf("the discarded inquiry is still registered (%d entries)", n)
+	}
 	waitUntil(t, func() bool { return c.LateAnswers() == 1 }, "the late answer to be counted")
-	c.roundMu.Lock()
-	idle := append([]*pollRound(nil), c.idle...)
-	c.roundMu.Unlock()
-	if len(idle) != 1 {
-		t.Fatalf("%d idle rounds after one round, want 1", len(idle))
-	}
-	if load := idle[0].loads[0]; load >= 0 {
-		t.Fatalf("discarded inquiry still delivered load %d", load)
-	}
 	if _, err := ReadResponse(r); err != nil {
 		t.Fatal(err)
+	}
+	if got := c.LateAnswers(); got != 1 {
+		t.Fatalf("LateAnswers %d, want 1", got)
 	}
 }
 
@@ -548,6 +563,12 @@ func TestCloseUnblocksPollRound(t *testing.T) {
 		}
 	case <-time.After(5 * pollTimeout):
 		t.Fatal("Close did not unblock the round")
+	}
+	if n := inflight(c); n != 0 {
+		t.Fatalf("%d inquiries still registered after Close", n)
+	}
+	if _, _, err := c.PollRound(c.Endpoints(), &AccessInfo{}); err != errPollClosed {
+		t.Fatalf("a round after Close ended with %v, want errPollClosed", err)
 	}
 }
 
@@ -607,13 +628,15 @@ func TestLinkFaultsReplayInFanout(t *testing.T) {
 }
 
 // TestRoundSocketsBoundedOnNet is the FD and goroutine audit of the
-// client on real sockets. Sequential accesses against 16 servers hold
-// exactly one client UDP socket and park no client goroutine; the
-// client holds at most one TCP connection and one stream reader per
-// server, before and after a burst of concurrent accesses; and after
-// Close — even one racing poll rounds and a call in flight — the
-// process's file descriptors and goroutines return to their count
-// before the client.
+// client on real sockets. Against 16 servers the client holds exactly
+// one UDP socket and one answer reader, however many rounds are in
+// flight: after sequential accesses, and after a burst of 256
+// concurrent poll-3 accesses whose answers all land on that socket
+// with none dropped by its receive buffer and none discarded. It holds
+// at most one TCP connection and one stream reader per server, before
+// and after the burst; and after Close — even one racing poll rounds
+// and a call in flight — the process's file descriptors and goroutines
+// return to their count before the client.
 func TestRoundSocketsBoundedOnNet(t *testing.T) {
 	if _, err := os.Stat("/proc/self/fd"); err != nil {
 		t.Skip("needs /proc/self/fd")
@@ -660,31 +683,46 @@ func TestRoundSocketsBoundedOnNet(t *testing.T) {
 	}
 
 	fds, goroutines, udp := countFDs(t), runtime.NumGoroutine(), countUDPSockets(t)
+	nodeReaders := datagramReaders()
 	c := newClient()
+	oneSocket := func(stage string) {
+		t.Helper()
+		if got := countUDPSockets(t) - udp; got != 1 {
+			t.Errorf("%s: the client holds %d UDP sockets, want 1", stage, got)
+		}
+		if got := datagramReaders() - nodeReaders; got != 1 {
+			t.Errorf("%s: %d answer readers, want exactly 1", stage, got)
+		}
+		if drops := udpDrops(t, c.conn.LocalAddr()); drops != 0 {
+			t.Errorf("%s: the client's socket dropped %d datagrams", stage, drops)
+		}
+		if n := c.cfg.Metrics.PollDiscards.Value(); n != 0 {
+			t.Errorf("%s: %d poll inquiries discarded, want 0", stage, n)
+		}
+	}
 	for i := 0; i < 50; i++ {
 		if _, err := c.Access(0, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := countUDPSockets(t) - udp; got != 1 {
-		t.Errorf("sequential accesses hold %d client UDP sockets, want 1", got)
-	}
-	if got := clientGoroutines(); got != 0 {
-		t.Errorf("%d goroutines parked in client code between accesses, want 0", got)
-	}
+	oneSocket("sequential accesses")
 	oneStreamPerServer("sequential accesses")
 	var wg sync.WaitGroup
-	for i := 0; i < 128; i++ {
+	start := make(chan struct{})
+	for i := 0; i < 256; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			<-start
 			if _, err := c.Access(200, nil); err != nil {
 				t.Error(err)
 			}
 		}()
 	}
+	close(start)
 	wg.Wait()
-	oneStreamPerServer("a burst of 128 concurrent accesses")
+	oneSocket("a burst of 256 concurrent accesses")
+	oneStreamPerServer("a burst of 256 concurrent accesses")
 	c.Close()
 	waitUntil(t, atBaseline(fds, goroutines), "FDs and goroutines to return to baseline after Close")
 
@@ -812,10 +850,44 @@ func countUDPSockets(t *testing.T) int {
 	return n
 }
 
-// clientGoroutines counts goroutines with a Client method on their
-// stack.
-func clientGoroutines() int {
-	return goroutinesIn("cluster.(*Client)")
+// datagramReaders counts the goroutines running a datagram socket's
+// read loop: one per node and one per poll client on Net.
+func datagramReaders() int {
+	return goroutinesIn("cluster.serveDatagrams.func1")
+}
+
+// udpDrops reads the drops column of /proc/net/udp for the socket
+// bound to addr: datagrams its full receive buffer turned away.
+func udpDrops(t *testing.T, addr string) int {
+	t.Helper()
+	_, port, err := net.SplitHostPort(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := strconv.ParseUint(port, 10, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	table, err := os.ReadFile("/proc/net/udp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(table), "\n")[1:] {
+		f := strings.Fields(line)
+		if len(f) <= 12 {
+			continue
+		}
+		_, hexPort, _ := strings.Cut(f[1], ":")
+		if lp, err := strconv.ParseUint(hexPort, 16, 16); err == nil && lp == p {
+			drops, err := strconv.Atoi(f[12])
+			if err != nil {
+				t.Fatal(err)
+			}
+			return drops
+		}
+	}
+	t.Fatalf("no /proc/net/udp entry for %s", addr)
+	return 0
 }
 
 // goroutinesIn counts goroutines whose stack mentions fn.

@@ -173,11 +173,13 @@ type waiter struct {
 	timer *time.Timer
 }
 
-var waiters = sync.Pool{New: func() any {
+var waiters = sync.Pool{New: func() any { return newWaiter() }}
+
+func newWaiter() *waiter {
 	t := time.NewTimer(time.Hour)
 	t.Stop()
 	return &waiter{ch: make(chan *Response, 1), timer: t}
-}}
+}
 
 // wait blocks until a response is handed to w or deadline passes; ok
 // is false on timeout. A timer fire left over from the waiter's

@@ -41,11 +41,12 @@ type MemConfig struct {
 // zero Latency/Loss its behavior is independent of wall-clock timing.
 //
 // An undelayed datagram is delivered on the sender's goroutine: a
-// receiver with a PacketHandler (a node's load socket) runs it there,
-// and a reader (a client's poll-round socket) finds the datagram in
-// its inbox when it next reads, on ReadFrom's non-blocking fast path.
-// A zero-latency poll round therefore never parks: every answer is
-// queued before the round's fan-out returns.
+// receiver with a PacketHandler (a node's load socket, a poll client's
+// socket) runs it there, and a reader finds the datagram in its inbox
+// when it next reads, on ReadFrom's non-blocking fast path. A
+// zero-latency poll round therefore never parks: the node answers
+// inside the client's inquiry write, and the client files the answer
+// inside the node's reply write, before the round's fan-out returns.
 //
 // One Mem value is one isolated network; components can only reach
 // addresses issued by the same fabric.
@@ -76,11 +77,10 @@ func (m *Mem) nextAddr() string {
 }
 
 // memInboxCap bounds each endpoint's datagram queue; like a kernel
-// socket buffer, overflow drops. Only poll-round sockets read their
-// inbox (a node's load socket takes the handler path), and one holds
-// at most its round's d answers plus the late answers, each one owed
-// by an earlier round on the socket, that arrived while it sat idle.
-// 256 slots (about 12 KB) hold sixteen 16-server rounds' worth.
+// socket buffer, overflow drops. The cluster's sockets (a node's load
+// socket, a poll client's socket) take the handler path and leave their
+// inbox empty; only a plain reader, such as a raw probe, queues
+// datagrams here. 256 slots take about 12 KB.
 const memInboxCap = 256
 
 type memDatagram struct {

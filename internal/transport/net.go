@@ -30,6 +30,15 @@ func (Net) Dial(addr string, timeout time.Duration) (net.Conn, error) {
 	return net.DialTimeout("tcp", addr, timeout)
 }
 
+// netReadBuffer is the receive buffer ListenPacket asks for. A poll
+// client's one socket takes the answers of every round it has in
+// flight, and a node's takes every client's inquiries; a datagram the
+// buffer drops stalls its round until the discard deadline. At the
+// Linux default (about 208 KiB) an unread loopback socket queued 256 of
+// these datagrams, and 2,520 with 1 MiB. The kernel caps the request at
+// net.core.rmem_max.
+const netReadBuffer = 1 << 20
+
 // ListenPacket implements Transport.
 func (Net) ListenPacket() (PacketConn, error) {
 	laddr, err := net.ResolveUDPAddr("udp", "127.0.0.1:0")
@@ -38,6 +47,10 @@ func (Net) ListenPacket() (PacketConn, error) {
 	}
 	conn, err := net.ListenUDP("udp", laddr)
 	if err != nil {
+		return nil, err
+	}
+	if err := conn.SetReadBuffer(netReadBuffer); err != nil {
+		_ = conn.Close()
 		return nil, err
 	}
 	return &netPacketConn{c: conn}, nil

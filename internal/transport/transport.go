@@ -71,11 +71,12 @@ type PacketHandler func(p []byte, from string)
 // can install a handler invoked per datagram instead of parking a
 // goroutine in Read. On the in-memory fabric an undelayed datagram
 // then flows sender → handler synchronously — no queue, no copy, no
-// goroutine wakeup — which is what lets a node answer a load inquiry
-// on the inquiring client's goroutine, so a whole poll round runs
-// there (DESIGN.md §12). Transports without
-// the capability (real sockets) simply don't implement it, and
-// callers fall back to a read loop. SetPacketHandler reports whether
+// goroutine wakeup — which is what lets a node answer a load inquiry,
+// and the client file that answer, on the inquiring client's
+// goroutine, so a whole poll round runs there (DESIGN.md §12).
+// Transports without the capability (real sockets) simply don't
+// implement it, and callers fall back to one read loop per socket
+// that calls the same handler. SetPacketHandler reports whether
 // the handler was installed; install it before any traffic arrives,
 // because datagrams already queued for Read stay queued.
 type HandlerPacketConn interface {
