@@ -29,9 +29,6 @@ type NodeConfig struct {
 	// makes the node one non-preemptive processing unit as in the
 	// simulation model.
 	Workers int
-	// QueueCap bounds the request queue; excess requests are refused
-	// with StatusOverload. Default 4096.
-	QueueCap int
 	// Spin burns CPU for the service duration instead of sleeping,
 	// matching the paper's CPU-spinning microbenchmark exactly (at the
 	// cost of real CPU contention between in-process nodes).
@@ -87,6 +84,10 @@ type HandlerFunc func(req *Request) ([]byte, uint8)
 // Serve implements Handler.
 func (f HandlerFunc) Serve(req *Request) ([]byte, uint8) { return f(req) }
 
+// queueCap bounds a node's request queue; a request that finds it full
+// is refused with StatusOverload.
+const queueCap = 4096
+
 // NodeStats are monotonic counters exposed for experiments.
 type NodeStats struct {
 	Served    int64 // requests completed
@@ -104,7 +105,11 @@ type Node struct {
 	ln       transport.Listener
 	loadConn transport.PacketConn
 
-	load loadTable // load index: accesses accepted and not yet answered
+	// load is the load index (§3.1): accesses accepted and not yet
+	// answered, the quantity every load-inquiry answer reports. Each
+	// access's increment happens before its decrement, so it never
+	// reads negative.
+	load atomic.Int64
 
 	queue chan nodeTask
 	wg    sync.WaitGroup
@@ -187,12 +192,6 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	if cfg.Workers < 0 {
 		return nil, fmt.Errorf("cluster: Workers = %d", cfg.Workers)
 	}
-	if cfg.QueueCap == 0 {
-		cfg.QueueCap = 4096
-	}
-	if cfg.QueueCap < 0 {
-		return nil, fmt.Errorf("cluster: QueueCap = %d", cfg.QueueCap)
-	}
 	if cfg.SlowProb == 0 {
 		cfg.SlowProb = DefaultSlowProb
 	}
@@ -223,7 +222,7 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		cfg:      cfg,
 		ln:       ln,
 		loadConn: loadConn,
-		queue:    make(chan nodeTask, cfg.QueueCap),
+		queue:    make(chan nodeTask, queueCap),
 		done:     make(chan struct{}),
 		conns:    make(map[net.Conn]struct{}),
 		unpause:  closedChan(),
@@ -261,7 +260,7 @@ func (n *Node) LoadAddr() string { return n.loadConn.LocalAddr() }
 // LoadIndex returns the node's current load index: the total number of
 // active service accesses (queued plus in service), the paper's load
 // measure.
-func (n *Node) LoadIndex() int { return int(n.load.load()) }
+func (n *Node) LoadIndex() int { return int(n.load.Load()) }
 
 // Endpoint returns the node's published endpoint description.
 func (n *Node) Endpoint() Endpoint {
@@ -378,7 +377,7 @@ func (n *Node) Close() error {
 	})
 	n.wg.Wait()
 	n.gaugeDrain.Do(func() {
-		n.cfg.Metrics.ServerActive.Add(-n.load.load())
+		n.cfg.Metrics.ServerActive.Add(-n.load.Load())
 	})
 	return nil
 }
@@ -453,7 +452,6 @@ func (n *Node) serveConn(c net.Conn) {
 	}
 	nc := &nodeConn{c: c, w: bufio.NewWriter(c)}
 	r := bufio.NewReader(c)
-	sh := n.load.assign()
 	for {
 		req, err := ReadRequest(r)
 		if err != nil {
@@ -465,12 +463,12 @@ func (n *Node) serveConn(c net.Conn) {
 		}
 		// The access becomes active the moment it is accepted; this is
 		// the quantity the load-index server reports.
-		sh.add(1)
+		n.load.Add(1)
 		n.cfg.Metrics.ServerActive.Add(1)
 		select {
 		case n.queue <- nodeTask{req: req, conn: nc}:
 		default:
-			sh.add(-1)
+			n.load.Add(-1)
 			n.cfg.Metrics.ServerActive.Add(-1)
 			n.overloads.Add(1)
 			n.cfg.Metrics.ServerOverloads.Inc()
@@ -482,7 +480,6 @@ func (n *Node) serveConn(c net.Conn) {
 func (n *Node) worker() {
 	defer n.wg.Done()
 	var sl sleeper
-	sh := n.load.assign()
 	for {
 		select {
 		case <-n.done:
@@ -504,8 +501,8 @@ func (n *Node) worker() {
 					sl.sleep(d)
 				}
 			}
-			load := uint32(n.load.load())
-			sh.add(-1)
+			load := uint32(n.load.Load())
+			n.load.Add(-1)
 			n.served.Add(1)
 			n.cfg.Metrics.ServerActive.Add(-1)
 			n.cfg.Metrics.ServerServed.Inc()
@@ -609,7 +606,7 @@ func (n *Node) handleInquiry(p []byte, from string) {
 	n.inqMu.Lock()
 	n.inquiries.Add(1)
 	n.cfg.Metrics.InquiriesServed.Inc()
-	if n.load.load() > 0 && n.cfg.SlowProb > 0 && n.inqRNG.Float64() < n.cfg.SlowProb {
+	if n.load.Load() > 0 && n.cfg.SlowProb > 0 && n.inqRNG.Float64() < n.cfg.SlowProb {
 		// Slow path: scheduling interference on a busy node.
 		n.slowPaths.Add(1)
 		n.cfg.Metrics.SlowAnswers.Inc()
@@ -622,12 +619,12 @@ func (n *Node) handleInquiry(p []byte, from string) {
 				return
 			default:
 			}
-			reply := EncodeLoad(make([]byte, 0, loadSize), seq, uint32(n.load.load()))
+			reply := EncodeLoad(make([]byte, 0, loadSize), seq, uint32(n.load.Load()))
 			_, _ = n.loadConn.WriteTo(reply, from)
 		})
 		return
 	}
-	load := uint32(n.load.load())
+	load := uint32(n.load.Load())
 	n.inqMu.Unlock()
 	// The buffer is pooled, not per-node: WriteTo's contract is that
 	// the payload is consumed before it returns (DESIGN.md §12), so the

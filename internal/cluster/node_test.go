@@ -149,41 +149,46 @@ func TestNodeWorkerPoolParallelism(t *testing.T) {
 }
 
 func TestNodeOverload(t *testing.T) {
-	// QueueCap 1 with one busy worker: the first request occupies the
-	// worker, the second queues, the third is refused.
-	n := startTestNode(t, NodeConfig{ID: 1, Service: "svc", Workers: 1, QueueCap: 1})
-	_, r1, w1 := dialNode(t, n)
-	if err := WriteRequest(w1, &Request{ID: 1, Service: "svc", ServiceUs: 200000}); err != nil {
-		t.Fatal(err)
+	// A paused node with one worker: the first request occupies the
+	// worker, the next queueCap fill the queue, and the one after them
+	// is refused. All of them go pipelined on one connection.
+	n := startTestNode(t, NodeConfig{ID: 1, Service: "svc", Workers: 1})
+	n.Pause()
+	_, r, w := dialNode(t, n)
+	send := func(from, to uint64) {
+		t.Helper()
+		for id := from; id <= to; id++ {
+			if err := WriteRequest(w, &Request{ID: id, Service: "svc"}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
 	}
+	send(1, 1)
 	waitUntil(t, func() bool { return n.LoadIndex() == 1 && len(n.queue) == 0 },
 		"the worker to pick up the first request")
-	_, r2, w2 := dialNode(t, n)
-	if err := WriteRequest(w2, &Request{ID: 2, Service: "svc", ServiceUs: 200000}); err != nil {
-		t.Fatal(err)
-	}
-	waitUntil(t, func() bool { return n.LoadIndex() == 2 && len(n.queue) == 1 },
-		"the second request to fill the queue")
-	_, r3, w3 := dialNode(t, n)
-	if err := WriteRequest(w3, &Request{ID: 3, Service: "svc", ServiceUs: 200000}); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := ReadResponse(r3)
+	send(2, queueCap+1)
+	waitUntil(t, func() bool { return n.LoadIndex() == queueCap+1 && len(n.queue) == queueCap },
+		"the pipelined requests to fill the queue")
+	send(queueCap+2, queueCap+2)
+	resp, err := ReadResponse(r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Status != StatusOverload {
-		t.Fatalf("third request status %d, want overload", resp.Status)
+	if resp.ID != queueCap+2 || resp.Status != StatusOverload {
+		t.Fatalf("first response %d status %d, want request %d refused with overload", resp.ID, resp.Status, queueCap+2)
 	}
 	if s := n.Stats(); s.Overloads != 1 {
 		t.Fatalf("overloads = %d", s.Overloads)
 	}
-	// The first two eventually complete.
-	if resp, err := ReadResponse(r1); err != nil || resp.Status != StatusOK {
-		t.Fatalf("first: %+v %v", resp, err)
-	}
-	if resp, err := ReadResponse(r2); err != nil || resp.Status != StatusOK {
-		t.Fatalf("second: %+v %v", resp, err)
+	// Every accepted request completes once the node resumes.
+	n.Resume()
+	for id := uint64(1); id <= queueCap+1; id++ {
+		if resp, err := ReadResponse(r); err != nil || resp.ID != id || resp.Status != StatusOK {
+			t.Fatalf("request %d: %+v %v", id, resp, err)
+		}
 	}
 }
 

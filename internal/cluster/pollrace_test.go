@@ -12,8 +12,8 @@ import (
 )
 
 // TestLoadTableFanoutRace hammers the poll hot path's shared state
-// from every direction at once — accesses mutating the sharded load
-// table, poll rounds answering inquiries synchronously on the
+// from every direction at once — accesses mutating the nodes' load
+// indexes, poll rounds answering inquiries synchronously on the
 // accessors' own goroutines, drain/rejoin cycling membership (which
 // also exercises Refresh's pool pruning), and raw load-index
 // reads — and relies on -race to catch any unsynchronized access. The
@@ -49,8 +49,8 @@ func TestLoadTableFanoutRace(t *testing.T) {
 
 	var accessors, togglers sync.WaitGroup
 	stop := make(chan struct{})
-	// Accessors: each access is a poll round (load-table reads, answer
-	// deliveries) plus a service round trip (load-table writes).
+	// Accessors: each access is a poll round (load-index reads, answer
+	// deliveries) plus a service round trip (load-index writes).
 	for g := 0; g < 4; g++ {
 		accessors.Add(1)
 		go func() {
@@ -76,7 +76,7 @@ func TestLoadTableFanoutRace(t *testing.T) {
 			n.Rejoin()
 		}
 	}()
-	// Load-index readers: the sharded sum racing its writers.
+	// Load-index readers racing the writers.
 	togglers.Add(1)
 	go func() {
 		defer togglers.Done()

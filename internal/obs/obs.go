@@ -1,11 +1,11 @@
 // Package obs is the repository's internal observability layer: a
 // lightweight, allocation-conscious metrics registry (counters, gauges,
-// fixed-bucket histograms) plus an optional structured event trace
-// (obs.Trace). Both execution substrates — the discrete-event simulator
-// and the socket/in-memory prototype — record the same metric catalog
-// (RunMetrics) through it, so anything inside a run (queue-length
-// peaks, poll round trips, discard decisions, quarantines) can be
-// asserted and regression-tested, not just end-of-run aggregates.
+// fixed-bucket histograms). Both execution substrates — the
+// discrete-event simulator and the socket/in-memory prototype — record
+// the same metric catalog (RunMetrics) through it, so anything inside a
+// run (queue-length peaks, poll round trips, discard decisions,
+// quarantines) can be asserted and regression-tested, not just
+// end-of-run aggregates.
 //
 // Hot-path operations (Counter.Add, Gauge.Add, Histogram.Observe) are
 // lock-free atomics with zero allocation; registration happens once at

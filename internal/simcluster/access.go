@@ -131,14 +131,6 @@ func (r *runner) detector(client int) *faults.Detector {
 //lint:noalloc
 func (r *runner) now() time.Duration { return time.Duration(r.eng.Now()) }
 
-// quarantined records client's decision to quarantine srv.
-//
-//lint:noalloc
-func (r *runner) quarantined(client, srv int) {
-	r.quarantines++
-	r.emit("client.quarantine", r.clientActor, client, int64(srv), 0)
-}
-
 // anyOf picks a uniformly random candidate.
 //
 //lint:noalloc
@@ -343,11 +335,8 @@ func (r *runner) decide(cid int) {
 	for _, sl := range c.slots {
 		if sl.answered {
 			det.Answered(sl.srv)
-		} else {
-			if det.Silent(sl.srv, at) {
-				r.quarantined(a.client, sl.srv)
-			}
-			r.emit("poll.discard", r.clientActor, a.client, int64(sl.srv), int64(a.idx))
+		} else if det.Silent(sl.srv, at) {
+			r.quarantines++
 		}
 	}
 	a.pollDur = now.Sub(a.start)
@@ -360,7 +349,6 @@ func (r *runner) decide(cid int) {
 		a.srv = c.slots[core.PickUnanswered(r.policyRNG, len(c.slots))].srv
 	case c.round < faults.DefaultPollRetries:
 		r.retries++
-		r.emit("poll.retry", r.clientActor, a.client, int64(c.round), int64(a.idx))
 		r.eng.After(r.ft.backoff(c.round), r.on.repoll, cid)
 		return
 	default:
@@ -400,7 +388,6 @@ func (r *runner) repoll(cid int) {
 func (r *runner) dispatch(id int) {
 	a := r.accs.at(id)
 	r.msg.Dispatches++
-	r.emit("access.dispatch", r.clientActor, a.client, int64(a.srv), int64(a.idx))
 	if r.commit != nil {
 		r.commit.Add(a.srv, 1)
 	}
@@ -433,7 +420,6 @@ func (r *runner) accessDone(id int) {
 	r.completions++
 	resp := r.eng.Now().Sub(a.start).Seconds()
 	r.response.observe(resp)
-	r.emit("access.complete", r.clientActor, a.client, int64(a.srv), int64(a.idx))
 	if a.idx >= r.warmup {
 		r.res.Response.Add(resp)
 		if r.cfg.Policy.Kind == core.Poll {
@@ -456,17 +442,15 @@ func (r *runner) accessFailed(id int) {
 	a := r.accs.at(id)
 	r.settle(a)
 	if r.detector(a.client).Failed(a.srv, r.now()) {
-		r.quarantined(a.client, a.srv)
+		r.quarantines++
 	}
 	if a.attempt >= faults.DefaultAccessRetries {
 		r.lost++
-		r.emit("access.lost", r.clientActor, a.client, int64(a.srv), int64(a.idx))
 		r.accs.put(id)
 		r.finish()
 		return
 	}
 	r.retries++
-	r.emit("access.retry", r.clientActor, a.client, int64(a.srv), int64(a.attempt))
 	attempt := a.attempt
 	a.attempt++
 	r.eng.After(r.ft.backoff(attempt), r.on.retry, id)

@@ -2,7 +2,6 @@ package simcluster
 
 import (
 	"math/bits"
-	"strconv"
 	"time"
 
 	"finelb/internal/core"
@@ -25,11 +24,7 @@ type runner struct {
 	eng *sim.Engine
 	res *Result
 	reg *obs.Registry // the membership metrics and, at collect, the tally
-	tr  *obs.Trace
 	tally
-
-	clientActor []string
-	serverActor []string
 
 	srv []serverState
 	// load mirrors each server's load index for the poll observations
@@ -96,16 +91,6 @@ type runner struct {
 	warmup int
 }
 
-// emit records one trace event; actors is clientActor or serverActor
-// (indexed lazily so the nil-trace path never touches them).
-//
-//lint:noalloc
-func (r *runner) emit(name string, actors []string, idx int, a, b int64) {
-	if r.tr != nil {
-		r.tr.Emit(r.eng.Now().Seconds(), name, actors[idx], a, b)
-	}
-}
-
 // newRunner validates cfg and builds the run: engine, RNG streams,
 // server state, fault machinery, policy state, membership, and the
 // first arrival. The construction order (and hence sequence-number and
@@ -159,18 +144,6 @@ func newRunner(cfg Config) (*runner, error) {
 	// to the reachable maximum so growth reuses reserved space instead
 	// of reallocating. Fixed-pool runs have maxPool == Servers.
 	maxPool := cfg.maxPool()
-	r.tr = cfg.Trace
-	if r.tr != nil {
-		r.clientActor = make([]string, cfg.Clients)
-		for i := range r.clientActor {
-			r.clientActor[i] = "client:" + strconv.Itoa(i)
-		}
-		r.serverActor = make([]string, maxPool)
-		for i := range r.serverActor {
-			r.serverActor[i] = "server:" + strconv.Itoa(i)
-		}
-	}
-
 	r.srv = make([]serverState, cfg.Servers, maxPool)
 	r.load = make([]int32, cfg.Servers, maxPool)
 	for i := range r.srv {
@@ -306,7 +279,6 @@ func (r *runner) fault(ev faults.NodeEvent) {
 	case faults.Resume:
 		r.resume(ev.Node)
 	}
-	r.emit("server."+ev.Kind.String(), r.serverActor, ev.Node, 0, 0)
 }
 
 // collect assembles the Result after the engine has drained.

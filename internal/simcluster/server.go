@@ -279,13 +279,6 @@ func (r *runner) Start(id int) bool {
 	return !r.srv[id].down
 }
 
-// serverEvent names each membership transition's trace event.
-var serverEvent = [...]string{
-	membership.Join:  "server.join",
-	membership.Drain: "server.drain",
-	membership.Leave: "server.leave",
-}
-
 // Changed attaches a joined server to the indexes (with whatever load
 // it still carries) or detaches a drained one.
 func (r *runner) Changed(kind membership.Kind, id int) {
@@ -293,7 +286,6 @@ func (r *runner) Changed(kind membership.Kind, id int) {
 	if kind == membership.Join {
 		r.record(id)
 	}
-	r.emit(serverEvent[kind], r.serverActor, id, int64(r.pool.Size()), 0)
 }
 
 // Load returns server id's load index.

@@ -95,11 +95,6 @@ type Config struct {
 	// RecordQueueSeries retains each server's queue-length time series
 	// (Figure 2 needs it; it costs memory on long runs).
 	RecordQueueSeries bool
-
-	// Trace, when non-nil, receives structured protocol events
-	// (dispatches, discards, quarantines, server faults) on the
-	// simulated clock. See obs.Event for the schema.
-	Trace *obs.Trace
 }
 
 func (c Config) withDefaults() (Config, error) {

@@ -24,9 +24,6 @@ type MemConfig struct {
 	// Seed drives the loss draws; the same seed and the same send
 	// sequence replay the same deliveries.
 	Seed uint64
-	// Latency is the base one-way datagram delay (default 0: delivery
-	// on the sender's goroutine).
-	Latency time.Duration
 	// Loss is the probability a datagram silently disappears.
 	Loss float64
 }
@@ -38,15 +35,15 @@ type MemConfig struct {
 // never for the reader, and a closed end's peer reads what was sent
 // before it sees EOF. The fabric needs no file descriptors, so
 // cluster size is bounded by memory, not OS socket limits, and with
-// zero Latency/Loss its behavior is independent of wall-clock timing.
+// zero Loss its behavior is independent of wall-clock timing.
 //
-// An undelayed datagram is delivered on the sender's goroutine: a
-// receiver with a PacketHandler (a node's load socket, a poll client's
-// socket) runs it there, and a reader finds the datagram in its inbox
-// when it next reads, on ReadFrom's non-blocking fast path. A
-// zero-latency poll round therefore never parks: the node answers
-// inside the client's inquiry write, and the client files the answer
-// inside the node's reply write, before the round's fan-out returns.
+// A datagram is delivered on the sender's goroutine: a receiver with a
+// PacketHandler (a node's load socket, a poll client's socket) runs it
+// there, and a reader finds the datagram in its inbox when it next
+// reads, on ReadFrom's non-blocking fast path. A poll round therefore
+// never parks: the node answers inside the client's inquiry write, and
+// the client files the answer inside the node's reply write, before the
+// round's fan-out returns.
 //
 // One Mem value is one isolated network; components can only reach
 // addresses issued by the same fabric.
@@ -80,13 +77,12 @@ func (m *Mem) nextAddr() string {
 // socket buffer, overflow drops. The cluster's sockets (a node's load
 // socket, a poll client's socket) take the handler path and leave their
 // inbox empty; only a plain reader, such as a raw probe, queues
-// datagrams here. 256 slots take about 12 KB.
+// datagrams here. 256 slots take about 6 KB.
 const memInboxCap = 256
 
 type memDatagram struct {
-	from    string
-	payload []byte
-	buf     *[]byte // pool token backing payload; returned after the read copies out
+	from string
+	buf  *[]byte // pooled copy of the payload; returned after the read copies out
 }
 
 // dgPool recycles datagram payload buffers so the fabric's per-send
@@ -96,8 +92,7 @@ type memDatagram struct {
 // are checked out in deliver, travel through the inbox inside the
 // memDatagram, and return to the pool once ReadFrom has copied the
 // payload into the caller's buffer (or immediately, when the
-// destination is unknown or its inbox is full and UDP semantics drop
-// the datagram).
+// destination's inbox is full and UDP semantics drop the datagram).
 var dgPool = sync.Pool{New: func() any { b := make([]byte, 0, 64); return &b }}
 
 // Listen implements Transport.
@@ -158,13 +153,9 @@ func (m *Mem) DialPacket(addr string, _ Link) (PacketConn, error) {
 }
 
 // newEndpoint registers a fresh datagram endpoint. The inbox (memInboxCap
-// slots) is allocated before m.mu is taken: every undelayed
-// datagram resolves its destination under m.mu, so allocating under
-// the lock stalls all traffic on the fabric. A client mints a poll
-// round, and so an endpoint, whenever all its rounds are in flight —
-// exactly when the fabric is busiest — and on a CPU-starved box that
-// stall fed back into more rounds in flight until poll-2 response
-// times rose fiftyfold.
+// slots) is allocated before m.mu is taken: every datagram resolves its
+// destination under m.mu, so allocating under the lock would stall all
+// traffic on the fabric.
 func (m *Mem) newEndpoint(peer string) *memEndpoint {
 	e := &memEndpoint{
 		fab:    m,
@@ -179,8 +170,10 @@ func (m *Mem) newEndpoint(peer string) *memEndpoint {
 	return e
 }
 
-// deliver routes one datagram through the fabric's loss/latency model
-// toward the endpoint registered at to.
+// deliver routes one datagram through the fabric's loss model to the
+// endpoint registered at to, on the sender's goroutine. A receiver with
+// a handler gets the payload by reference — no copy, no queue, no
+// wakeup; a reader gets a pooled copy in its inbox.
 func (m *Mem) deliver(from, to string, p []byte) {
 	if m.cfg.Loss > 0 {
 		m.mu.Lock()
@@ -190,52 +183,20 @@ func (m *Mem) deliver(from, to string, p []byte) {
 			return
 		}
 	}
-	if m.cfg.Latency <= 0 {
-		// Undelayed delivery stays on the sender's goroutine. A receiver
-		// with a handler gets the payload by reference — no copy, no
-		// queue, no wakeup; a reader gets a pooled copy in its inbox.
-		ep := m.resolve(to)
-		if ep == nil {
-			return
-		}
-		if h := ep.handler.Load(); h != nil {
-			(*h)(p, from)
-			return
-		}
-		bp := dgPool.Get().(*[]byte)
-		*bp = append((*bp)[:0], p...)
-		ep.enqueue(from, bp)
+	m.mu.Lock()
+	ep := m.endpoints[to]
+	m.mu.Unlock()
+	if ep == nil {
+		// No such endpoint (closed or never existed): dropped, as UDP
+		// drops it.
+		return
+	}
+	if h := ep.handler.Load(); h != nil {
+		(*h)(p, from)
 		return
 	}
 	bp := dgPool.Get().(*[]byte)
 	*bp = append((*bp)[:0], p...)
-	//lint:allow detclock the latency model maps the configured delay onto the wall clock; drop/served fates are decided above by the seeded rng
-	time.AfterFunc(m.cfg.Latency, func() { m.inject(from, to, bp) })
-}
-
-// resolve looks the destination endpoint up; nil means no such
-// endpoint (closed or never existed) and the datagram is dropped, as
-// UDP drops it.
-func (m *Mem) resolve(to string) *memEndpoint {
-	m.mu.Lock()
-	ep := m.endpoints[to]
-	m.mu.Unlock()
-	return ep
-}
-
-// inject delivers one delayed datagram (already copied into a pooled
-// buffer) at its destination.
-func (m *Mem) inject(from, to string, bp *[]byte) {
-	ep := m.resolve(to)
-	if ep == nil {
-		dgPool.Put(bp)
-		return
-	}
-	if h := ep.handler.Load(); h != nil {
-		(*h)(*bp, from)
-		dgPool.Put(bp)
-		return
-	}
 	ep.enqueue(from, bp)
 }
 
@@ -243,7 +204,7 @@ func (m *Mem) inject(from, to string, bp *[]byte) {
 // full socket buffer would.
 func (e *memEndpoint) enqueue(from string, bp *[]byte) {
 	select {
-	case e.inbox <- memDatagram{from: from, payload: *bp, buf: bp}:
+	case e.inbox <- memDatagram{from: from, buf: bp}:
 	default:
 		dgPool.Put(bp)
 	}
@@ -266,9 +227,8 @@ type memEndpoint struct {
 }
 
 // SetPacketHandler implements HandlerPacketConn: subsequent datagrams
-// are delivered by calling h — on the sender's goroutine when the
-// fabric models no delay, on the timer goroutine otherwise — instead
-// of queueing to the inbox. Datagrams already queued stay queued, so
+// are delivered by calling h on the sender's goroutine instead of
+// queueing to the inbox. Datagrams already queued stay queued, so
 // install the handler before traffic arrives.
 func (e *memEndpoint) SetPacketHandler(h PacketHandler) bool {
 	if h == nil {
@@ -285,10 +245,8 @@ func (e *memEndpoint) ReadFrom(p []byte) (int, string, error) {
 	// most of the per-hop cost when readers keep up with senders.
 	select {
 	case dg := <-e.inbox:
-		n := copy(p, dg.payload)
-		if dg.buf != nil {
-			dgPool.Put(dg.buf)
-		}
+		n := copy(p, *dg.buf)
+		dgPool.Put(dg.buf)
 		return n, dg.from, nil
 	default:
 	}
@@ -309,10 +267,8 @@ func (e *memEndpoint) ReadFrom(p []byte) (int, string, error) {
 	}
 	select {
 	case dg := <-e.inbox:
-		n := copy(p, dg.payload)
-		if dg.buf != nil {
-			dgPool.Put(dg.buf)
-		}
+		n := copy(p, *dg.buf)
+		dgPool.Put(dg.buf)
 		return n, dg.from, nil
 	case <-e.closed:
 		return 0, "", net.ErrClosed

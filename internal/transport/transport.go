@@ -5,8 +5,8 @@
 // code runs over two substrates:
 //
 //   - Net: real loopback sockets, the paper's Figure 6 conditions.
-//   - Mem: an in-process channel fabric with a seedable latency/loss
-//     model and no file descriptors, for deterministic fast runs and
+//   - Mem: an in-process channel fabric with a seedable loss model
+//     and no file descriptors, for deterministic fast runs and
 //     clusters beyond OS socket limits.
 //
 // Addresses are plain strings in whatever format the transport issues
@@ -69,11 +69,11 @@ type PacketHandler func(p []byte, from string)
 
 // HandlerPacketConn is an optional PacketConn capability: a receiver
 // can install a handler invoked per datagram instead of parking a
-// goroutine in Read. On the in-memory fabric an undelayed datagram
-// then flows sender → handler synchronously — no queue, no copy, no
-// goroutine wakeup — which is what lets a node answer a load inquiry,
-// and the client file that answer, on the inquiring client's
-// goroutine, so a whole poll round runs there (DESIGN.md §12).
+// goroutine in Read. On the in-memory fabric a datagram then flows
+// sender → handler synchronously — no queue, no copy, no goroutine
+// wakeup — which is what lets a node answer a load inquiry, and the
+// client file that answer, on the inquiring client's goroutine, so a
+// whole poll round runs there (DESIGN.md §12).
 // Transports without the capability (real sockets) simply don't
 // implement it, and callers fall back to one read loop per socket
 // that calls the same handler. SetPacketHandler reports whether

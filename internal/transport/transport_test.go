@@ -214,24 +214,6 @@ func TestMemFabricsAreIsolated(t *testing.T) {
 	}
 }
 
-// TestMemLatency checks the ambient latency model delays datagrams.
-func TestMemLatency(t *testing.T) {
-	const lat = 50 * time.Millisecond
-	m := NewMem(MemConfig{Seed: 1, Latency: lat})
-	srv, _ := m.ListenPacket()
-	defer srv.Close()
-	cli, _ := m.DialPacket(srv.LocalAddr(), NoLink)
-	defer cli.Close()
-	start := time.Now()
-	cli.Write([]byte("x"))
-	if _, _, err := srv.ReadFrom(make([]byte, 8)); err != nil {
-		t.Fatal(err)
-	}
-	if d := time.Since(start); d < lat {
-		t.Fatalf("delivered in %v, want >= %v", d, lat)
-	}
-}
-
 // TestMemLossDeterministic replays the same seed and send sequence on
 // two fabrics and requires the identical delivery pattern.
 func TestMemLossDeterministic(t *testing.T) {
