@@ -1,7 +1,7 @@
 // Package sim implements a deterministic discrete-event simulation
 // engine: a binary heap of events ordered by simulated time with FIFO
 // tie-breaking, FIFO lanes beside it for declared fixed delays, an
-// integer-nanosecond clock, and cancellable timers.
+// integer-nanosecond clock, and periodic timers.
 //
 // The engine is intentionally minimal; domain models (servers, clients,
 // networks) live in higher-level packages and are expressed as
@@ -12,12 +12,13 @@
 // it waits in, so firing it reads that slot and nothing else. A model
 // binds each of its callbacks once and passes the id of the record an
 // event concerns as the argument; steady-state scheduling then
-// allocates nothing, and a slot is zeroed when its event leaves, so a
-// fired or cancelled callback is not kept reachable by the schedule.
-// The hot path is built from three step primitives —
-// HasPendingEvents, PeekNextEventTime, and ProcessNextEvent — so
-// callers can drive the clock themselves (multi-engine loops, bounded
-// stepping) while Run and RunUntil remain thin wrappers.
+// allocates nothing, and a slot is zeroed when its event fires, so a
+// fired callback is not kept reachable by the schedule. Run loops over
+// ProcessNextEvent, which a caller can also drive one event at a time.
+//
+// A scheduled event cannot be cancelled: a model that must void one
+// tags its argument with a generation and ignores a stale event when it
+// fires.
 package sim
 
 import (
@@ -69,8 +70,7 @@ func (d Duration) String() string { return fmt.Sprintf("%.6fs", d.Seconds()) }
 
 // entry is one scheduled event, held by value: fn(arg) runs at time at.
 // Events with equal times fire in sequence order (seq), making runs
-// fully deterministic; (at, seq) is the event's key. The engine's key
-// lists (dead, early, mark) reuse the type with fn unset.
+// fully deterministic; (at, seq) is the event's key.
 type entry struct {
 	at  Time
 	seq uint64
@@ -86,52 +86,6 @@ func (x *entry) before(y *entry) bool {
 	return x.at < y.at || x.at == y.at && x.seq < y.seq
 }
 
-// find returns the index of the entry keyed k in list, or -1.
-//
-//lint:noalloc
-func find(list []entry, k *entry) int {
-	for i := range list {
-		if list[i].at == k.at && list[i].seq == k.seq {
-			return i
-		}
-	}
-	return -1
-}
-
-// Handle names a scheduled event by its key and allows cancelling it.
-// The zero Handle is valid and inert.
-type Handle struct {
-	eng *Engine
-	at  Time
-	seq uint64
-}
-
-// Cancel removes the event from the schedule: its key joins the
-// engine's dead set, and the entry is dropped, its slot zeroed, when it
-// comes up to fire. Pending stops counting it at once. Cancelling an
-// event that already fired or was already cancelled is a no-op.
-//
-//lint:noalloc
-func (h Handle) Cancel() {
-	e := h.eng
-	if e == nil {
-		return
-	}
-	k := entry{at: h.at, seq: h.seq}
-	if !e.queued(&k) || find(e.dead, &k) >= 0 {
-		return
-	}
-	heapPush(&e.dead, k)
-}
-
-// Cancelled reports whether the handle's event was cancelled and is
-// still held dead in the schedule. Once the clock passes the event's
-// place in the schedule its handle is inert, cancelled or fired, and
-// reports false.
-func (h Handle) Cancelled() bool {
-	return h.eng != nil && find(h.eng.dead, &entry{at: h.at, seq: h.seq}) >= 0
-}
-
 // lane is a FIFO ring of the events scheduled exactly delay after the
 // moment they were scheduled. The clock never runs backwards and
 // sequence numbers only grow, so entries arrive in (at, seq) order and
@@ -141,7 +95,7 @@ type lane struct {
 	delay Duration
 	ring  []entry
 	head  int // ring index of the oldest entry
-	n     int // queued entries, dead ones included
+	n     int // queued entries
 }
 
 // push queues x behind every earlier entry.
@@ -191,25 +145,6 @@ type Engine struct {
 	heap  []entry // binary min-heap ordered by (at, seq)
 	lanes []lane  // one FIFO per declared fixed delay
 
-	// dead holds the keys of cancelled events still queued, as a
-	// min-heap. Dead keys are a subset of queued keys, so a dead event
-	// is the earliest dead key when it comes up to fire; next drops it
-	// there.
-	dead []entry
-
-	// mark is the largest key that has left the schedule, fired or
-	// dropped dead; marked is false until one has. Events leave in key
-	// order, so every queued key sorts after mark except the early ones,
-	// scheduled below it: an AtSeq key whose reserved sequence number
-	// sorts before an event that already fired at the current time, or
-	// any key short of a dead entry that was dropped ahead of the clock
-	// (by PeekNextEventTime, or by a step that found only dead entries
-	// left). early lists those still queued. Together they tell Cancel
-	// exactly which keys are queued.
-	mark   entry
-	marked bool
-	early  []entry
-
 	seq     uint64
 	stopped bool
 	nFired  uint64
@@ -229,11 +164,9 @@ func (e *Engine) Fired() uint64 { return e.nFired }
 // caller can check that the delays it declared are the ones it uses.
 func (e *Engine) LaneFired() uint64 { return e.nLane }
 
-// Pending returns the number of scheduled events. Cancelled events are
-// never counted, though their entries wait in the schedule until they
-// come up.
+// Pending returns the number of scheduled events.
 func (e *Engine) Pending() int {
-	n := len(e.heap) - len(e.dead)
+	n := len(e.heap)
 	for i := range e.lanes {
 		n += e.lanes[i].n
 	}
@@ -269,8 +202,8 @@ func (e *Engine) laneFor(d Duration) *lane {
 }
 
 // admit validates and builds the entry for fn(arg) at t with sequence
-// number seq, listing its key as early when it sorts before the mark.
-// Scheduling in the past panics — that is always a model bug.
+// number seq. Scheduling in the past panics — that is always a model
+// bug.
 //
 //lint:noalloc
 func (e *Engine) admit(t Time, seq uint64, fn func(int), arg int) entry {
@@ -280,18 +213,14 @@ func (e *Engine) admit(t Time, seq uint64, fn func(int), arg int) entry {
 	if fn == nil {
 		panic("sim: scheduling nil callback")
 	}
-	x := entry{at: t, seq: seq, fn: fn, arg: arg}
-	if e.marked && x.before(&e.mark) {
-		e.early = append(e.early, entry{at: t, seq: seq})
-	}
-	return x
+	return entry{at: t, seq: seq, fn: fn, arg: arg}
 }
 
 // At schedules fn(arg) to run at absolute time t. Scheduling in the
 // past panics — that is always a model bug.
 //
 //lint:noalloc
-func (e *Engine) At(t Time, fn func(int), arg int) Handle {
+func (e *Engine) At(t Time, fn func(int), arg int) {
 	x := e.admit(t, e.seq, fn, arg)
 	e.seq++
 	if l := e.laneFor(t.Sub(e.now)); l != nil {
@@ -299,7 +228,6 @@ func (e *Engine) At(t Time, fn func(int), arg int) Handle {
 	} else {
 		heapPush(&e.heap, x)
 	}
-	return Handle{eng: e, at: t, seq: x.seq}
 }
 
 // ReserveSeqs reserves n consecutive sequence numbers and returns the
@@ -321,117 +249,54 @@ func (e *Engine) ReserveSeqs(n uint64) uint64 {
 // always go on the heap.
 //
 //lint:noalloc
-func (e *Engine) AtSeq(t Time, seq uint64, fn func(int), arg int) Handle {
-	x := e.admit(t, seq, fn, arg)
-	heapPush(&e.heap, x)
-	return Handle{eng: e, at: t, seq: seq}
+func (e *Engine) AtSeq(t Time, seq uint64, fn func(int), arg int) {
+	heapPush(&e.heap, e.admit(t, seq, fn, arg))
 }
 
 // After schedules fn(arg) to run d from now. Negative d panics.
 //
 //lint:noalloc
-func (e *Engine) After(d Duration, fn func(int), arg int) Handle {
+func (e *Engine) After(d Duration, fn func(int), arg int) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
-	return e.At(e.now.Add(d), fn, arg)
+	e.At(e.now.Add(d), fn, arg)
 }
 
-// queued reports whether the event keyed k has yet to leave the
-// schedule (it may be dead).
-//
-//lint:noalloc
-func (e *Engine) queued(k *entry) bool {
-	return !e.marked || e.mark.before(k) || find(e.early, k) >= 0
-}
-
-// Stop makes the currently running Run/RunUntil return after the
-// in-flight event completes.
+// Stop makes the currently running Run return after the in-flight
+// event completes.
 func (e *Engine) Stop() { e.stopped = true }
 
-// HasPendingEvents reports whether any event remains scheduled.
-func (e *Engine) HasPendingEvents() bool { return e.Pending() > 0 }
-
-// next locates the earliest live event by key: the heap top (src < 0)
-// or lane src's head. A dead event at or before limit that comes up
-// first is dropped on the way. x is nil when nothing is pending.
-//
-//lint:noalloc
-func (e *Engine) next(limit Time) (src int, x *entry) {
-	for {
-		src, x = -1, nil
-		if len(e.heap) > 0 {
-			x = &e.heap[0]
-		}
-		for i := range e.lanes {
-			if l := &e.lanes[i]; l.n > 0 {
-				if y := &l.ring[l.head]; x == nil || y.before(x) {
-					src, x = i, y
-				}
-			}
-		}
-		if x == nil || x.at > limit || len(e.dead) == 0 || e.dead[0].at != x.at || e.dead[0].seq != x.seq {
-			return src, x
-		}
-		heapPop(&e.dead)
-		e.take(src)
-	}
-}
-
-// take removes and returns the earliest entry of source src (the heap
-// when src < 0). The mark moves up to its key, or, for an early key,
-// the key leaves the early list.
-//
-//lint:noalloc
-func (e *Engine) take(src int) entry {
-	var x entry
-	if src < 0 {
-		x = heapPop(&e.heap)
-	} else {
-		x = e.lanes[src].pop()
-	}
-	if !e.marked || e.mark.before(&x) {
-		e.mark, e.marked = entry{at: x.at, seq: x.seq}, true
-	} else if i := find(e.early, &x); i >= 0 {
-		last := len(e.early) - 1
-		e.early[i] = e.early[last]
-		e.early = e.early[:last]
-	}
-	return x
-}
-
-// PeekNextEventTime returns the time of the earliest scheduled event
-// without firing it. The boolean is false when nothing is pending.
-func (e *Engine) PeekNextEventTime() (Time, bool) {
-	_, x := e.next(math.MaxInt64)
-	if x == nil {
-		return 0, false
-	}
-	return x.at, true
-}
-
-// ProcessNextEvent pops the earliest event, advances the clock to its
-// time, and runs its callback. It returns false when nothing is
-// pending. The event's slot is freed before the callback runs, so
-// scheduling inside callbacks reuses it immediately.
+// ProcessNextEvent pops the earliest event by key — the heap top or a
+// lane head — advances the clock to its time, and runs its callback.
+// It returns false when nothing is pending. The event's slot is freed
+// before the callback runs, so scheduling inside callbacks reuses it
+// immediately.
 //
 //lint:noalloc
 func (e *Engine) ProcessNextEvent() bool {
-	return e.step(math.MaxInt64)
-}
-
-// step fires the next event if its time is within limit.
-//
-//lint:noalloc
-func (e *Engine) step(limit Time) bool {
-	src, x := e.next(limit)
-	if x == nil || x.at > limit {
+	src := -1
+	var x *entry
+	if len(e.heap) > 0 {
+		x = &e.heap[0]
+	}
+	for i := range e.lanes {
+		if l := &e.lanes[i]; l.n > 0 {
+			if y := &l.ring[l.head]; x == nil || y.before(x) {
+				src, x = i, y
+			}
+		}
+	}
+	if x == nil {
 		return false
 	}
-	if src >= 0 {
+	var ev entry
+	if src < 0 {
+		ev = heapPop(&e.heap)
+	} else {
+		ev = e.lanes[src].pop()
 		e.nLane++
 	}
-	ev := e.take(src)
 	e.now = ev.at
 	e.nFired++
 	ev.fn(ev.arg)
@@ -441,44 +306,23 @@ func (e *Engine) step(limit Time) bool {
 // Run executes events until none remain or Stop is called.
 func (e *Engine) Run() {
 	e.stopped = false
-	for !e.stopped && e.step(math.MaxInt64) {
-	}
-}
-
-// RunUntil executes events with time <= t, then advances the clock to
-// t. Events scheduled beyond t remain pending.
-func (e *Engine) RunUntil(t Time) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: RunUntil(%v) before now %v", t, e.now))
-	}
-	e.stopped = false
-	for !e.stopped && e.step(t) {
-	}
-	if !e.stopped {
-		e.now = t
+	for !e.stopped && e.ProcessNextEvent() {
 	}
 }
 
 // Every schedules fn at now+interval(), then repeatedly at successive
-// intervals, until the returned stop function is called. interval is
-// re-evaluated for every period, which is how jittered broadcast timers
-// are built, and a negative interval panics as in After. fn runs before
-// the next period is scheduled. The period callback is bound once, so a
-// running timer allocates nothing.
-func (e *Engine) Every(interval func() Duration, fn func()) (stop func()) {
-	stopped := false
+// intervals, for as long as the engine runs. interval is re-evaluated
+// for every period, which is how jittered broadcast timers are built,
+// and a negative interval panics as in After. fn runs before the next
+// period is scheduled. The period callback is bound once, so a running
+// timer allocates nothing.
+func (e *Engine) Every(interval func() Duration, fn func()) {
 	var tick func(int)
 	tick = func(int) {
-		if stopped {
-			return
-		}
 		fn()
-		if !stopped {
-			e.After(interval(), tick, 0)
-		}
+		e.After(interval(), tick, 0)
 	}
 	e.After(interval(), tick, 0)
-	return func() { stopped = true }
 }
 
 // heapPush adds x to the min-heap h.

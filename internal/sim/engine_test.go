@@ -112,71 +112,6 @@ func TestEngineNegativeAfterPanics(t *testing.T) {
 	New().After(-1, func(int) {}, 0)
 }
 
-func TestEngineCancel(t *testing.T) {
-	e := New()
-	fired := false
-	h := e.At(10, func(int) { fired = true }, 0)
-	h.Cancel()
-	if !h.Cancelled() {
-		t.Fatal("handle not marked cancelled")
-	}
-	e.Run()
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-	// Time still does not advance past cancelled-only events' times via Run
-	// (the clock only moves when an event actually fires).
-	if e.Now() != 0 {
-		t.Fatalf("time advanced to %v on cancelled event", e.Now())
-	}
-}
-
-func TestEngineCancelIdempotent(t *testing.T) {
-	e := New()
-	h := e.At(1, func(int) {}, 0)
-	h.Cancel()
-	h.Cancel() // must not panic
-	e.Run()
-}
-
-func TestEngineRunUntil(t *testing.T) {
-	e := New()
-	var fired []Time
-	for _, at := range []Time{5, 10, 15, 20} {
-		at := at
-		e.At(at, func(int) { fired = append(fired, at) }, 0)
-	}
-	e.RunUntil(12)
-	if len(fired) != 2 {
-		t.Fatalf("fired %v, want events at 5 and 10", fired)
-	}
-	if e.Now() != 12 {
-		t.Fatalf("clock = %v, want 12", e.Now())
-	}
-	if e.Pending() != 2 {
-		t.Fatalf("pending = %d", e.Pending())
-	}
-	e.RunUntil(100)
-	if len(fired) != 4 {
-		t.Fatalf("fired %v after second run", fired)
-	}
-	if e.Now() != 100 {
-		t.Fatalf("clock = %v, want 100", e.Now())
-	}
-}
-
-func TestEngineRunUntilPastPanics(t *testing.T) {
-	e := New()
-	e.At(10, func(int) {}, 0)
-	e.Run()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("RunUntil in the past did not panic")
-		}
-	}()
-	e.RunUntil(5)
-}
-
 func TestEngineStop(t *testing.T) {
 	e := New()
 	count := 0
@@ -195,14 +130,13 @@ func TestEngineStop(t *testing.T) {
 func TestEngineEvery(t *testing.T) {
 	e := New()
 	var at []Time
-	var stop func()
-	stop = e.Every(func() Duration { return 10 }, func() {
+	e.Every(func() Duration { return 10 }, func() {
 		at = append(at, e.Now())
 		if len(at) == 3 {
-			stop()
+			e.Stop()
 		}
 	})
-	e.RunUntil(1000)
+	e.Run()
 	if len(at) != 3 || at[0] != 10 || at[1] != 20 || at[2] != 30 {
 		t.Fatalf("periodic fires = %v", at)
 	}
@@ -213,19 +147,21 @@ func TestEngineEveryVariableInterval(t *testing.T) {
 	intervals := []Duration{5, 15, 25}
 	i := 0
 	var at []Time
-	var stop func()
-	stop = e.Every(func() Duration {
+	e.Every(func() Duration {
 		d := intervals[i%len(intervals)]
 		i++
 		return d
 	}, func() {
 		at = append(at, e.Now())
 		if len(at) == 3 {
-			stop()
+			e.Stop()
 		}
 	})
 	e.Run()
 	want := []Time{5, 20, 45}
+	if len(at) != len(want) {
+		t.Fatalf("fires = %v, want %v", at, want)
+	}
 	for j := range want {
 		if at[j] != want[j] {
 			t.Fatalf("fires = %v, want %v", at, want)
@@ -267,36 +203,13 @@ func TestQuickEngineSortsEvents(t *testing.T) {
 	}
 }
 
-// Property: cancelling an arbitrary subset of events fires exactly the
-// complement.
-func TestQuickEngineCancelSubset(t *testing.T) {
-	f := func(rawTimes []uint16, mask uint64) bool {
-		e := New()
-		firedCount := 0
-		wantCount := 0
-		for i, rt := range rawTimes {
-			h := e.At(Time(rt), func(int) { firedCount++ }, 0)
-			if mask&(1<<(uint(i)%64)) != 0 {
-				h.Cancel()
-			} else {
-				wantCount++
-			}
-		}
-		e.Run()
-		return firedCount == wantCount
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func BenchmarkEngineScheduleFire(b *testing.B) {
 	e := New()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		e.After(Duration(i%64), func(int) {}, 0)
-		if e.Pending() > 1024 {
-			e.RunUntil(e.Now() + 64)
+		for e.Pending() > 1024 {
+			e.ProcessNextEvent()
 		}
 	}
 	e.Run()

@@ -27,13 +27,12 @@ func refMin(pend []refEvent) int {
 }
 
 // TestQuickLanesMatchReferenceOrder drives an engine with fixed-delay
-// lanes through random programs — lane delays, other delays, AtSeq
-// events from reserved bands, cancels of lane and heap events, and
-// RunUntil windows — beside a reference schedule that fires the
-// minimum (at, seq) by linear scan. Every fired event must be the
-// reference minimum, Pending must equal the reference population, and
-// Handle.Cancelled must report true right after a cancel and never for
-// a fired event.
+// lanes through random programs — lane delays, other delays, and AtSeq
+// events from reserved bands, scheduled inside callbacks and between
+// steps — beside a reference schedule that fires the minimum (at, seq)
+// by linear scan. Every fired event must be the reference minimum,
+// Pending must equal the reference population, and every event must
+// fire.
 func TestQuickLanesMatchReferenceOrder(t *testing.T) {
 	lanes := []Duration{3, 7, 10}
 	f := func(seed int64) bool {
@@ -45,13 +44,11 @@ func TestQuickLanesMatchReferenceOrder(t *testing.T) {
 		e.AddLane(7) // duplicates are ignored
 
 		var (
-			pend      []refEvent
-			seq       uint64 // mirrors the engine's sequence counter
-			handles   []Handle
-			cancelled []bool
-			fired     []bool
-			band      struct{ next, end uint64 }
-			ok        = true
+			pend  []refEvent
+			seq   uint64 // mirrors the engine's sequence counter
+			fired []bool
+			band  struct{ next, end uint64 }
+			ok    = true
 		)
 		const maxEvents = 400
 
@@ -72,48 +69,29 @@ func TestQuickLanesMatchReferenceOrder(t *testing.T) {
 			for k := rng.Intn(3); k > 0; k-- {
 				schedule()
 			}
-			if rng.Intn(3) == 0 && len(pend) > 0 {
-				victim := pend[rng.Intn(len(pend))].id
-				handles[victim].Cancel()
-				handles[victim].Cancel() // idempotent
-				if !handles[victim].Cancelled() {
-					ok = false
-				}
-				cancelled[victim] = true
-				for j := range pend {
-					if pend[j].id == victim {
-						pend = append(pend[:j], pend[j+1:]...)
-						break
-					}
-				}
-			}
-			if rng.Intn(8) == 0 {
-				handles[id].Cancel() // a fired event's handle is inert
-			}
 			if e.Pending() != len(pend) {
 				ok = false
 			}
 		}
 		schedule = func() {
-			id := len(handles)
+			id := len(fired)
 			if id >= maxEvents {
 				return
 			}
-			var h Handle
 			var ev refEvent
 			switch rng.Intn(5) {
 			case 0, 1: // a lane delay, through After or At
 				d := lanes[rng.Intn(len(lanes))]
 				ev = refEvent{at: e.Now().Add(d), seq: seq, id: id}
 				if rng.Intn(2) == 0 {
-					h = e.After(d, fire, id)
+					e.After(d, fire, id)
 				} else {
-					h = e.At(ev.at, fire, id)
+					e.At(ev.at, fire, id)
 				}
 				seq++
 			case 2, 3: // any delay, lane or not
 				ev = refEvent{at: e.Now().Add(Duration(rng.Intn(13))), seq: seq, id: id}
-				h = e.At(ev.at, fire, id)
+				e.At(ev.at, fire, id)
 				seq++
 			default: // an AtSeq event from a reserved band
 				if band.next == band.end {
@@ -126,11 +104,9 @@ func TestQuickLanesMatchReferenceOrder(t *testing.T) {
 					seq += n
 				}
 				ev = refEvent{at: e.Now().Add(Duration(rng.Intn(13))), seq: band.next, id: id}
-				h = e.AtSeq(ev.at, band.next, fire, id)
+				e.AtSeq(ev.at, band.next, fire, id)
 				band.next++
 			}
-			handles = append(handles, h)
-			cancelled = append(cancelled, false)
 			fired = append(fired, false)
 			pend = append(pend, ev)
 		}
@@ -138,22 +114,7 @@ func TestQuickLanesMatchReferenceOrder(t *testing.T) {
 		for k := 0; k < 20; k++ {
 			schedule()
 		}
-		for steps := 0; ok && e.HasPendingEvents(); steps++ {
-			if steps > 10*maxEvents {
-				return false
-			}
-			if rng.Intn(3) == 0 {
-				e.ProcessNextEvent()
-			} else {
-				until := e.Now().Add(Duration(rng.Intn(15)))
-				e.RunUntil(until)
-				if e.Now() != until {
-					ok = false
-				}
-			}
-			if at, has := e.PeekNextEventTime(); has != (len(pend) > 0) || has && at != pend[refMin(pend)].at {
-				ok = false
-			}
+		for ok && e.ProcessNextEvent() {
 			if e.Pending() != len(pend) {
 				ok = false
 			}
@@ -164,10 +125,8 @@ func TestQuickLanesMatchReferenceOrder(t *testing.T) {
 		if len(pend) != 0 {
 			return false
 		}
-		// Every event fired or was cancelled, never both, and a fired
-		// handle never reports cancelled.
-		for id, h := range handles {
-			if fired[id] == cancelled[id] || fired[id] && h.Cancelled() {
+		for _, f := range fired {
+			if !f {
 				return false
 			}
 		}
@@ -175,38 +134,6 @@ func TestQuickLanesMatchReferenceOrder(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestLaneCancelledHeadIsSkipped: a cancelled lane event leaves a
-// tombstone, which neither PeekNextEventTime nor Pending sees, and
-// whose slot is zeroed as soon as it comes up at the lane head.
-func TestLaneCancelledHeadIsSkipped(t *testing.T) {
-	e := New()
-	e.AddLane(5)
-	h := e.After(5, func(int) { t.Error("cancelled lane event fired") }, 0)
-	fired := false
-	e.After(5, func(int) { fired = true }, 0)
-	e.At(7, func(int) {}, 0)
-	h.Cancel()
-	if !h.Cancelled() {
-		t.Error("cancelled lane handle does not report cancelled")
-	}
-	if e.Pending() != 2 {
-		t.Errorf("Pending = %d, want 2 (the tombstone is not counted)", e.Pending())
-	}
-	if at, ok := e.PeekNextEventTime(); !ok || at != 5 {
-		t.Errorf("PeekNextEventTime = %v, %v; want 5, true", at, ok)
-	}
-	if n := heldCallbacks(e); n != 2 {
-		t.Errorf("%d slots hold a callback after the tombstone came up, want the 2 live events", n)
-	}
-	e.Run()
-	if !fired {
-		t.Error("live lane event behind a tombstone did not fire")
-	}
-	if e.Fired() != 2 {
-		t.Errorf("Fired = %d, want 2", e.Fired())
 	}
 }
 
@@ -219,10 +146,20 @@ func TestAddLaneNegativePanics(t *testing.T) {
 	New().AddLane(-1)
 }
 
+// advance fires every event due by now+d, in order, and leaves the clock
+// at now+d: it schedules a marker there and steps until the marker
+// fires.
+func advance(e *Engine, d Duration) {
+	reached := false
+	e.After(d, func(int) { reached = true }, 0)
+	for !reached && e.ProcessNextEvent() {
+	}
+}
+
 // TestLaneCapacityBounded is the lanes' memory contract: at a steady
-// in-flight population, 10⁶ schedule/fire cycles (with cancels leaving
-// tombstones) keep every lane's ring within twice its peak occupancy.
-// An append-only lane would grow with the cycle count instead.
+// in-flight population, 10⁶ schedule/fire cycles keep every lane's ring
+// within twice its peak occupancy. An append-only lane would grow with
+// the cycle count instead.
 func TestLaneCapacityBounded(t *testing.T) {
 	e := New()
 	e.AddLane(50)
@@ -234,7 +171,7 @@ func TestLaneCapacityBounded(t *testing.T) {
 		case 0, 1:
 			e.After(50, fn, 0)
 		case 2:
-			e.After(90, fn, 0).Cancel()
+			e.After(90, fn, 0)
 		default:
 			e.After(Duration(i%37), fn, 0)
 		}
@@ -242,7 +179,7 @@ func TestLaneCapacityBounded(t *testing.T) {
 			peak[j] = max(peak[j], e.lanes[j].n)
 		}
 		if i%2 == 1 {
-			e.RunUntil(e.Now() + 1)
+			advance(e, 1)
 		}
 	}
 	e.Run()
@@ -265,9 +202,11 @@ func TestEveryZeroAllocs(t *testing.T) {
 	e := New()
 	ticks := 0
 	e.Every(func() Duration { return 3 }, func() { ticks++ })
-	e.RunUntil(300) // prime the pool
+	for i := 0; i < 100; i++ { // prime the pool
+		e.ProcessNextEvent()
+	}
 	avg := testing.AllocsPerRun(1000, func() {
-		e.RunUntil(e.Now() + 3)
+		e.ProcessNextEvent() // one period
 	})
 	if avg != 0 {
 		t.Errorf("periodic timer allocates %.2f allocs/period, want 0", avg)

@@ -456,11 +456,16 @@ func (r *runner) accessFailed(id int) {
 	r.eng.After(r.ft.backoff(attempt), r.on.retry, id)
 }
 
-// finish stops the engine once every access is accounted for.
+// finish stops the engine once every access is accounted for. An
+// access counted twice would carry the tally past the total, where the
+// run could never end, so that panics.
 //
 //lint:noalloc
 func (r *runner) finish() {
-	if r.completions+r.lost == int64(r.cfg.Accesses) {
+	switch n := r.completions + r.lost; {
+	case n == int64(r.cfg.Accesses):
 		r.eng.Stop()
+	case n > int64(r.cfg.Accesses):
+		panic("simcluster: more accesses completed or lost than were generated")
 	}
 }

@@ -349,7 +349,7 @@ func TestElasticDispatchZeroAllocs(t *testing.T) {
 		t.Run(pol.String(), func(t *testing.T) {
 			r, err := newRunner(Config{
 				Servers: 64, Workload: w, Policy: pol,
-				Accesses: 400000, WarmupFrac: 0.9, Seed: 7,
+				Accesses: 400000, Seed: 7,
 				Membership: sched,
 			})
 			if err != nil {

@@ -6,6 +6,7 @@ import (
 
 	"finelb/internal/core"
 	"finelb/internal/faults"
+	"finelb/internal/sim"
 	"finelb/internal/workload"
 )
 
@@ -164,4 +165,140 @@ func TestEmptyScheduleBitIdenticalToHealthy(t *testing.T) {
 		t.Fatalf("empty-schedule run diverged from healthy:\n%+v\nvs\n%+v",
 			faulted.Messages, healthy.Messages)
 	}
+}
+
+// TestVoidedCompletionsAccountedOnce covers the completion a pause or
+// crash voids while it is still scheduled: it must fire as a no-op, not
+// finish an access a second time or finish one on a stalled server. On
+// a small busy cluster, server 0 is paused at the instant its
+// completion falls due, server 1 is paused and resumed at one instant
+// mid-service (the resumed completion lands at exactly the voided
+// one's time), and server 2 goes through repeated pause/resume cycles
+// and then crashes while paused mid-service. The run must end with
+// every access completed or lost exactly once, and no paused server's
+// service may change.
+func TestVoidedCompletionsAccountedOnce(t *testing.T) {
+	const accesses = 20000
+	w := workload.PoissonExp(0.01).ScaledTo(3, 0.8)
+	var events []faults.NodeEvent
+	config := func() Config {
+		return Config{
+			Servers: 3, Workload: w, Policy: core.NewRandom(),
+			Accesses: accesses, Seed: 17,
+			Faults: &faults.Schedule{Seed: 3, Events: events},
+		}
+	}
+	add := func(at sim.Time, node int, kind faults.Kind) {
+		events = append(events, faults.NodeEvent{At: time.Duration(at), Node: node, Kind: kind})
+	}
+	// busy runs the schedule built so far up to the first moment at or
+	// after from when server srv is serving, and returns that moment and
+	// when the access in service falls due. Later events act only from
+	// their offsets on, so the full run agrees with this one up to then.
+	busy := func(srv int, from sim.Time) (now, due sim.Time) {
+		if len(events) == 0 {
+			add(sim.Time(time.Hour), 2, faults.Resume) // keeps the schedule active; a no-op
+		}
+		r, err := newRunner(config())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s := &r.srv[srv]; r.eng.Now() < from || !s.hasCur || s.paused; {
+			if !r.eng.ProcessNextEvent() {
+				t.Fatal("run drained before the server was busy")
+			}
+		}
+		return r.eng.Now(), r.srv[srv].curEnd
+	}
+	_, due := busy(0, sim.Time(sim.Second))
+	add(due, 0, faults.Pause)
+	add(due+sim.Time(50*sim.Millisecond), 0, faults.Resume)
+	now, due := busy(1, sim.Time(3*sim.Second))
+	mid := now + (due-now)/2
+	add(mid, 1, faults.Pause)
+	add(mid, 1, faults.Resume)
+	for k := sim.Time(0); k < 5; k++ {
+		at := sim.Time(5*sim.Second) + k*sim.Time(20*sim.Millisecond)
+		add(at, 2, faults.Pause)
+		add(at+sim.Time(7*sim.Millisecond), 2, faults.Resume)
+	}
+	now, due = busy(2, sim.Time(6*sim.Second))
+	add(now+(due-now)/2, 2, faults.Pause)
+	add(due+sim.Time(sim.Millisecond), 2, faults.Crash)
+
+	r, err := newRunner(config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	type svc struct {
+		paused, down, hasCur bool
+		cur                  int
+	}
+	view := func(s *serverState) svc { return svc{s.paused, s.down, s.hasCur, s.cur} }
+	prev := make([]svc, len(r.srv))
+	pausedAt := make([]sim.Time, len(r.srv))
+	var duePauses, instantCycles, busyPauses, stalledCrashes int
+	for steps := 0; r.completions+r.lost < accesses; steps++ {
+		if steps > 50*accesses || !r.eng.ProcessNextEvent() {
+			t.Fatalf("run did not end: %d completed and %d lost of %d after %d events", r.completions, r.lost, accesses, steps)
+		}
+		for i := range r.srv {
+			s, p := &r.srv[i], prev[i]
+			switch {
+			case s.paused && !p.paused:
+				pausedAt[i] = r.eng.Now()
+				if s.hasCur {
+					busyPauses++
+					if s.curRemaining == 0 {
+						duePauses++
+					}
+				}
+			case p.paused && !s.paused && !s.down && s.hasCur && pausedAt[i] == r.eng.Now():
+				instantCycles++
+			case s.down && !p.down && p.paused && p.hasCur:
+				stalledCrashes++
+			}
+			if p.paused && s.paused && (s.hasCur != p.hasCur || s.cur != p.cur) {
+				t.Fatalf("server %d's service changed while paused at %v", i, r.eng.Now())
+			}
+			prev[i] = view(s)
+		}
+	}
+	if duePauses == 0 || instantCycles == 0 || busyPauses < 4 || stalledCrashes != 1 {
+		t.Fatalf("scenario not exercised: %d pauses at a due completion, %d same-instant pause/resume, %d busy pauses, %d crashes of a stalled server",
+			duePauses, instantCycles, busyPauses, stalledCrashes)
+	}
+	res := r.collect()
+	if r.completions+r.lost != accesses {
+		t.Fatalf("%d completed + %d lost != %d accesses", r.completions, r.lost, accesses)
+	}
+	// Random makes no poll rounds, so every retry is a re-dispatch: each
+	// dispatch ends in one completion, one retry or one loss.
+	if d := res.Messages.Dispatches; d != r.completions+res.Retries+r.lost {
+		t.Errorf("%d dispatches, want %d completions + %d retries + %d lost", d, r.completions, res.Retries, r.lost)
+	}
+	if r.served != r.completions {
+		t.Errorf("servers served %d accesses, %d completed", r.served, r.completions)
+	}
+	if res.Lost != r.lost {
+		t.Errorf("Result.Lost = %d, the run lost %d", res.Lost, r.lost)
+	}
+}
+
+// TestFinishPanicsOnDoubleCount: an access completed or lost twice
+// carries the tally past the total, where the run could never stop, so
+// finish fails loudly instead.
+func TestFinishPanicsOnDoubleCount(t *testing.T) {
+	w := workload.PoissonExp(0.05).ScaledTo(1, 0.5)
+	r, err := newRunner(Config{Servers: 1, Workload: w, Policy: core.NewRandom(), Accesses: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.completions, r.lost = 10, 1
+	defer func() {
+		if recover() == nil {
+			t.Fatal("finish accepted 11 accounted accesses of 10")
+		}
+	}()
+	r.finish()
 }

@@ -16,10 +16,10 @@ import (
 // have grown to the in-flight population, driving the simulation event
 // by event allocates nothing per event. The run is fully
 // deterministic (fixed seed, fixed event sequence), so the measured
-// window is reproducible. WarmupFrac keeps the measured accesses inside
-// the warmup region, so the window exercises dispatch alone; recording
-// samples into the reserved summaries is gated by
-// TestSummaryReserveZeroAllocs.
+// window is reproducible. The window ends near access 17,000, inside
+// the first warmupFrac of the 400,000 accesses, so it exercises
+// dispatch alone; recording samples into the reserved summaries is
+// gated by TestSummaryReserveZeroAllocs.
 func TestDispatchPathZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is not stable under -race")
@@ -28,7 +28,7 @@ func TestDispatchPathZeroAllocs(t *testing.T) {
 	base := func(pol core.Policy) Config {
 		return Config{
 			Servers: 64, Workload: w, Policy: pol,
-			Accesses: 400000, WarmupFrac: 0.9, Seed: 7,
+			Accesses: 400000, Seed: 7,
 		}
 	}
 	type zcase struct {

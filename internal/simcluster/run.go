@@ -75,13 +75,15 @@ type runner struct {
 	accs  slab[access]  // in-flight accesses
 	polls slab[pollCtx] // in-flight poll rounds
 	// slotBits is the width of the slot in an observation event's
-	// argument, which packs the poll round's id above it.
-	slotBits int
+	// argument, which packs the poll round's id above it; srvBits is
+	// the width of the server id in a completion event's argument,
+	// which packs the server's generation above it.
+	slotBits, srvBits int
 	// on holds the event callbacks, bound once per run; each event's
 	// argument names the record it concerns.
 	on struct {
 		arrival, arrive, done, fail, retry func(int) // access id
-		service                            func(int) // server id
+		service                            func(int) // server id and generation
 		decide, repoll                     func(int) // poll round id
 		observe                            func(int) // poll round id and slot
 		deliver                            func(int) // packed broadcast
@@ -125,7 +127,7 @@ func newRunner(cfg Config) (*runner, error) {
 		},
 		policyRNG: policyRNG,
 		jitterRNG: jitterRNG,
-		warmup:    int(float64(cfg.Accesses) * cfg.WarmupFrac),
+		warmup:    int(float64(cfg.Accesses) * warmupFrac),
 	}
 	// Each access past warmup leaves at most one sample; reserving them up
 	// front keeps a long run from regrowing the sample slices.
@@ -188,6 +190,7 @@ func newRunner(cfg Config) (*runner, error) {
 	r.pollSwaps = make([]int, maxPool)
 	r.pollDst = make([]int, maxPool)
 	r.slotBits = bits.Len(uint(cfg.Policy.PollSize))
+	r.srvBits = bits.Len(uint(maxPool))
 	r.on.arrival = r.arrival
 	r.on.arrive = r.serverArrive
 	r.on.service = r.serviceDone

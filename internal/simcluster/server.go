@@ -18,17 +18,16 @@ type serverState struct {
 	busyTime     sim.Duration
 	curEnd       sim.Time     // when the job in service would complete
 	curRemaining sim.Duration // remaining demand while paused
-	curHandle    sim.Handle   // scheduled completion (cancellable)
+	gen          int          // completion generation; crash and pause bump it
 	cur          int          // the id of the access in service
 	qavg         stats.TimeWeighted
 	series       *QSeries
 	queue        []int // access ids, FIFO: valid entries are queue[qhead:]
 	qhead        int
 	active       int // the load index
-	busy         bool
 	down         bool
 	paused       bool
-	hasCur       bool
+	hasCur       bool // an access is in service, or stalled in it while paused
 }
 
 // push appends access id to the service queue, compacting the consumed
@@ -105,7 +104,7 @@ func (r *runner) serverArrive(id int) {
 	r.serverActive.add(1)
 	r.setLoad(srv)
 	r.record(srv)
-	if s.busy || s.paused {
+	if s.hasCur || s.paused {
 		s.push(id)
 		return
 	}
@@ -118,24 +117,37 @@ func (r *runner) serverArrive(id int) {
 func (r *runner) startService(id int) {
 	a := r.accs.at(id)
 	s := &r.srv[a.srv]
-	s.busy = true
 	r.workersBusy.add(1)
 	d := sim.Duration(float64(a.service) / s.speed)
 	s.busyTime += d
 	s.cur, s.hasCur = id, true
 	s.curEnd = r.eng.Now().Add(d)
-	s.curHandle = r.eng.After(d, r.on.service, a.srv)
+	r.scheduleCompletion(a.srv, d)
 }
 
-// serviceDone completes the service in progress at server srv (the
-// completion event is keyed by server, so the access record is not
-// loaded first): the next queued access starts, and the response
-// travels back to the client. A server the autoscaler drained retires
-// as soon as its queue empties.
+// scheduleCompletion schedules server srv's completion d from now,
+// tagged with the server's current generation above the server id.
 //
 //lint:noalloc
-func (r *runner) serviceDone(srv int) {
+func (r *runner) scheduleCompletion(srv int, d sim.Duration) {
+	r.eng.After(d, r.on.service, r.srv[srv].gen<<r.srvBits|srv)
+}
+
+// serviceDone completes the service in progress at the server its
+// argument names (the completion event is keyed by server and
+// generation, so the access record is not loaded first): the next
+// queued access starts, and the response travels back to the client. A
+// server the autoscaler drained retires as soon as its queue empties.
+// A completion a crash or pause voided since it was scheduled carries a
+// stale generation and does nothing.
+//
+//lint:noalloc
+func (r *runner) serviceDone(arg int) {
+	srv := arg & (1<<r.srvBits - 1)
 	s := &r.srv[srv]
+	if arg>>r.srvBits != s.gen {
+		return
+	}
 	id := s.cur
 	s.hasCur = false
 	s.active--
@@ -143,7 +155,6 @@ func (r *runner) serviceDone(srv int) {
 	r.served++
 	r.setLoad(srv)
 	r.record(srv)
-	s.busy = false
 	r.workersBusy.add(-1)
 	if next := s.pop(); next >= 0 {
 		r.startService(next)
@@ -164,14 +175,11 @@ func (r *runner) crash(id int) {
 	s.down = true
 	s.paused = false
 	if s.hasCur {
-		s.curHandle.Cancel()
+		s.gen++
 		r.eng.After(DefaultServiceNetDelay, r.on.fail, s.cur)
 		s.hasCur = false
-	}
-	if s.busy {
 		r.workersBusy.add(-1)
 	}
-	s.busy = false
 	for acc := s.pop(); acc >= 0; acc = s.pop() {
 		r.eng.After(DefaultServiceNetDelay, r.on.fail, acc)
 	}
@@ -193,7 +201,7 @@ func (r *runner) pause(id int) {
 	s.paused = true
 	r.setLoad(id)
 	if s.hasCur {
-		s.curHandle.Cancel()
+		s.gen++
 		s.curRemaining = s.curEnd.Sub(r.eng.Now())
 	}
 	r.reindex(id)
@@ -211,13 +219,11 @@ func (r *runner) resume(id int) {
 	r.reindex(id)
 	if s.hasCur {
 		s.curEnd = r.eng.Now().Add(s.curRemaining)
-		s.curHandle = r.eng.After(s.curRemaining, r.on.service, id)
+		r.scheduleCompletion(id, s.curRemaining)
 		return
 	}
-	if !s.busy {
-		if next := s.pop(); next >= 0 {
-			r.startService(next)
-		}
+	if next := s.pop(); next >= 0 {
+		r.startService(next)
 	}
 }
 

@@ -45,6 +45,10 @@ const (
 	DefaultBroadcastDelay = 145 * sim.Microsecond
 )
 
+// warmupFrac is the leading fraction of a run's accesses excluded from
+// its response and poll-time statistics, as in internal/cluster.
+const warmupFrac = 0.1
+
 // Config describes one simulated run.
 type Config struct {
 	Servers  int
@@ -85,11 +89,10 @@ type Config struct {
 	// seeds churn and the autoscaler reacts on top.
 	Autoscaler *membership.AutoscalerConfig
 
-	// Accesses is the number of service accesses to generate (default 100000).
+	// Accesses is the number of service accesses to generate (default
+	// 100000). The first warmupFrac of them are excluded from
+	// statistics.
 	Accesses int
-	// WarmupFrac is the fraction of initial accesses excluded from
-	// statistics (default 0.1).
-	WarmupFrac float64
 	// Seed makes the run reproducible.
 	Seed uint64
 	// RecordQueueSeries retains each server's queue-length time series
@@ -115,12 +118,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.Accesses < 0 {
 		return c, fmt.Errorf("simcluster: Accesses = %d", c.Accesses)
-	}
-	if c.WarmupFrac == 0 {
-		c.WarmupFrac = 0.1
-	}
-	if c.WarmupFrac < 0 || c.WarmupFrac >= 1 {
-		return c, fmt.Errorf("simcluster: WarmupFrac = %v", c.WarmupFrac)
 	}
 	if c.Workload.Arrival == nil || c.Workload.Service == nil {
 		return c, fmt.Errorf("simcluster: incomplete workload")
@@ -212,7 +209,8 @@ type Result struct {
 	SimDuration float64
 	// EventsFired is the number of discrete events the engine executed,
 	// the denominator of the events/sec throughput metric the simscale
-	// benchmark tracks.
+	// benchmark tracks. In a fault run it includes the service
+	// completions a crash or pause voided, which fire as no-ops.
 	EventsFired uint64
 
 	// Lost counts accesses that never completed despite retries (always

@@ -26,10 +26,9 @@ func TestConfigValidation(t *testing.T) {
 	bad := []Config{
 		{},           // no servers
 		{Servers: 1}, // no workload
-		{Servers: 1, Workload: w, Policy: core.Policy{Kind: core.Poll}},      // poll size 0
-		{Servers: 1, Workload: w, Policy: core.NewRandom(), Clients: -1},     // negative clients
-		{Servers: 1, Workload: w, Policy: core.NewRandom(), Accesses: -5},    // negative accesses
-		{Servers: 1, Workload: w, Policy: core.NewRandom(), WarmupFrac: 1.5}, // bad warmup
+		{Servers: 1, Workload: w, Policy: core.Policy{Kind: core.Poll}},   // poll size 0
+		{Servers: 1, Workload: w, Policy: core.NewRandom(), Clients: -1},  // negative clients
+		{Servers: 1, Workload: w, Policy: core.NewRandom(), Accesses: -5}, // negative accesses
 	}
 	for i, cfg := range bad {
 		if _, err := Run(cfg); err == nil {
@@ -303,9 +302,9 @@ func TestWarmupExcluded(t *testing.T) {
 	const s, rho = 0.05, 0.5
 	w := workload.PoissonExp(s).ScaledTo(4, rho)
 	const n = 10000
-	res := run(t, Config{Servers: 4, Workload: w, Policy: core.NewRandom(), Accesses: n, Seed: 16, WarmupFrac: 0.25})
-	if got := res.Response.N(); got != int64(n-n/4) {
-		t.Fatalf("post-warmup responses %d, want %d", got, n-n/4)
+	res := run(t, Config{Servers: 4, Workload: w, Policy: core.NewRandom(), Accesses: n, Seed: 16})
+	if got := res.Response.N(); got != int64(n-n/10) {
+		t.Fatalf("post-warmup responses %d, want %d", got, n-n/10)
 	}
 }
 
