@@ -6,9 +6,10 @@
 //
 //	lbmanager -n 4 [-http :0] [-pprof] [-grace 3s]
 //
-// With -http the manager serves its protocol counters at /metrics
-// (refreshed at scrape time from the manager's own state) and, with
-// -pprof, the net/http/pprof handlers under /debug/pprof/.
+// With -http the manager serves its own registry at /metrics (the
+// manager_acquires and manager_releases counters and the
+// manager_outstanding gauge) and, with -pprof, the net/http/pprof
+// handlers under /debug/pprof/.
 package main
 
 import (
@@ -27,13 +28,12 @@ import (
 
 func main() {
 	n := flag.Int("n", 4, "number of servers the manager tracks (must match the node count and ordering)")
-	seed := flag.Uint64("seed", 1, "random seed for tie-breaking")
 	httpAddr := flag.String("http", "", "serve /metrics (JSON obs snapshot) on this address; empty disables")
 	pprofOn := flag.Bool("pprof", false, "with -http, also expose /debug/pprof/ handlers")
 	grace := flag.Duration("grace", 3*time.Second, "drain window after the first signal: serve until outstanding acquisitions release (second signal exits immediately)")
 	flag.Parse()
 
-	m, err := cluster.StartIdealManager(nil, *n, *seed)
+	m, err := cluster.StartIdealManager(nil, *n)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "lbmanager:", err)
 		os.Exit(1)
@@ -42,31 +42,13 @@ func main() {
 	fmt.Fprintf(os.Stderr, "lbmanager: tracking %d servers; Ctrl-C to stop\n", *n)
 
 	if *httpAddr != "" {
-		// The manager keeps its counters under its own lock rather than
-		// in an obs registry, so the endpoint republishes them as gauges
-		// refreshed at scrape time.
-		reg := obs.NewRegistry()
-		acquires := reg.Gauge(obs.MetricManagerAcquires)
-		releases := reg.Gauge(obs.MetricManagerReleases)
-		outstanding := reg.Gauge(obs.MetricManagerOutstanding)
-		mux := obs.NewMux(reg, *pprofOn)
 		ln, err := net.Listen("tcp", *httpAddr)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "lbmanager:", err)
 			os.Exit(1)
 		}
 		defer ln.Close()
-		go http.Serve(ln, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			st := m.Stats()
-			acquires.Set(st.Acquires)
-			releases.Set(st.Releases)
-			var sum int64
-			for _, c := range m.Counts() {
-				sum += c
-			}
-			outstanding.Set(sum)
-			mux.ServeHTTP(w, r)
-		}))
+		go http.Serve(ln, obs.NewMux(m.Registry(), *pprofOn))
 		fmt.Fprintf(os.Stderr, "lbmanager: metrics at http://%s/metrics\n", ln.Addr())
 	} else if *pprofOn {
 		fmt.Fprintln(os.Stderr, "lbmanager: -pprof requires -http")
@@ -76,6 +58,7 @@ func main() {
 	sig := make(chan os.Signal, 2)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
+	outstanding := m.Registry().Gauge(obs.MetricManagerOutstanding)
 	// First signal: graceful drain. Keep answering protocol messages so
 	// clients can release what they hold; exit once the outstanding
 	// count reaches zero, the grace window expires, or a second signal
@@ -85,7 +68,7 @@ func main() {
 	tick := time.NewTicker(50 * time.Millisecond)
 	defer tick.Stop()
 drain:
-	for outstanding(m) > 0 {
+	for outstanding.Value() > 0 {
 		select {
 		case <-sig:
 			break drain
@@ -94,18 +77,9 @@ drain:
 		case <-tick.C:
 		}
 	}
-	if left := outstanding(m); left > 0 {
+	if left := outstanding.Value(); left > 0 {
 		fmt.Fprintf(os.Stderr, "lbmanager: exiting with %d acquisition(s) unreleased\n", left)
 	}
 	fmt.Fprintf(os.Stderr, "lbmanager: final counts %v\n", m.Counts())
 	m.Close()
-}
-
-// outstanding sums the manager's per-server outstanding access counts.
-func outstanding(m *cluster.IdealManager) int64 {
-	var sum int64
-	for _, c := range m.Counts() {
-		sum += c
-	}
-	return sum
 }

@@ -289,7 +289,7 @@ func TestClientPollDiscard(t *testing.T) {
 
 func TestClientIdealViaManager(t *testing.T) {
 	d, _ := testCluster(t, 4, false)
-	m, err := StartIdealManager(testTransport(t), 4, 1)
+	m, err := StartIdealManager(testTransport(t), 4)
 	if err != nil {
 		t.Fatal(err)
 	}

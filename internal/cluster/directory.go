@@ -135,35 +135,19 @@ func (d *Directory) Withdraw(nodeID int, service string) {
 // The error is always nil; it is there to satisfy ServiceDirectory.
 func (d *Directory) Lookup(service string, partition uint32) ([]Endpoint, error) {
 	var out []Endpoint
-	now := d.now()
-	d.mu.Lock()
-	for k, e := range d.entries {
-		if now.After(e.expires) {
-			delete(d.entries, k)
-			continue
+	d.eachLive(func(ep Endpoint) {
+		if ep.Service == service && ep.HasPartition(partition) {
+			out = append(out, ep)
 		}
-		if e.ep.Service == service && e.ep.HasPartition(partition) {
-			out = append(out, e.ep)
-		}
-	}
-	d.mu.Unlock()
+	})
 	sort.Slice(out, func(i, j int) bool { return out[i].NodeID < out[j].NodeID })
 	return out, nil
 }
 
 // Services returns the names of all live services, sorted.
 func (d *Directory) Services() []string {
-	now := d.now()
-	d.mu.Lock()
 	seen := make(map[string]bool)
-	for k, e := range d.entries {
-		if now.After(e.expires) {
-			delete(d.entries, k)
-			continue
-		}
-		seen[e.ep.Service] = true
-	}
-	d.mu.Unlock()
+	d.eachLive(func(ep Endpoint) { seen[ep.Service] = true })
 	out := make([]string, 0, len(seen))
 	for s := range seen {
 		out = append(out, s)
@@ -174,16 +158,22 @@ func (d *Directory) Services() []string {
 
 // Len returns the number of live entries.
 func (d *Directory) Len() int {
+	n := 0
+	d.eachLive(func(Endpoint) { n++ })
+	return n
+}
+
+// eachLive prunes the expired entries and calls fn, under the lock, on
+// the endpoint of every live one.
+func (d *Directory) eachLive(fn func(Endpoint)) {
 	now := d.now()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	n := 0
 	for k, e := range d.entries {
 		if now.After(e.expires) {
 			delete(d.entries, k)
 			continue
 		}
-		n++
+		fn(e.ep)
 	}
-	return n
 }

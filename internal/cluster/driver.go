@@ -172,7 +172,7 @@ func StartCluster(cfg ExperimentConfig) (*Cluster, error) {
 	}
 
 	if cfg.Policy.Kind == core.Ideal {
-		m, err := StartIdealManager(cfg.Transport, cfg.Servers, cfg.Seed)
+		m, err := StartIdealManager(cfg.Transport, cfg.Servers)
 		if err != nil {
 			return fail(err)
 		}

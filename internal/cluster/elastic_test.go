@@ -70,7 +70,7 @@ func TestNodeDrainRejoin(t *testing.T) {
 }
 
 func TestIdealManagerElasticPool(t *testing.T) {
-	m, err := StartIdealManager(testTransport(t), 2, 1)
+	m, err := StartIdealManager(testTransport(t), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,11 +109,15 @@ func TestIdealManagerElasticPool(t *testing.T) {
 		t.Fatal("release of deactivated server refused")
 	}
 	// With everything deactivated, acquire falls back to the full set
-	// rather than fail the access.
+	// rather than fail the access, and still takes its least-loaded
+	// server: slot 3, which never joined and so never served.
 	for i := 0; i < 4; i++ {
 		m.SetActive(i, false)
 	}
-	_ = m.acquire()
+	counts := m.Counts()
+	if idx := m.acquire(); idx != 3 || counts[3] != 0 {
+		t.Fatalf("all-inactive acquire picked server %d, want least-loaded 3 (counts %v)", idx, counts)
+	}
 }
 
 func TestClusterJoinDrainLeave(t *testing.T) {

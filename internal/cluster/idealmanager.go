@@ -5,7 +5,8 @@ import (
 	"fmt"
 	"sync"
 
-	"finelb/internal/stats"
+	"finelb/internal/core"
+	"finelb/internal/obs"
 	"finelb/internal/transport"
 )
 
@@ -23,14 +24,15 @@ import (
 // answered StatusOK, or StatusAppError when the index is unknown.
 type IdealManager struct {
 	node *Node
+	reg  *obs.Registry
 
-	//lint:guards counts, active, rng, acquires, releases
-	mu       sync.Mutex
-	counts   []int64
-	active   []bool // acquire only assigns active (routable) servers
-	rng      *stats.RNG
-	acquires int64
-	releases int64
+	acquires    *obs.Counter // server assignments handed out
+	releases    *obs.Counter // completions reported back
+	outstanding *obs.Gauge   // assignments not yet released (sum of counts)
+
+	//lint:guards idx
+	mu  sync.Mutex
+	idx *core.LoadIndex // per-server counts; attached = assignable
 }
 
 // managerService is the service name the manager's node serves.
@@ -38,18 +40,17 @@ const managerService = "ideal-manager"
 
 // StartIdealManager starts a manager for n servers on a stream
 // listener of tr (the default real-socket transport when nil).
-func StartIdealManager(tr transport.Transport, n int, seed uint64) (*IdealManager, error) {
+func StartIdealManager(tr transport.Transport, n int) (*IdealManager, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("cluster: IdealManager with n = %d", n)
 	}
-	active := make([]bool, n)
-	for i := range active {
-		active[i] = true
-	}
+	reg := obs.NewRegistry()
 	m := &IdealManager{
-		counts: make([]int64, n),
-		active: active,
-		rng:    stats.NewRNG(seed ^ 0xdeadbeefcafef00d),
+		reg:         reg,
+		acquires:    reg.Counter(obs.MetricManagerAcquires),
+		releases:    reg.Counter(obs.MetricManagerReleases),
+		outstanding: reg.Gauge(obs.MetricManagerOutstanding),
+		idx:         core.NewLoadIndex(n),
 	}
 	// No contention model, and a private metrics catalog (nil Metrics):
 	// manager traffic is bookkeeping, not service accesses of the run.
@@ -69,27 +70,19 @@ func StartIdealManager(tr transport.Transport, n int, seed uint64) (*IdealManage
 // Addr returns the manager's stream address.
 func (m *IdealManager) Addr() string { return m.node.AccessAddr() }
 
+// Registry returns the manager's own metrics: its protocol counters and
+// outstanding gauge, kept apart from any run's registry.
+func (m *IdealManager) Registry() *obs.Registry { return m.reg }
+
 // Counts snapshots the per-server assigned counts.
 func (m *IdealManager) Counts() []int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]int64, len(m.counts))
-	copy(out, m.counts)
+	out := make([]int64, m.idx.N())
+	for i := range out {
+		out[i] = int64(m.idx.Load(i))
+	}
 	return out
-}
-
-// ManagerStats are the manager's protocol counters.
-type ManagerStats struct {
-	Acquires int64 // server assignments handed out
-	Releases int64 // completions reported back
-}
-
-// Stats snapshots the manager's protocol counters (lbmanager's /metrics
-// endpoint republishes them).
-func (m *IdealManager) Stats() ManagerStats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return ManagerStats{Acquires: m.acquires, Releases: m.releases}
 }
 
 // Close stops the manager and waits for its goroutines.
@@ -103,10 +96,7 @@ func (m *IdealManager) Close() error { return m.node.Close() }
 func (m *IdealManager) EnsureServers(n int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for len(m.counts) < n {
-		m.counts = append(m.counts, 0)
-		m.active = append(m.active, false)
-	}
+	m.idx.Extend(n)
 }
 
 // SetActive marks whether acquire may assign server idx. Draining a
@@ -116,49 +106,35 @@ func (m *IdealManager) EnsureServers(n int) {
 func (m *IdealManager) SetActive(idx int, active bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if idx >= 0 && idx < len(m.active) {
-		m.active[idx] = active
+	if idx < 0 || idx >= m.idx.N() {
+		return
+	}
+	if active {
+		m.idx.Restore(idx)
+	} else {
+		m.idx.Remove(idx)
 	}
 }
 
-// acquire picks the least-loaded active server (uniform tie-break) and
-// increments its count. If every server is inactive — transiently
-// possible mid-churn — it falls back to the full set rather than fail
-// the access.
+// acquire picks the least-loaded active server (ties to the lowest id,
+// as the simulator's IDEAL) and increments its count. If every server
+// is inactive — transiently possible mid-churn — it falls back to the
+// least-loaded of the full set rather than fail the access.
 func (m *IdealManager) acquire() uint32 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	best, ties := -1, 0
-	for i := 0; i < len(m.counts); i++ {
-		if !m.active[i] {
-			continue
-		}
-		switch {
-		case best < 0 || m.counts[i] < m.counts[best]:
-			best, ties = i, 1
-		case m.counts[i] == m.counts[best]:
-			ties++
-			if m.rng.Intn(ties) == 0 {
+	best := m.idx.Min()
+	if best < 0 {
+		best = 0
+		for i := 1; i < m.idx.N(); i++ {
+			if m.idx.Load(i) < m.idx.Load(best) {
 				best = i
 			}
 		}
 	}
-	if best < 0 {
-		best, ties = 0, 1
-		for i := 1; i < len(m.counts); i++ {
-			switch {
-			case m.counts[i] < m.counts[best]:
-				best, ties = i, 1
-			case m.counts[i] == m.counts[best]:
-				ties++
-				if m.rng.Intn(ties) == 0 {
-					best = i
-				}
-			}
-		}
-	}
-	m.counts[best]++
-	m.acquires++
+	m.idx.Add(best, 1)
+	m.acquires.Inc()
+	m.outstanding.Add(1)
 	return uint32(best)
 }
 
@@ -166,13 +142,14 @@ func (m *IdealManager) acquire() uint32 {
 func (m *IdealManager) release(idx uint32) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if int(idx) >= len(m.counts) {
+	if int(idx) >= m.idx.N() {
 		return false
 	}
-	if m.counts[idx] > 0 {
-		m.counts[idx]--
+	if m.idx.Load(int(idx)) > 0 {
+		m.idx.Add(int(idx), -1)
+		m.outstanding.Add(-1)
 	}
-	m.releases++
+	m.releases.Inc()
 	return true
 }
 

@@ -1,13 +1,16 @@
 package cluster
 
 import (
+	"slices"
 	"sync"
 	"testing"
+
+	"finelb/internal/obs"
 )
 
 func startTestManager(t *testing.T, n int) (*IdealManager, *managerClient) {
 	t.Helper()
-	m, err := StartIdealManager(testTransport(t), n, 1)
+	m, err := StartIdealManager(testTransport(t), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -18,10 +21,10 @@ func startTestManager(t *testing.T, n int) (*IdealManager, *managerClient) {
 }
 
 func TestIdealManagerRejectsBadSize(t *testing.T) {
-	if _, err := StartIdealManager(testTransport(t), 0, 1); err == nil {
+	if _, err := StartIdealManager(testTransport(t), 0); err == nil {
 		t.Fatal("manager for 0 servers accepted")
 	}
-	if _, err := StartIdealManager(testTransport(t), -3, 1); err == nil {
+	if _, err := StartIdealManager(testTransport(t), -3); err == nil {
 		t.Fatal("manager for -3 servers accepted")
 	}
 }
@@ -43,30 +46,20 @@ func TestIdealManagerReleaseClamps(t *testing.T) {
 
 func TestIdealManagerAcquirePicksShortest(t *testing.T) {
 	m, mc := startTestManager(t, 3)
-	got := map[uint32]int{}
-	for i := 0; i < 3; i++ {
+	// Idle servers: least count first, ties to the lowest id, so the
+	// first round visits 0, 1, 2 in order and the fourth acquire, with
+	// every count at 1, goes back to server 0.
+	for i, want := range []uint32{0, 1, 2, 0} {
 		idx, err := mc.acquire()
 		if err != nil {
 			t.Fatal(err)
 		}
-		got[idx]++
-	}
-	if len(got) != 3 {
-		t.Fatalf("3 acquires did not cover 3 servers: %v", got)
-	}
-	// Fourth acquire: all counts equal 1, any server acceptable; counts
-	// must show exactly one server at 2.
-	if _, err := mc.acquire(); err != nil {
-		t.Fatal(err)
-	}
-	twos := 0
-	for _, v := range m.Counts() {
-		if v == 2 {
-			twos++
+		if idx != want {
+			t.Fatalf("acquire %d picked server %d, want %d (counts %v)", i, idx, want, m.Counts())
 		}
 	}
-	if twos != 1 {
-		t.Fatalf("counts after 4 acquires: %v", m.Counts())
+	if got, want := m.Counts(), []int64{2, 1, 1}; !slices.Equal(got, want) {
+		t.Fatalf("counts after 4 acquires: %v, want %v", got, want)
 	}
 }
 
@@ -121,10 +114,18 @@ func TestIdealManagerConcurrentClients(t *testing.T) {
 			t.Fatalf("server %d count %d after full drain", i, v)
 		}
 	}
+	snap := m.Registry().Snapshot()
+	acq, rel := snap.Value(obs.MetricManagerAcquires), snap.Value(obs.MetricManagerReleases)
+	if acq != clients*rounds || rel != clients*rounds {
+		t.Fatalf("acquires %d, releases %d; want %d each", acq, rel, clients*rounds)
+	}
+	if out := snap.Value(obs.MetricManagerOutstanding); out != 0 {
+		t.Fatalf("outstanding %d after full drain", out)
+	}
 }
 
 func TestIdealManagerCloseIsIdempotent(t *testing.T) {
-	m, err := StartIdealManager(testTransport(t), 2, 1)
+	m, err := StartIdealManager(testTransport(t), 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,9 +82,6 @@ type Pool struct {
 	mm      *obs.MembershipMetrics
 	state   []state
 	members []int
-
-	joins, drains, leaves int64
-	peak                  int
 }
 
 // NewPool returns a pool whose ids [0, initial) are routable, with room
@@ -99,7 +96,6 @@ func NewPool(initial, limit int, sub Substrate, mm *obs.MembershipMetrics) *Pool
 		mm:      mm,
 		state:   make([]state, limit),
 		members: make([]int, initial, limit),
-		peak:    initial,
 	}
 	for id := 0; id < initial; id++ {
 		p.state[id] = routable
@@ -127,9 +123,9 @@ func (p *Pool) is(id int, s state) bool {
 }
 
 // Stats returns the churn counters and the routable pool's current and
-// peak size.
+// peak size, read from the pool's membership metrics.
 func (p *Pool) Stats() (joins, drains, leaves int64, final, peak int) {
-	return p.joins, p.drains, p.leaves, len(p.members), p.peak
+	return p.mm.Joins.Value(), p.mm.Drains.Value(), p.mm.Leaves.Value(), len(p.members), int(p.mm.Pool.High())
 }
 
 // Apply plays one schedule event. Returns whether the pool changed.
@@ -155,8 +151,6 @@ func (p *Pool) Join(id int) bool {
 	p.members = append(p.members, 0)
 	copy(p.members[i+1:], p.members[i:])
 	p.members[i] = id
-	p.joins++
-	p.peak = max(p.peak, len(p.members))
 	p.mm.Joins.Inc()
 	p.mm.Pool.Set(int64(len(p.members)))
 	p.sub.Changed(Join, id)
@@ -173,7 +167,6 @@ func (p *Pool) Drain(id int) bool {
 	p.state[id] = draining
 	i := sort.SearchInts(p.members, id)
 	p.members = append(p.members[:i], p.members[i+1:]...)
-	p.drains++
 	p.mm.Drains.Inc()
 	p.mm.Pool.Set(int64(len(p.members)))
 	p.sub.Changed(Drain, id)
@@ -191,7 +184,6 @@ func (p *Pool) Leave(id int) bool {
 		return false
 	}
 	p.state[id] = left
-	p.leaves++
 	p.mm.Leaves.Inc()
 	p.sub.Changed(Leave, id)
 	return true

@@ -42,8 +42,7 @@ const (
 
 // Counter is a monotonically non-decreasing count. Add saturates at
 // math.MaxInt64 instead of wrapping: a counter that has been running
-// for years must never appear to jump negative, and saturation makes
-// merge (sum) semantics total.
+// for years must never appear to jump negative.
 type Counter struct {
 	v atomic.Int64
 }
@@ -76,10 +75,6 @@ func (c *Counter) Inc() { c.Add(1) }
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Merge folds another counter's value into this one (saturating sum):
-// the semantics of combining per-shard counters into one total.
-func (c *Counter) Merge(other *Counter) { c.Add(other.Value()) }
 
 // Gauge is an instantaneous level (queue depth, busy workers) that also
 // tracks its high-water mark, because a peak is often the interesting
@@ -126,8 +121,7 @@ func (g *Gauge) High() int64 { return g.high.Load() }
 // Histogram is a fixed-bucket histogram: observations are counted into
 // the first bucket whose upper bound is >= the value, with an implicit
 // +Inf bucket at the end, plus a running sum and count. Bounds are
-// fixed at registration so two histograms with the same bounds merge
-// bucket by bucket.
+// fixed at registration.
 type Histogram struct {
 	bounds []float64      // strictly increasing upper bounds
 	counts []atomic.Int64 // len(bounds)+1; last is the +Inf bucket
@@ -232,24 +226,6 @@ func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 // BucketCount returns the count in bucket i, where i == len(bounds)
 // addresses the +Inf bucket.
 func (h *Histogram) BucketCount(i int) int64 { return h.counts[i].Load() }
-
-// Merge folds another histogram with identical bounds into this one.
-func (h *Histogram) Merge(other *Histogram) error {
-	if len(h.bounds) != len(other.bounds) {
-		return fmt.Errorf("obs: merging histograms with %d vs %d bounds", len(h.bounds), len(other.bounds))
-	}
-	for i, b := range h.bounds {
-		if b != other.bounds[i] {
-			return fmt.Errorf("obs: merging histograms with different bound %d: %v vs %v", i, b, other.bounds[i])
-		}
-	}
-	for i := range h.counts {
-		h.counts[i].Add(other.counts[i].Load())
-	}
-	h.count.Add(other.count.Load())
-	h.addSum(other.Sum())
-	return nil
-}
 
 // metric is one registered metric with its metadata.
 type metric struct {

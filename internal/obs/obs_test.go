@@ -48,32 +48,6 @@ func TestCounterOverflowSaturates(t *testing.T) {
 	}
 }
 
-func TestCounterMerge(t *testing.T) {
-	tests := []struct {
-		name string
-		a, b int64
-		want int64
-	}{
-		{"plain sum", 7, 35, 42},
-		{"zero other", 7, 0, 7},
-		{"saturating sum", math.MaxInt64 - 1, 2, math.MaxInt64},
-	}
-	for _, tc := range tests {
-		t.Run(tc.name, func(t *testing.T) {
-			var a, b Counter
-			a.v.Store(tc.a)
-			b.v.Store(tc.b)
-			a.Merge(&b)
-			if got := a.Value(); got != tc.want {
-				t.Fatalf("merge(%d,%d) = %d, want %d", tc.a, tc.b, got, tc.want)
-			}
-			if b.Value() != tc.b {
-				t.Fatalf("merge mutated the source: %d, want %d", b.Value(), tc.b)
-			}
-		})
-	}
-}
-
 func TestCounterConcurrentAdds(t *testing.T) {
 	var c Counter
 	const workers, per = 8, 10000
@@ -201,37 +175,6 @@ func TestHistogramBadBounds(t *testing.T) {
 				t.Fatalf("bounds %v accepted, want error", tc.bounds)
 			}
 		})
-	}
-}
-
-func TestHistogramMerge(t *testing.T) {
-	bounds := []float64{1, 10}
-	a, _ := newHistogram(bounds)
-	b, _ := newHistogram(bounds)
-	a.Observe(0.5)
-	b.Observe(5)
-	b.Observe(50)
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if got := []int64{a.BucketCount(0), a.BucketCount(1), a.BucketCount(2)}; got[0] != 1 || got[1] != 1 || got[2] != 1 {
-		t.Fatalf("merged buckets = %v, want [1 1 1]", got)
-	}
-	if a.Count() != 3 {
-		t.Fatalf("merged count = %d, want 3", a.Count())
-	}
-	if a.Sum() != 55.5 {
-		t.Fatalf("merged sum = %v, want 55.5", a.Sum())
-	}
-
-	// Mismatched bounds must refuse to merge in either direction.
-	c, _ := newHistogram([]float64{1, 2, 10})
-	if err := a.Merge(c); err == nil {
-		t.Fatal("merge with different bound count accepted")
-	}
-	d, _ := newHistogram([]float64{1, 9})
-	if err := a.Merge(d); err == nil {
-		t.Fatal("merge with different bound values accepted")
 	}
 }
 

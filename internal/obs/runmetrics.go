@@ -70,8 +70,9 @@ const (
 // Component metric names outside the per-run catalog. Every metric
 // name in the repository is declared in this package — finelbvet's
 // obscatalog analyzer rejects registration calls whose name is not an
-// obs constant — so even one-off component metrics (lbmanager's
-// republished protocol counters) are spelled here.
+// obs constant — so even one-off component metrics (the IDEAL
+// manager's protocol counters, in the manager's own registry) are
+// spelled here.
 const (
 	MetricManagerAcquires    = "manager_acquires"
 	MetricManagerReleases    = "manager_releases"

@@ -6,6 +6,8 @@ import (
 
 	"finelb/internal/core"
 	"finelb/internal/faults"
+	"finelb/internal/membership"
+	"finelb/internal/obs"
 	"finelb/internal/sim"
 	"finelb/internal/workload"
 )
@@ -301,4 +303,45 @@ func TestFinishPanicsOnDoubleCount(t *testing.T) {
 		}
 	}()
 	r.finish()
+}
+
+// TestAutoscalerStopsWithStrandedAccesses: an access stranded on a
+// server paused for good drains no events, and the autoscaler tick is
+// then the only event left. The tick must not keep the run alive: Run
+// returns, and the stranded accesses count as lost.
+func TestAutoscalerStopsWithStrandedAccesses(t *testing.T) {
+	const accesses = 2000
+	cfg := Config{
+		Servers: 4, Workload: workload.PoissonExp(0.05).ScaledTo(4, 0.5),
+		Policy:   core.NewRandom(),
+		Accesses: accesses, Seed: 13,
+		Faults: &faults.Schedule{Seed: 5, Events: []faults.NodeEvent{
+			{At: time.Second, Node: 0, Kind: faults.Pause},
+		}},
+		Autoscaler: &membership.AutoscalerConfig{Min: 1, Max: 4},
+	}
+	done := make(chan *Result, 1)
+	go func() {
+		res, err := Run(cfg)
+		if err != nil {
+			t.Error(err)
+		}
+		done <- res
+	}()
+	var res *Result
+	select {
+	case res = <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("Run did not return within 30 s")
+	}
+	if res == nil {
+		return
+	}
+	completed := res.Metrics.Value(obs.MetricCompletions)
+	if served := res.Metrics.Value(obs.MetricServerServed); served != completed {
+		t.Fatalf("served %d, completed %d", served, completed)
+	}
+	if completed+res.Lost != accesses || res.Lost == 0 {
+		t.Fatalf("completed %d + lost %d, want %d with some lost", completed, res.Lost, accesses)
+	}
 }

@@ -49,8 +49,9 @@ type runner struct {
 
 	// commit is the IDEAL oracle's committed-work index (nil for other
 	// policies): accurate load indexes acquired free of cost (§2), seen
-	// as committed work, matching the prototype's centralized manager
-	// which increments on assignment. local is the per-client
+	// as committed work. The prototype's centralized manager keeps the
+	// same index, incremented on assignment with ties to the lowest id,
+	// so both substrates make the same pick. local is the per-client
 	// outstanding-access index (LocalLeast only): the message-free
 	// least-connections rule. reindex keeps both holding exactly the
 	// servers that can take new work.
@@ -221,6 +222,13 @@ func newRunner(cfg Config) (*runner, error) {
 			// sim.Time counts nanoseconds from the start of the run, so
 			// it converts directly to the autoscaler's elapsed time.
 			r.pool.Autoscale(as, time.Duration(r.eng.Now()))
+			// With no other event pending only ticks could fire again
+			// (autoscaler actions schedule none): the accesses still out
+			// are stranded on a server paused for good, so let the run
+			// end instead of ticking forever.
+			if r.eng.Pending() == 0 {
+				return
+			}
 			r.eng.After(interval, tick, 0)
 		}
 		eng.After(interval, tick, 0)
@@ -308,7 +316,8 @@ func (r *runner) collect() *Result {
 	res.MeanQueueLength = qsum / float64(len(r.srv))
 	res.Joins, res.Drains, res.Leaves, res.FinalPool, res.PeakPool = r.pool.Stats()
 	// Accesses stranded on a paused-forever server drain no events, so
-	// the engine exits with them still frozen; they are lost too.
+	// the engine exits with them still frozen (an autoscaler stops
+	// ticking once its tick is the last event); they are lost too.
 	res.Lost = int64(r.cfg.Accesses) - r.completions
 	res.Messages, res.Retries = r.msg, r.retries
 	r.tally.publish(obs.NewRunMetrics(r.reg), res.Lost)

@@ -147,24 +147,6 @@ func (r *RNG) NormFloat64() float64 {
 	return mag * math.Cos(2*math.Pi*u2)
 }
 
-// Perm returns a uniformly random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	r.Shuffle(len(p), func(i, j int) { p[i], p[j] = p[j], p[i] })
-	return p
-}
-
-// Shuffle pseudo-randomizes the order of n elements using the
-// Fisher-Yates algorithm; swap exchanges elements i and j.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		swap(i, r.Intn(i+1))
-	}
-}
-
 // Choose fills dst with k distinct uniform indices from [0, n),
 // k = len(dst), using a partial Fisher-Yates over a scratch slice.
 // It panics if k > n. The scratch slice must have length n and is used
