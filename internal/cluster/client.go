@@ -280,22 +280,13 @@ func (c *Client) liveEndpoints(eps []Endpoint) ([]Endpoint, bool) {
 // under.
 func nodeID(ep Endpoint) int { return ep.NodeID }
 
-// silentLocked records one unanswered inquiry to node id at now on
-// the detector's clock. Caller holds c.mu.
-func (c *Client) silentLocked(id int, now time.Duration) {
-	if c.det.Silent(id, now) {
-		c.cfg.Metrics.Quarantines.Inc()
-	}
-}
-
-// backoff sleeps the jittered backoff before retry attempt (0-based).
-// It returns false if the client closed while waiting.
-func (c *Client) backoff(attempt int) bool {
-	d := faults.Backoff(attempt)
+// backoff sleeps next's jittered wait, drawn from the client's
+// stream. It returns false if the client closed while waiting.
+func (c *Client) backoff(next faults.Next) bool {
 	c.mu.Lock()
-	jitter := 0.5 + c.rng.Float64()
+	d := next.Wait(c.rng)
 	c.mu.Unlock()
-	t := time.NewTimer(time.Duration(float64(d) * jitter))
+	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
 	case <-t.C:
@@ -305,42 +296,60 @@ func (c *Client) backoff(attempt int) bool {
 	}
 }
 
+// The prototype's inputs to faults.Access where the two substrates
+// still decide differently (DESIGN.md §5).
+const (
+	// retrySilent: a silent poll round is re-polled after a backoff even
+	// with no fault schedule, when every answer was only discarded at
+	// the deadline. The simulator picks a polled server at once there.
+	retrySilent = true
+	// retryIdeal: a failed IDEAL access is never retried, since the
+	// manager accounts each access once. The simulator retries it.
+	retryIdeal = false
+)
+
 // Access performs one service access of the configured service using
 // the configured policy, emulating serviceUs microseconds of work on
-// the chosen server. A failed round trip quarantines the chosen server
-// and retries on a re-chosen one, after a backoff, up to
-// faults.DefaultAccessRetries times (never for Ideal, whose manager
-// accounts each access exactly once) before reporting the error.
+// the chosen server. It steps one faults.Access, as the simulator's
+// client does: a silent poll round is re-polled after a backoff, and a
+// failed round trip quarantines the chosen server and is retried on a
+// re-chosen one after a backoff, until the machine gives up and the
+// error is reported.
 func (c *Client) Access(serviceUs uint32, payload []byte) (*AccessInfo, error) {
 	if c.closed.Load() {
 		return nil, fmt.Errorf("cluster: client closed")
 	}
 	info := &AccessInfo{}
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		if attempt > 0 {
-			if !c.backoff(attempt - 1) {
-				return nil, fmt.Errorf("cluster: client closed during retry (last error: %v)", lastErr)
+	var m faults.Access
+	for {
+		next, err := c.accessOnce(&m, serviceUs, payload, info)
+		switch {
+		case err != nil && c.closed.Load():
+			return nil, err
+		case err != nil:
+			if next = m.Failed(c.cfg.Policy.Kind == core.Ideal, retryIdeal); next.Step == faults.GiveUp {
+				return nil, err
 			}
-			info.Retries++
-			c.cfg.Metrics.Retries.Inc()
-		}
-		err := c.accessOnce(serviceUs, payload, info)
-		if err == nil {
+		case next.Step != faults.Repoll:
 			return info, nil
 		}
-		lastErr = err
-		if c.closed.Load() || attempt >= faults.DefaultAccessRetries || c.cfg.Policy.Kind == core.Ideal {
-			return nil, lastErr
+		info.Retries++
+		c.cfg.Metrics.Retries.Inc()
+		if !c.backoff(next) {
+			if err == nil {
+				return nil, errPollClosed
+			}
+			return nil, fmt.Errorf("cluster: client closed during retry (last error: %v)", err)
 		}
 	}
 }
 
-// accessOnce runs one server-selection + service round trip.
-func (c *Client) accessOnce(serviceUs uint32, payload []byte, info *AccessInfo) error {
+// accessOnce selects a server and makes the service round trip, or
+// returns m's Repoll step after a silent poll round.
+func (c *Client) accessOnce(m *faults.Access, serviceUs uint32, payload []byte, info *AccessInfo) (faults.Next, error) {
 	eps := c.table()
 	if len(eps) == 0 {
-		return fmt.Errorf("cluster: no live endpoints for %q", c.cfg.Service)
+		return faults.Next{}, fmt.Errorf("cluster: no live endpoints for %q", c.cfg.Service)
 	}
 	// Selection skips quarantined servers; when everything is
 	// quarantined the client has nothing better than the full table.
@@ -351,11 +360,6 @@ func (c *Client) accessOnce(serviceUs uint32, payload []byte, info *AccessInfo) 
 	release := false
 
 	switch c.cfg.Policy.Kind {
-	case core.Random:
-		c.mu.Lock()
-		target = pickFrom[c.rng.Intn(len(pickFrom))]
-		c.mu.Unlock()
-
 	case core.RoundRobin:
 		c.mu.Lock()
 		target = pickFrom[c.rr.Next(len(pickFrom))]
@@ -369,7 +373,7 @@ func (c *Client) accessOnce(serviceUs uint32, payload []byte, info *AccessInfo) 
 		// position.
 		idx, err := c.mgr.acquire()
 		if err != nil {
-			return fmt.Errorf("cluster: manager acquire: %w", err)
+			return faults.Next{}, fmt.Errorf("cluster: manager acquire: %w", err)
 		}
 		var found bool
 		target, found = c.endpoint(int(idx))
@@ -382,7 +386,7 @@ func (c *Client) accessOnce(serviceUs uint32, payload []byte, info *AccessInfo) 
 		if !found {
 			// Mapping table behind the manager's view; release and fail.
 			_ = c.mgr.release(idx)
-			return fmt.Errorf("cluster: manager assigned node %d not in mapping table (%d endpoints)", idx, len(eps))
+			return faults.Next{}, fmt.Errorf("cluster: manager assigned node %d not in mapping table (%d endpoints)", idx, len(eps))
 		}
 		releaseIdx, release = idx, true
 
@@ -404,14 +408,26 @@ func (c *Client) accessOnce(serviceUs uint32, payload []byte, info *AccessInfo) 
 		}()
 
 	case core.Poll:
-		var err error
-		target, err = c.pollAndPick(eps, pickFrom, fresh, info)
-		if err != nil {
-			return err
+		if m.Poll(fresh) == faults.Poll {
+			var next faults.Next
+			var err error
+			if target, next, err = c.pollOnce(m, pickFrom, info); err != nil || next.Step == faults.Repoll {
+				return next, err
+			}
+			if next.Step != faults.PickAny {
+				break
+			}
+			pickFrom, _ = c.liveEndpoints(eps) // the silent rounds may have quarantined some
 		}
+		fallthrough // faults.PickAny
+
+	case core.Random:
+		c.mu.Lock()
+		target = pickFrom[c.rng.Intn(len(pickFrom))]
+		c.mu.Unlock()
 
 	default:
-		return fmt.Errorf("cluster: policy %v unsupported in prototype", c.cfg.Policy)
+		return faults.Next{}, fmt.Errorf("cluster: policy %v unsupported in prototype", c.cfg.Policy)
 	}
 
 	resp, err := c.dispatch(target, serviceUs, payload)
@@ -423,11 +439,11 @@ func (c *Client) accessOnce(serviceUs uint32, payload []byte, info *AccessInfo) 
 		}
 	}
 	if err != nil {
-		return err
+		return faults.Next{}, err
 	}
 	info.Server = target.NodeID
 	info.Resp = resp
-	return nil
+	return faults.Next{}, nil
 }
 
 // dispatch sends one service request to target: the one round trip
@@ -486,75 +502,40 @@ func (c *Client) AccessNode(nodeID int, serviceUs uint32, payload []byte) (*Acce
 	return &AccessInfo{Server: nodeID, Resp: resp}, nil
 }
 
-// pollAndPick implements the random polling policy (§3.1-3.2) with
-// failure handling, as the simulator's client does: poll PollSize
-// random non-quarantined servers, and if a whole round goes unanswered,
-// back off and re-poll up to faults.DefaultPollRetries times before
-// falling back to a random server still believed live. cands and
-// fresh are liveEndpoints(eps): when every server is quarantined
-// polling is pointless, and the pick is random over the full table.
-func (c *Client) pollAndPick(eps, cands []Endpoint, fresh bool, info *AccessInfo) (Endpoint, error) {
-	for round := 0; fresh; round++ {
-		ep, ok, err := c.pollOnce(cands, info)
-		if err != nil || ok {
-			return ep, err
-		}
-		if round >= faults.DefaultPollRetries {
-			// Every round was silence, which may have quarantined some.
-			cands, _ = c.liveEndpoints(eps)
-			break
-		}
-		info.Retries++
-		c.cfg.Metrics.Retries.Inc()
-		if !c.backoff(round) {
-			return Endpoint{}, errPollClosed
-		}
-		cands, fresh = c.liveEndpoints(eps)
-	}
-	c.mu.Lock()
-	ep := cands[c.rng.Intn(len(cands))]
-	c.mu.Unlock()
-	return ep, nil
-}
-
 // pollOnce runs one poll round: send load inquiries to PollSize random
 // servers from the client's datagram socket, wait until all are
-// answered or the discard deadline passes, and pick the least-loaded
-// respondent. ok is false when not a single answer arrived in time.
+// answered or the discard deadline passes, and close the round with m.
+// ep is the server m picked, when it picked a polled one.
 //
 // The round is pooled state (pollround.go): one encode buffer, one
 // slot table filled by the client's answer handler, and one pooled
 // waiter, so steady-state rounds allocate nothing. On the mem fabric
 // every answer is filed during the fan-out and the round never parks.
-// The RNG and sequence-number streams are exactly those of the
-// historical per-reply-channel implementation: ChooseIdentity draws
-// the same poll set Choose did, and seq numbers (and link-fault draws)
-// are taken per inquiry in poll-set order.
+// Seq numbers and link-fault draws are taken per inquiry in poll-set
+// order.
 //
 //lint:noalloc steady state; pool misses mint in getRound and register
-func (c *Client) pollOnce(eps []Endpoint, info *AccessInfo) (ep Endpoint, ok bool, err error) {
-	d := c.cfg.Policy.PollSize
-	if d > len(eps) {
-		d = len(eps)
-	}
-	r := getRound(d)
+func (c *Client) pollOnce(m *faults.Access, eps []Endpoint, info *AccessInfo) (ep Endpoint, next faults.Next, err error) {
+	r := getRound(c.cfg.Policy.PollSize)
 	defer putRound(r)
 
 	// Choose the poll set. The identity scratch persists across rounds;
-	// ChooseIdentity restores it, so growth is the only maintenance.
+	// PollSet restores it, so growth is the only maintenance.
 	c.mu.Lock()
 	for len(c.ident) < len(eps) {
 		c.ident = append(c.ident, len(c.ident))
 	}
-	c.rng.ChooseIdentity(r.polled, len(eps), c.ident, r.swaps)
+	r.polled = core.PollSet(c.rng, len(eps), c.cfg.Policy.PollSize, r.polled, c.ident, r.swaps)
 	c.mu.Unlock()
+	d := len(r.polled)
+	r.seqs, r.loads, r.rtts = r.seqs[:d], r.loads[:d], r.rtts[:d]
 
 	for i := range r.seqs {
 		r.seqs[i] = c.seq.Add(1)
 	}
 	r.start = time.Now()
 	if err := c.register(r); err != nil {
-		return Endpoint{}, false, err
+		return Endpoint{}, next, err
 	}
 	sent := d
 	for i, epIdx := range r.polled {
@@ -565,7 +546,9 @@ func (c *Client) pollOnce(eps []Endpoint, info *AccessInfo) (ep Endpoint, ok boo
 			c.unsend(r, i)
 			sent--
 			c.mu.Lock()
-			c.silentLocked(target.NodeID, time.Since(c.epoch))
+			if c.det.Silent(target.NodeID, time.Since(c.epoch)) {
+				c.cfg.Metrics.Quarantines.Inc()
+			}
 			c.mu.Unlock()
 		}
 	}
@@ -577,7 +560,7 @@ func (c *Client) pollOnce(eps []Endpoint, info *AccessInfo) (ep Endpoint, ok boo
 		wait = da
 	}
 	if err := c.collect(r, r.start.Add(wait)); err != nil {
-		return Endpoint{}, false, err
+		return Endpoint{}, next, err
 	}
 
 	r.responses = r.responses[:0]
@@ -599,27 +582,25 @@ func (c *Client) pollOnce(eps []Endpoint, info *AccessInfo) (ep Endpoint, ok boo
 
 	// Failure detection (faults.Detector): an answer is proof of life;
 	// silence is a strike, and consecutive strikes quarantine. One lock
-	// covers the whole round's outcomes and the pick.
+	// covers the whole round's outcomes and m's draws.
 	c.mu.Lock()
 	if c.det != nil {
 		now := time.Since(c.epoch)
 		for i, load := range r.loads {
-			if id := eps[r.polled[i]].NodeID; load >= 0 {
-				c.det.Answered(id)
-			} else if load != notSent {
-				c.silentLocked(id, now)
+			if load != notSent && c.det.Heard(eps[r.polled[i]].NodeID, load >= 0, now) {
+				c.cfg.Metrics.Quarantines.Inc()
 			}
 		}
 	}
-	pick := -1
-	if answered > 0 {
-		pick = core.PickFromPolls(c.rng, r.responses, r.polled)
-	}
+	next = m.Round(c.rng, r.responses, d, retrySilent)
 	c.mu.Unlock()
-	if pick < 0 {
-		return Endpoint{}, false, nil
+	switch next.Step {
+	case faults.PickAnswered:
+		ep = eps[next.Pick]
+	case faults.PickPolled:
+		ep = eps[r.polled[next.Pick]]
 	}
-	return eps[pick], true, nil
+	return ep, next, nil
 }
 
 // PollRound runs exactly one poll round against eps — encode, fan-out,
@@ -632,5 +613,7 @@ func (c *Client) PollRound(eps []Endpoint, info *AccessInfo) (ep Endpoint, ok bo
 	if c.conn == nil {
 		return Endpoint{}, false, fmt.Errorf("cluster: PollRound needs a client with the poll policy")
 	}
-	return c.pollOnce(eps, info)
+	var m faults.Access
+	ep, next, err := c.pollOnce(&m, eps, info)
+	return ep, next.Step == faults.PickAnswered, err
 }

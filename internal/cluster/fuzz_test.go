@@ -261,7 +261,7 @@ func FuzzPollAnswers(f *testing.F) {
 		done := make(chan error, 1)
 		start := time.Now()
 		go func() {
-			_, _, err := c.pollOnce(eps, info)
+			_, _, err := c.PollRound(eps, info)
 			done <- err
 		}()
 		waitUntil(t, func() bool { return inflight(c) == 3 }, "the round to register its inquiries")

@@ -47,13 +47,13 @@ func TestPollPathZeroAllocs(t *testing.T) {
 		info := &AccessInfo{PollRTTs: make([]time.Duration, 0, 4)}
 		// Prime the round pool and steady-state map sizes.
 		for i := 0; i < 200; i++ {
-			if _, ok, err := c.pollOnce(eps, info); err != nil || !ok {
+			if _, ok, err := c.PollRound(eps, info); err != nil || !ok {
 				t.Fatalf("priming round failed: ok=%v err=%v", ok, err)
 			}
 			info.PollRTTs = info.PollRTTs[:0]
 		}
 		if avg := testing.AllocsPerRun(1000, func() {
-			_, ok, err := c.pollOnce(eps, info)
+			_, ok, err := c.PollRound(eps, info)
 			if err != nil || !ok {
 				t.Fatalf("round failed: ok=%v err=%v", ok, err)
 			}

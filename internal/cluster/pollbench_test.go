@@ -11,7 +11,7 @@ import (
 
 // pollBenchCluster boots servers answering load inquiries instantly
 // (contention model off) and a Poll(d) client over tr, returning the
-// client and its endpoint table. The caller drives pollOnce directly,
+// client and its endpoint table. The caller drives PollRound directly,
 // so the measured work is exactly one poll round: encode + fan-out +
 // demux + decision, with no service access attached.
 func pollBenchCluster(b testing.TB, tr transport.Transport, servers, d int) (*Client, []Endpoint) {
@@ -49,7 +49,7 @@ func benchPollRounds(b *testing.B, tr transport.Transport, servers, d int) {
 	info := &AccessInfo{PollRTTs: make([]time.Duration, 0, d)}
 	// Prime the round pool, conn pools, and steady-state map sizes.
 	for i := 0; i < 100; i++ {
-		if _, ok, err := c.pollOnce(eps, info); err != nil || !ok {
+		if _, ok, err := c.PollRound(eps, info); err != nil || !ok {
 			b.Fatalf("priming round failed: ok=%v err=%v", ok, err)
 		}
 		info.PollRTTs = info.PollRTTs[:0]
@@ -58,7 +58,7 @@ func benchPollRounds(b *testing.B, tr transport.Transport, servers, d int) {
 	b.ResetTimer()
 	start := time.Now()
 	for i := 0; i < b.N; i++ {
-		_, ok, err := c.pollOnce(eps, info)
+		_, ok, err := c.PollRound(eps, info)
 		if err != nil || !ok {
 			b.Fatalf("round %d failed: ok=%v err=%v", i, ok, err)
 		}
@@ -92,7 +92,7 @@ func benchPollRoundsParallel(b *testing.B, tr transport.Transport, servers, d in
 	c, eps := pollBenchCluster(b, tr, servers, d)
 	info := &AccessInfo{}
 	for i := 0; i < 100; i++ {
-		if _, ok, err := c.pollOnce(eps, info); err != nil || !ok {
+		if _, ok, err := c.PollRound(eps, info); err != nil || !ok {
 			b.Fatalf("priming round failed: ok=%v err=%v", ok, err)
 		}
 		info.PollRTTs = info.PollRTTs[:0]
@@ -103,7 +103,7 @@ func benchPollRoundsParallel(b *testing.B, tr transport.Transport, servers, d in
 	b.RunParallel(func(pb *testing.PB) {
 		local := &AccessInfo{PollRTTs: make([]time.Duration, 0, d)}
 		for pb.Next() {
-			if _, ok, err := c.pollOnce(eps, local); err != nil || !ok {
+			if _, ok, err := c.PollRound(eps, local); err != nil || !ok {
 				b.Fatalf("parallel round failed: ok=%v err=%v", ok, err)
 			}
 			local.PollRTTs = local.PollRTTs[:0]

@@ -334,7 +334,7 @@ func TestStaleAnswerOnReusedRoundSocket(t *testing.T) {
 	t.Cleanup(func() { c.Close() })
 
 	first := &AccessInfo{}
-	if _, ok, err := c.pollOnce(c.Endpoints(), first); err != nil || !ok || first.Answered != 1 {
+	if _, ok, err := c.PollRound(c.Endpoints(), first); err != nil || !ok || first.Answered != 1 {
 		t.Fatalf("first round: ok=%v err=%v answered=%d", ok, err, first.Answered)
 	}
 	stale := c.seq.Load() // the first round's seqs are 1..stale
@@ -348,7 +348,7 @@ func TestStaleAnswerOnReusedRoundSocket(t *testing.T) {
 	done := make(chan result, 1)
 	go func() {
 		info := &AccessInfo{}
-		ep, ok, err := c.pollOnce(c.Endpoints(), info)
+		ep, ok, err := c.PollRound(c.Endpoints(), info)
 		done <- result{ep, ok, err, info}
 	}()
 	waitUntil(t, func() bool { return inflight(c) == 1 }, "the second round to wait on the deaf node")
@@ -424,7 +424,7 @@ func TestPollAgentCancelDropsLateAnswer(t *testing.T) {
 		done := make(chan result, 1)
 		go func() {
 			info := &AccessInfo{}
-			_, ok, err := c.pollOnce([]Endpoint{ep}, info)
+			_, ok, err := c.PollRound([]Endpoint{ep}, info)
 			done <- result{ok, err, info}
 		}()
 		return done
@@ -506,7 +506,7 @@ func TestPollAgentCountsLateAnswers(t *testing.T) {
 	t.Cleanup(func() { c.Close() })
 
 	info := &AccessInfo{}
-	if _, ok, err := c.pollOnce(c.Endpoints(), info); err != nil || ok {
+	if _, ok, err := c.PollRound(c.Endpoints(), info); err != nil || ok {
 		t.Fatalf("round against the slow node: ok=%v err=%v, want a dry round", ok, err)
 	}
 	if info.Polled != 1 || info.Answered != 0 || info.Discarded != 1 {

@@ -56,17 +56,8 @@ type PollResponse struct {
 }
 
 // PickFromPolls returns the server id of the least-loaded respondent,
-// breaking ties uniformly. If no polls were answered (all discarded),
-// it returns a uniformly random member of polled — the prototype's
-// fallback when every inquiry exceeded the discard threshold. polled
-// must be non-empty.
-func PickFromPolls(rng *stats.RNG, responses []PollResponse, polled []int) int {
-	if len(responses) == 0 {
-		if len(polled) == 0 {
-			panic("core: PickFromPolls with no polls")
-		}
-		return polled[PickUnanswered(rng, len(polled))]
-	}
+// breaking ties uniformly. responses must be non-empty.
+func PickFromPolls(rng *stats.RNG, responses []PollResponse) int {
 	best := 0
 	ties := 1
 	for i := 1; i < len(responses); i++ {
@@ -85,6 +76,4 @@ func PickFromPolls(rng *stats.RNG, responses []PollResponse, polled []int) int {
 
 // PickUnanswered returns the index, among n polled servers, of the one a
 // round with no answers falls back to: uniform, with one draw from rng.
-// Callers that keep their polled servers in another shape than
-// PickFromPolls's []int call it directly, so both draw alike.
 func PickUnanswered(rng *stats.RNG, n int) int { return rng.Intn(n) }

@@ -236,35 +236,9 @@ func TestLoadTablePanics(t *testing.T) {
 func TestPickFromPolls(t *testing.T) {
 	rng := stats.NewRNG(6)
 	resp := []PollResponse{{Server: 4, Load: 3}, {Server: 9, Load: 1}, {Server: 2, Load: 7}}
-	if got := PickFromPolls(rng, resp, nil); got != 9 {
+	if got := PickFromPolls(rng, resp); got != 9 {
 		t.Fatalf("PickFromPolls = %d", got)
 	}
-}
-
-func TestPickFromPollsFallback(t *testing.T) {
-	rng := stats.NewRNG(7)
-	polled := []int{3, 8, 12}
-	counts := map[int]int{}
-	for i := 0; i < 3000; i++ {
-		counts[PickFromPolls(rng, nil, polled)]++
-	}
-	for _, id := range polled {
-		if counts[id] < 800 {
-			t.Fatalf("fallback not uniform: %v", counts)
-		}
-	}
-	if len(counts) != 3 {
-		t.Fatalf("fallback chose outside polled set: %v", counts)
-	}
-}
-
-func TestPickFromPollsPanicsOnNothing(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic with no responses and no polled set")
-		}
-	}()
-	PickFromPolls(stats.NewRNG(1), nil, nil)
 }
 
 // Property: PickLeast always returns an index of minimal load.
@@ -289,10 +263,12 @@ func TestQuickPickLeastIsMinimal(t *testing.T) {
 	}
 }
 
-// Property: PickFromPolls returns a minimal-load respondent whenever
-// any response exists, and a polled server otherwise.
+// Property: PickFromPolls returns a minimal-load respondent.
 func TestQuickPickFromPolls(t *testing.T) {
 	f := func(seed uint64, rawLoads []uint8) bool {
+		if len(rawLoads) == 0 {
+			return true
+		}
 		rng := stats.NewRNG(seed)
 		var resp []PollResponse
 		minLoad := 1 << 30
@@ -302,11 +278,7 @@ func TestQuickPickFromPolls(t *testing.T) {
 				minLoad = int(v)
 			}
 		}
-		polled := []int{100, 200}
-		got := PickFromPolls(rng, resp, polled)
-		if len(resp) == 0 {
-			return got == 100 || got == 200
-		}
+		got := PickFromPolls(rng, resp)
 		for _, r := range resp {
 			if r.Server == got {
 				return r.Load == minLoad

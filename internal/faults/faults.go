@@ -286,15 +286,19 @@ func (d *Detector) quarantine(s *serverState, now time.Duration) {
 	d.latest = max(d.latest, s.until)
 }
 
-// Answered clears srv's strikes and quarantine: an answer is proof of
-// life.
+// Heard records one closed inquiry to srv at now and reports whether
+// it quarantined srv. Silence is a strike (Silent); an answer in time
+// clears srv's strikes and quarantine, since it is proof of life.
 //
 //lint:noalloc
-func (d *Detector) Answered(srv int) {
-	if d == nil || srv >= len(d.state) {
-		return
+func (d *Detector) Heard(srv int, answered bool, now time.Duration) bool {
+	if !answered {
+		return d.Silent(srv, now)
 	}
-	d.state[srv] = serverState{}
+	if d != nil && srv < len(d.state) {
+		d.state[srv] = serverState{}
+	}
+	return false
 }
 
 // at returns srv's state, growing the table to reach it.
@@ -330,16 +334,6 @@ func Live[T any](d *Detector, dst, members []T, id func(T) int, now time.Duratio
 		return members, false
 	}
 	return dst, true
-}
-
-// Backoff returns the nominal backoff before retry number attempt
-// (0-based): DefaultRetryBackoff doubled per attempt. Callers jitter it
-// with their own random stream.
-func Backoff(attempt int) time.Duration {
-	if attempt > 16 {
-		attempt = 16 // cap the shift; retries are bounded far below this
-	}
-	return DefaultRetryBackoff << uint(attempt)
 }
 
 // DegradedDemo is the canned degraded-mode schedule of the repro

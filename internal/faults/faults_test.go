@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"finelb/internal/stats"
 )
 
 func TestValidate(t *testing.T) {
@@ -121,14 +123,20 @@ func TestLinkStateNilSafe(t *testing.T) {
 }
 
 func TestBackoff(t *testing.T) {
-	if got := Backoff(0); got != DefaultRetryBackoff {
-		t.Errorf("attempt 0: %v", got)
+	rng := stats.NewRNG(1)
+	for _, tc := range []struct {
+		attempt int
+		base    time.Duration
+	}{{0, DefaultRetryBackoff}, {3, 8 * DefaultRetryBackoff}, {40, DefaultRetryBackoff << 16}} {
+		for i := 0; i < 100; i++ {
+			if got := Backoff(rng, tc.attempt); got < tc.base/2 || got >= tc.base*3/2 {
+				t.Fatalf("attempt %d: %v outside [0.5, 1.5) x %v", tc.attempt, got, tc.base)
+			}
+		}
 	}
-	if got := Backoff(3); got != 8*DefaultRetryBackoff {
-		t.Errorf("attempt 3: %v", got)
-	}
-	if got := Backoff(40); got != DefaultRetryBackoff<<16 {
-		t.Errorf("capped shift: %v", got)
+	// The jitter is one draw from the caller's stream.
+	if a, b := Backoff(stats.NewRNG(9), 2), Backoff(stats.NewRNG(9), 2); a != b {
+		t.Fatalf("same stream, different waits: %v %v", a, b)
 	}
 }
 
@@ -214,7 +222,7 @@ func TestDetectorRules(t *testing.T) {
 				case "failed":
 					d.Failed(s.srv, s.at)
 				case "answered":
-					d.Answered(s.srv)
+					d.Heard(s.srv, true, s.at)
 				case "check":
 					live, fresh := Live(d, nil, members, func(m int) int { return m }, s.at)
 					quarantined := map[int]bool{}

@@ -14,11 +14,11 @@ import (
 type access struct {
 	idx     int
 	client  int
-	attempt int
-	srv     int          // chosen server of the current dispatch
-	start   sim.Time     // arrival time; response time is measured from it
-	service sim.Duration // service demand
-	pollDur sim.Duration // polling duration of the deciding round
+	m       faults.Access // the access's poll rounds and attempts
+	srv     int           // chosen server of the current dispatch
+	start   sim.Time      // arrival time; response time is measured from it
+	service sim.Duration  // service demand
+	pollDur sim.Duration  // polling duration of the deciding round
 }
 
 // slabBits sizes a slab block: 1<<slabBits records.
@@ -78,7 +78,7 @@ func (r *runner) scheduleArrival() {
 	a := r.accs.at(id)
 	a.idx = i
 	a.client = i % r.cfg.Clients
-	a.attempt = 0
+	a.m = faults.Access{}
 	a.pollDur = 0
 	a.service = sim.FromSeconds(acc.Service)
 	r.eng.AtSeq(sim.Time(sim.FromSeconds(acc.Arrival)), r.arrivalBase+uint64(i), r.on.arrival, id)
@@ -138,8 +138,9 @@ func (r *runner) anyOf(cands []int) int {
 	return cands[r.policyRNG.Intn(len(cands))]
 }
 
-// handle runs the policy decision for access id (on arrival, and again
-// after a broken round trip) over the client's current candidate set.
+// handle runs the policy decision for access id (on arrival, after a
+// broken round trip, and after a silent poll round) over the client's
+// current candidate set.
 // With no faults and a fixed pool the candidates are every server, so
 // each branch takes the paper model's draws exactly.
 //
@@ -147,7 +148,6 @@ func (r *runner) anyOf(cands []int) int {
 func (r *runner) handle(id int) {
 	a := r.accs.at(id)
 	cands, fresh := r.candidates(a.client)
-	a.pollDur = 0
 	switch r.cfg.Policy.Kind {
 	case core.Random:
 		a.srv = r.anyOf(cands)
@@ -167,11 +167,10 @@ func (r *runner) handle(id int) {
 			tbl.Increment(a.srv)
 		}
 	case core.Poll:
-		if fresh {
-			r.pollRound(id, 0, cands)
+		if a.m.Poll(fresh) == faults.Poll {
+			r.pollRound(id, cands)
 			return
 		}
-		// Every candidate quarantined: skip the pointless poll.
 		a.srv = r.anyOf(cands)
 	}
 	r.dispatch(id)
@@ -194,7 +193,6 @@ func (r *runner) indexPick(x *core.LoadIndex, cands []int) int {
 // round, and reused by every round that takes its id.
 type pollCtx struct {
 	acc       int      // the access being decided
-	round     int      // 0, then one more per silent-round retry
 	start     sim.Time // when the inquiries went out
 	deadline  sim.Time // poll timeout, capped by the discard threshold
 	slots     []pollSlot
@@ -232,13 +230,13 @@ func carve[T any](pool *[]T, n int) []T {
 // due — or at the deadline, if some slot is dropped or late.
 //
 //lint:noalloc
-func (r *runner) pollRound(id, round int, cands []int) {
+func (r *runner) pollRound(id int, cands []int) {
 	cfg := &r.cfg
 	client := r.accs.at(id).client
 	set := core.PollSet(r.policyRNG, len(cands), cfg.Policy.PollSize, r.pollDst, r.pollIdent, r.pollSwaps)
 	cid := r.polls.get()
 	c := r.polls.at(cid)
-	c.acc, c.round, c.start = id, round, r.eng.Now()
+	c.acc, c.start = id, r.eng.Now()
 	if c.slots == nil {
 		c.slots = carve(&r.slotPool, cfg.Policy.PollSize)
 		c.responses = carve(&r.respPool, cfg.Policy.PollSize)
@@ -314,11 +312,9 @@ func (r *runner) observe(arg int) {
 	r.pollRTT.observe(sl.respAt.Sub(c.start).Seconds())
 }
 
-// decide closes poll round cid and dispatches. A slot that fell silent
-// at observation moves the decision to the deadline; a round nobody
-// answered retries after a backoff when fault handling is on, and after
-// faults.DefaultPollRetries silent rounds falls back to a random
-// candidate.
+// decide closes poll round cid: a slot that fell silent at observation
+// moves the decision to the deadline, and then the access's
+// faults.Access picks, or re-polls after a backoff.
 //
 //lint:noalloc
 func (r *runner) decide(cid int) {
@@ -333,50 +329,35 @@ func (r *runner) decide(cid int) {
 	r.msg.PollsDiscarded += int64(len(c.slots) - len(c.responses))
 	det, at := r.detector(a.client), r.now()
 	for _, sl := range c.slots {
-		if sl.answered {
-			det.Answered(sl.srv)
-		} else if det.Silent(sl.srv, at) {
+		if det.Heard(sl.srv, sl.answered, at) {
 			r.quarantines++
 		}
 	}
 	a.pollDur = now.Sub(a.start)
-	switch {
-	case len(c.responses) > 0:
-		a.srv = core.PickFromPolls(r.policyRNG, c.responses, nil)
-	case r.ft == nil:
-		// No answers (all discarded): a random polled server, the
-		// prototype's discard fallback.
-		a.srv = c.slots[core.PickUnanswered(r.policyRNG, len(c.slots))].srv
-	case c.round < faults.DefaultPollRetries:
-		r.retries++
-		r.eng.After(r.ft.backoff(c.round), r.on.repoll, cid)
-		return
-	default:
-		// Every round was silence: random fallback among the servers
-		// still believed live.
+	// A silent round is re-polled only under a fault schedule; without
+	// one, every answer was discarded at the deadline and a polled
+	// server is picked at once. The prototype re-polls either way: the
+	// substrates' one known divergence on a silent round (DESIGN.md §5).
+	next := a.m.Round(r.policyRNG, c.responses, len(c.slots), r.ft != nil)
+	switch next.Step {
+	case faults.PickAnswered:
+		a.srv = next.Pick
+	case faults.PickPolled:
+		a.srv = c.slots[next.Pick].srv
+	case faults.PickAny:
 		cands, _ := r.candidates(a.client)
 		a.srv = r.anyOf(cands)
-	}
-	r.polls.put(cid)
-	r.dispatch(id)
-}
-
-// repoll is silent round cid's retry, after its backoff: poll the fresh
-// candidates again, or go random if the client has quarantined them all.
-//
-//lint:noalloc
-func (r *runner) repoll(cid int) {
-	c := r.polls.at(cid)
-	id, round := c.acc, c.round+1
-	r.polls.put(cid)
-	a := r.accs.at(id)
-	cands, fresh := r.candidates(a.client)
-	if fresh {
-		r.pollRound(id, round, cands)
+	case faults.Repoll:
+		// handle polls again after the wait; should it pick without
+		// polling, the access polled until then.
+		wait := sim.Duration(next.Wait(r.ft.rng))
+		a.pollDur += wait
+		r.retries++
+		r.polls.put(cid)
+		r.eng.After(wait, r.on.retry, id)
 		return
 	}
-	a.srv = r.anyOf(cands)
-	a.pollDur = r.eng.Now().Sub(a.start)
+	r.polls.put(cid)
 	r.dispatch(id)
 }
 
@@ -433,9 +414,15 @@ func (r *runner) accessDone(id int) {
 	r.finish()
 }
 
+// retryIdeal is the simulator's input to faults.Access.Failed: a failed
+// IDEAL access is retried like any other. The prototype never retries
+// one, since its manager accounts each access once: the substrates'
+// other known divergence (DESIGN.md §5).
+const retryIdeal = true
+
 // accessFailed lands access id's broken round trip at the client:
-// quarantine the server and retry the whole server selection, up to
-// faults.DefaultAccessRetries times.
+// quarantine the server, then retry the whole server selection after
+// a backoff or count the access lost, as its faults.Access says.
 //
 //lint:noalloc
 func (r *runner) accessFailed(id int) {
@@ -444,16 +431,16 @@ func (r *runner) accessFailed(id int) {
 	if r.detector(a.client).Failed(a.srv, r.now()) {
 		r.quarantines++
 	}
-	if a.attempt >= faults.DefaultAccessRetries {
+	next := a.m.Failed(r.cfg.Policy.Kind == core.Ideal, retryIdeal)
+	if next.Step == faults.GiveUp {
 		r.lost++
 		r.accs.put(id)
 		r.finish()
 		return
 	}
 	r.retries++
-	attempt := a.attempt
-	a.attempt++
-	r.eng.After(r.ft.backoff(attempt), r.on.retry, id)
+	a.pollDur = 0
+	r.eng.After(sim.Duration(next.Wait(r.ft.rng)), r.on.retry, id)
 }
 
 // finish stops the engine once every access is accounted for. An

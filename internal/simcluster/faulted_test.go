@@ -140,6 +140,31 @@ func TestFaultedLinkLatencyDiscards(t *testing.T) {
 	}
 }
 
+// TestAllDiscardedPicksPolledAtOnce pins the simulator's side of the
+// substrates' divergence on a silent round (DESIGN.md §5). With no
+// fault schedule, a round whose every answer lands after the discard
+// deadline picks a polled server at once: no backoff, no re-poll. The
+// prototype re-polls instead.
+func TestAllDiscardedPicksPolledAtOnce(t *testing.T) {
+	w := workload.PoissonExp(0.05).ScaledTo(4, 0.5)
+	res := run(t, Config{
+		Servers: 4, Workload: w,
+		// The deadline is shorter than DefaultPollRTT.
+		Policy:   core.NewPollDiscard(2, 100*time.Microsecond),
+		Accesses: 2000, Seed: 3,
+	})
+	if res.Messages.PollResponses != 0 || res.Messages.PollsDiscarded != 2*2000 {
+		t.Fatalf("answered %d, discarded %d of %d inquiries; want every one discarded",
+			res.Messages.PollResponses, res.Messages.PollsDiscarded, 2*2000)
+	}
+	if res.Retries != 0 || res.Lost != 0 {
+		t.Fatalf("retries %d, lost %d; want 0 and 0", res.Retries, res.Lost)
+	}
+	if res.Response.N() != 1800 {
+		t.Fatalf("%d measured responses, want 1800", res.Response.N())
+	}
+}
+
 func TestEmptyScheduleBitIdenticalToHealthy(t *testing.T) {
 	// An inert schedule (no events, no links) takes the healthy fast
 	// path: with the unified runner the results are not merely close but

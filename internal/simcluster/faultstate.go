@@ -8,7 +8,7 @@ import (
 
 // clientFaults is the client-side fault state of a faulted run: one
 // faults.Detector per client (the failure detector the prototype
-// client runs too), link-fault decisions, and jittered retry backoff.
+// client runs too) and the stream of link-fault and backoff draws.
 // Run allocates it only when the schedule is active; with none, the
 // access machine sees nil detectors and no link faults.
 //
@@ -50,13 +50,4 @@ func (f *clientFaults) pollFault(client, srv int) (drop bool, delay sim.Duration
 		return true, 0
 	}
 	return false, sim.FromSeconds(rule.Latency.Seconds())
-}
-
-// backoff returns the jittered wait before retry number attempt.
-//
-//lint:noalloc
-func (f *clientFaults) backoff(attempt int) sim.Duration {
-	base := faults.Backoff(attempt)
-	jitter := 0.5 + f.rng.Float64()
-	return sim.FromSeconds(base.Seconds() * jitter)
 }

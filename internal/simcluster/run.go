@@ -85,7 +85,7 @@ type runner struct {
 	on struct {
 		arrival, arrive, done, fail, retry func(int) // access id
 		service                            func(int) // server id and generation
-		decide, repoll                     func(int) // poll round id
+		decide                             func(int) // poll round id
 		observe                            func(int) // poll round id and slot
 		deliver                            func(int) // packed broadcast
 	}
@@ -199,7 +199,6 @@ func newRunner(cfg Config) (*runner, error) {
 	r.on.fail = r.accessFailed
 	r.on.retry = r.handle
 	r.on.decide = r.decide
-	r.on.repoll = r.repoll
 	r.on.observe = r.observe
 	r.on.deliver = r.deliver
 
